@@ -24,7 +24,6 @@ from .locomotion import (
     Machine,
     VehicleSpec,
     conventional_drawbar_per_mass,
-    draft_balance_curvature,
     traverse_check,
 )
 from .planner import (
@@ -44,9 +43,7 @@ from .sensing import (
     EVENT_FIELDS,
     PenetrationEvent,
     PenetrationRecorder,
-    bearing_proxy,
     load_events,
-    lower_bound_strength,
     penetration_trace,
     rasterize_events,
 )
@@ -76,7 +73,6 @@ from .traction import (
     lift_force,
     pull_weight_ratio,
     ripper_downforce,
-    thrust_force,
     tractive_efficiency,
 )
 
@@ -122,19 +118,16 @@ __all__ = [
     "VolumeAudit",
     "anchoring_slip",
     "anchoring_work",
-    "bearing_proxy",
     "conventional_drawbar_per_mass",
     "crust_breaks",
     "derated_pull_weight_ratio",
     "describe_plan",
-    "draft_balance_curvature",
     "estimate_energy",
     "execute_plan",
     "flip_margin",
     "lift_force",
     "load_events",
     "load_scenario",
-    "lower_bound_strength",
     "penetration_trace",
     "plan_pad_mission",
     "predict_peak_draft",
@@ -142,7 +135,6 @@ __all__ = [
     "rasterize_events",
     "ripper_downforce",
     "run_scenario",
-    "thrust_force",
     "tractive_efficiency",
     "traverse_check",
     "validate_plan",

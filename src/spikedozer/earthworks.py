@@ -1,4 +1,4 @@
-"""Heightfield terrain, cut and fill bookkeeping, and tool draft forces.
+"""Heightfield terrain, cut and fill bookkeeping, and the ripper draft.
 
 The ground is a raster of square cells.  Each cell carries a bank floor
 elevation (top of undisturbed material) and a loose depth (disturbed
@@ -7,9 +7,10 @@ material swells it by a fixed factor as it turns to spoil, so volumes are
 audited in bank-equivalent terms: every cubic meter of bank removed must
 reappear as `swell` cubic meters of loose somewhere on the map.
 
-Draft force models are the narrow-tool kind: proportional to the cut
-cross-section times the material's penetration resistance, with the
-carried prism's ground drag added for the blade.
+The ripper's draft model is the narrow-tool kind: proportional to the
+cut cross-section times the material's penetration resistance.  The
+blade's draft, face force plus the carried prism's ground drag, is
+priced by the machine in `locomotion`.
 """
 
 from __future__ import annotations
@@ -25,41 +26,10 @@ from .soils import SoilField, SoilProfile
 SWELL_FACTOR = 1.3
 DEFAULT_CELL_SIZE = 0.25  # m
 REPOSE_SLACK_DEG = 0.5  # relaxation trigger slack above the repose angle
+MAX_RELAX_PASSES = 10000  # sweeps before relaxation gives up as unsettled
 
 # Neighbor scan order for the relaxation sweep: clockwise from north.
 _NEIGHBORS = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
-
-
-def blade_draft(
-    width: float,
-    loose_cut: float,
-    bank_cut: float,
-    q_loose: float,
-    q_bank: float,
-    prism_volume: float,
-    loose_density: float,
-    gravity: float,
-    cutting_coeff: float = 1.0,
-    prism_friction: float = 0.8,
-) -> float:
-    """Horizontal force to push a loaded blade through a cut (N).
-
-    The cut face does work against the local material, loose and bank
-    parts each at their own resistance, and the carried prism drags on
-    the ground ahead of the blade:
-
-        F = k_b * w * (d_loose * q_loose + d_bank * q_bank)
-            + mu_p * rho_loose * V_prism * g
-    """
-    if width <= 0.0:
-        raise ValueError("blade width must be positive")
-    if loose_cut < 0.0 or bank_cut < 0.0:
-        raise ValueError("cut thicknesses must be non-negative")
-    if prism_volume < 0.0:
-        raise ValueError("prism volume must be non-negative")
-    face = cutting_coeff * width * (loose_cut * q_loose + bank_cut * q_bank)
-    drag = prism_friction * loose_density * prism_volume * gravity
-    return face + drag
 
 
 def ripper_draft(
@@ -318,11 +288,7 @@ class Terrain:
     # ------------------------------------------------------------------
     # Spoil relaxation
 
-    def relax(
-        self,
-        window: tuple[int, int, int, int] | None = None,
-        max_passes: int = 10000,
-    ) -> int:
+    def relax(self, window: tuple[int, int, int, int] | None = None) -> int:
         """Avalanche over-steep spoil until every slope is at repose.
 
         Cells are swept in row-major order; each over-steep pair moves
@@ -361,7 +327,7 @@ class Terrain:
         steps = [(di, dj, self.cell_size * (math.sqrt(2.0) if di and dj else 1.0))
                  for di, dj in _NEIGHBORS]
         try:
-            for passes in range(1, max_passes + 1):
+            for passes in range(1, MAX_RELAX_PASSES + 1):
                 moved = False
                 for i in range(i_lo - r_lo, i_hi - r_lo):
                     if not has_spoil[i]:
@@ -416,22 +382,6 @@ class Terrain:
                 if values is not None:
                     block[r] = np.frombuffer(values)
         raise RuntimeError("spoil relaxation failed to settle")
-
-    def slope_at(self, x: float, y: float) -> float:
-        """Surface slope at a point, degrees, by central differences.
-
-        Gradient components are taken between the neighbors of the
-        containing cell (one-sided at the map border); the slope is the
-        grade along the steepest direction.
-        """
-        i, j = self.cell_of(x, y)
-        rows, cols = self.shape
-        s = self.surface()
-        j0, j1 = max(j - 1, 0), min(j + 1, cols - 1)
-        i0, i1 = max(i - 1, 0), min(i + 1, rows - 1)
-        dz_dx = (s[i, j1] - s[i, j0]) / ((j1 - j0) * self.cell_size) if j1 > j0 else 0.0
-        dz_dy = (s[i1, j] - s[i0, j]) / ((i1 - i0) * self.cell_size) if i1 > i0 else 0.0
-        return math.degrees(math.atan(math.hypot(dz_dx, dz_dy)))
 
     def max_surface_slope_deg(self) -> float:
         """Steepest center-to-center surface grade on the map."""

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .earthworks import SWELL_FACTOR, Terrain, ripper_draft
 from .errors import FlipInstability, VehicleStuck
 from .sensing import PenetrationRecorder
 from .soils import Environment, SoilProfile, crust_breaks
-from .traction import SpikeGeometry, anchoring_slip, lift_force, ripper_downforce
+from .traction import SpikeGeometry, anchoring_slip, anchoring_work, ripper_downforce
 
 STEP = 0.01  # m, quasi-static integration increment
 LOADED_SLOPE_LIMIT_DEG = 20.0
@@ -52,21 +51,6 @@ def conventional_drawbar_per_mass(env: Environment) -> float:
     except KeyError:
         raise ValueError(f"no tracked-vehicle baseline for {env.name!r}")
     return ratio * env.gravity
-
-
-def draft_balance_curvature(weight_offset: float, spec: VehicleSpec) -> float:
-    """Signed path curvature (1/m) from a lateral payload shift.
-
-    Offsetting the carried weight from the central axis unbalances the
-    draft between the two spike rows and bends an otherwise straight
-    path.  The drive geometry puts the straight-line point off axis, so
-    shifting the weight inward from it bends the path one way and
-    shifting it outboard bends it the other.  Modeled as a calibrated
-    linear map; the gain is a vehicle parameter, not derived.
-    """
-    if abs(weight_offset) > spec.half_width + 1e-12:
-        raise ValueError("weight offset beyond the spike row")
-    return spec.curvature_gain * (weight_offset - spec.curvature_balance_offset)
 
 
 def traverse_check(slope_deg: float, loaded: bool, repose_angle_deg: float) -> bool:
@@ -117,7 +101,6 @@ class VehicleSpec:
     ripper_rake_deg: float = 35.0
     ripper_lead: float = 0.5
     extraction_ratio: float = 0.5
-    rolling_coeff: float = 0.0
     spike_press_mass: float = 7.0 / 9.81
     crust_press_share: float = 0.5
     has_crust_actuator: bool = True
@@ -127,9 +110,6 @@ class VehicleSpec:
     blade_cut_coeff: float = 0.01
     prism_friction: float = 0.8
     ripper_cut_coeff: float = 0.01
-    # path curvature per metre of payload offset from the balance point
-    curvature_gain: float = 0.15
-    curvature_balance_offset: float = 0.2
 
     def __post_init__(self) -> None:
         if self.mass <= 0.0:
@@ -146,23 +126,30 @@ class VehicleSpec:
             raise ValueError("blade cut depth and capacity must be positive")
         if not 0.0 <= self.extraction_ratio <= 1.0:
             raise ValueError("extraction ratio must be in [0, 1]")
-        if self.rolling_coeff < 0.0:
-            raise ValueError("rolling coefficient must be non-negative")
         if self.spike_press_mass <= 0.0:
             raise ValueError("press mass must be positive")
         if not 0.0 <= self.crust_press_share <= 1.0:
             raise ValueError("actuator weight share must be in [0, 1]")
         if not 0.0 < self.heading_tolerance_deg <= 10.0:
             raise ValueError("heading tolerance must be in (0, 10] degrees")
-        if self.curvature_gain <= 0.0:
-            raise ValueError("curvature gain must be positive")
-        if abs(self.curvature_balance_offset) > self.half_width:
-            raise ValueError("curvature balance point must lie on the frame")
+
+    # The draft terms below are shared by the simulator, the planner's
+    # energy budget and its validator.
 
     @property
-    def half_width(self) -> float:
-        """Lateral extent of the spike row from the central axis (m)."""
-        return max(abs(off) for off in self.spike_offsets)
+    def gauge(self) -> float:
+        """Length of the support footprint the machine bridges (m)."""
+        return self.base_separation + 0.5 * self.stroke_length
+
+    def loaded_weight(self, prism, density, g: float):
+        """Weight of the machine plus `prism` m^3 of spoil at `density` (N)."""
+        if prism > 0.0:
+            return (self.mass + prism * density) * g
+        return self.mass * g
+
+    def prism_drag(self, prism, density, g: float):
+        """Ground drag of `prism` m^3 of spoil at `density` on the blade (N)."""
+        return self.prism_friction * density * prism * g
 
 
 REFERENCE = VehicleSpec(
@@ -248,10 +235,10 @@ RECORD_FIELDS = (
 @dataclass
 class BladeSetting:
     """Grading mode: cut whatever stands above `target_elevation`, up to
-    the per-pass limit, in cells the mask admits."""
+    the per-pass limit, in the `mask` cells (anywhere when None)."""
 
     target_elevation: float
-    mask: Callable[[int, int], bool] | None = None
+    mask: frozenset[tuple[int, int]] | None = None
 
 
 class _StrokePath:
@@ -514,7 +501,7 @@ class Machine:
         if depth is None:
             raise VehicleStuck(
                 f"holding capacity exhausted at max seating depth for {force:.1f} N")
-        work = profile.anchor_work_slope * force
+        work = anchoring_work(force, profile)
         slip = anchoring_slip(force, profile) if slip_allowed else 0.0
         for off in offsets:
             px, py = self.spike_point(frame, off, depth)
@@ -552,7 +539,7 @@ class Machine:
             raise VehicleStuck(
                 f"holding capacity exhausted deepening anchor to {new_force:.1f} N")
         rated = anchor.stored_work / profile.anchor_work_slope
-        extra_work = profile.anchor_work_slope * max(0.0, new_force - rated)
+        extra_work = anchoring_work(max(0.0, new_force - rated), profile)
         extra_slip = 0.0
         if extra_work > 0.0:
             extra_slip = max(0.0, anchoring_slip(new_force, profile) - anchor.slipped)
@@ -574,7 +561,7 @@ class Machine:
     def _grade_samples(self, x: float | np.ndarray, y: float | np.ndarray) -> tuple:
         """Fore and aft height sample points, half a footprint either side
         of a center at (x, y) at the present heading: (fx, fy, ax, ay)."""
-        half = 0.5 * (self.spec.base_separation + 0.5 * self.spec.stroke_length)
+        half = 0.5 * self.spec.gauge
         ux, uy = self._unit()
         hx, hy = half * ux, half * uy
         return x + hx, y + hy, x - hx, y - hy
@@ -588,7 +575,7 @@ class Machine:
         the raw cell-edge gradient underneath one point.  Where `level`,
         the footprint reaches off the map and reads as level.
         """
-        gauge = self.spec.base_separation + 0.5 * self.spec.stroke_length
+        gauge = self.spec.gauge
         hyp = np.full(dh.shape, gauge)  # hypot(gauge, 0) is gauge
         tilted = dh.nonzero()[0]
         hyp[tilted] = [math.hypot(gauge, d) for d in dh[tilted].tolist()]
@@ -605,12 +592,10 @@ class Machine:
         tine force when ripping, each None for a raised tool.  The blade
         adds its prism's ground drag to the face force.
         """
-        g = self.env.gravity
-        total = self.extra_draft + self.spec.rolling_coeff * self.weight
-        mass = self.spec.mass + prism * density if prism > 0.0 else self.spec.mass
-        total = total + mass * g * grade
+        spec, g = self.spec, self.env.gravity
+        total = self.extra_draft + spec.loaded_weight(prism, density, g) * grade
         if face is not None:
-            total = total + (face + self.spec.prism_friction * density * prism * g)
+            total = total + (face + spec.prism_drag(prism, density, g))
         if rip is not None:
             total = total + rip
         return np.where(total > 0.0, total, 0.0)
@@ -695,7 +680,7 @@ class Machine:
         Returns the (loose, bank) thicknesses of the face cut.
         """
         setting = self.blade
-        if setting.mask is not None and not setting.mask(i, j):
+        if setting.mask is not None and (i, j) not in setting.mask:
             return 0.0, 0.0
         surf = self.terrain.surface_at_cell(i, j)
         thickness = surf - setting.target_elevation
@@ -1055,6 +1040,8 @@ class Machine:
             tol_deg = self.spec.heading_tolerance_deg
         if tol_deg <= 0.0:
             raise ValueError("heading tolerance must be positive")
+        if not math.isfinite(heading_deg):
+            raise ValueError(f"target heading must be finite, got {heading_deg}")
         target = math.radians(heading_deg)
         tol = math.radians(tol_deg)
         err = self._wrap(target - self.heading)
@@ -1081,11 +1068,7 @@ class Machine:
 
     @staticmethod
     def _wrap(angle: float) -> float:
-        while angle > math.pi:
-            angle -= 2.0 * math.pi
-        while angle < -math.pi:
-            angle += 2.0 * math.pi
-        return angle
+        return math.remainder(angle, 2.0 * math.pi)
 
     def _turn_half(self, side: float, err: float) -> bool:
         """One pinned half-stroke rotating toward closing `err`.
@@ -1105,7 +1088,7 @@ class Machine:
         self._release_frame(pin_frame)
 
         profile = self._profile_at(*self.spike_point(pin_frame, side, 0.0))
-        f_turn = profile.surface_friction * 0.5 * self.weight
+        f_turn = self._friction_capacity(profile)
         # The pin is pressed in, not dragged in: no stroke is lost to slip.
         # Only the pin seats; the frame yaws around it, so its other
         # spikes would sweep an arc and cannot hold ground.
@@ -1196,7 +1179,7 @@ class Machine:
     # Blade and spoil
 
     def set_blade(self, target_elevation: float | None,
-                  mask: Callable[[int, int], bool] | None = None) -> None:
+                  mask: frozenset[tuple[int, int]] | None = None) -> None:
         if target_elevation is None:
             self.blade = None
         else:

@@ -27,7 +27,7 @@ from .errors import SimulationError
 from .locomotion import Machine, VehicleSpec, traverse_check
 from .sensing import PenetrationRecorder
 from .soils import Environment, SoilField, SoilProfile, crust_breaks
-from .traction import flip_margin
+from .traction import anchoring_slip, flip_margin
 
 # Pads shallower than this fail to trap engine exhaust recirculation and
 # deeper ones waste mission energy for no blast benefit.
@@ -276,9 +276,6 @@ def estimate_energy(
     cell = plan.pad.cell_size
     cx, cy = plan.center
     ox, oy = plan.origin
-    stroke_gain = max(vehicle.stroke_length - 2.0 * anchoring_slip_of(soil),
-                      1e-6)
-    gauge = vehicle.base_separation + 0.5 * vehicle.stroke_length
     total = 0.0
     lane_changes = 0
     last_lane = -1
@@ -294,24 +291,21 @@ def estimate_energy(
         depth = -trip.target_elevation
         face_work = vehicle.blade_cut_coeff * soil.resistance_at(depth) \
             * trip.volume_bank
-        drag_full = vehicle.prism_friction * soil.loose_density \
-            * trip.volume_loose * g
+        drag_full = vehicle.prism_drag(trip.volume_loose, soil.loose_density, g)
         drag_work = drag_full * (0.5 * (r_hi - r_lo)
                                  + max(0.0, trip.deposit_r - r_hi))
-        climb = (vehicle.mass + soil.loose_density * trip.volume_loose) \
-            * g * depth
+        climb = vehicle.loaded_weight(trip.volume_loose, soil.loose_density, g) * depth
         useful = face_work + drag_work + climb
         loaded_span = max(trip.deposit_r - r_lo, cell)
+        mean_draft = useful / loaded_span
+        stroke_gain = max(
+            vehicle.stroke_length - 2.0 * anchoring_slip(mean_draft, soil), 1e-6)
         halves = math.ceil(2.0 * loaded_span / stroke_gain)
-        anchoring = halves * k * (useful / loaded_span)
+        anchoring = halves * k * mean_draft
         total += useful + anchoring * (1.0 + vehicle.extraction_ratio)
     pivot_friction = soil.surface_friction * 0.5 * vehicle.mass * g
-    total += lane_changes * pivot_friction * math.pi * gauge
+    total += lane_changes * pivot_friction * math.pi * vehicle.gauge
     return total
-
-
-def anchoring_slip_of(soil: SoilProfile) -> float:
-    return 2.0 * soil.anchor_work_slope
 
 
 def predict_peak_draft(plan: MissionPlan, trip: Trip, env: Environment,
@@ -324,10 +318,9 @@ def predict_peak_draft(plan: MissionPlan, trip: Trip, env: Environment,
     depth = -trip.target_elevation
     face = vehicle.blade_cut_coeff * vehicle.blade_width \
         * vehicle.blade_max_cut * soil.resistance_at(depth)
-    drag = vehicle.prism_friction * soil.loose_density * trip.volume_loose * g
-    gauge = vehicle.base_separation + 0.5 * vehicle.stroke_length
-    rim_sin = depth / math.hypot(depth, gauge)
-    climb = (vehicle.mass + soil.loose_density * trip.volume_loose) * g * rim_sin
+    drag = vehicle.prism_drag(trip.volume_loose, soil.loose_density, g)
+    rim_sin = depth / math.hypot(depth, vehicle.gauge)
+    climb = vehicle.loaded_weight(trip.volume_loose, soil.loose_density, g) * rim_sin
     return face + drag + climb
 
 
@@ -479,9 +472,7 @@ def execute_plan(
             machine.advance(delta)
         elif delta < -1e-9:
             machine.advance(-delta, reverse=True)
-        cells = trip.cells
-        machine.set_blade(trip.target_elevation,
-                          mask=lambda i, j, cells=cells: (i, j) in cells)
+        machine.set_blade(trip.target_elevation, mask=trip.cells)
         machine.advance(trip.deposit_r - trip.start_r)
         machine.set_blade(None)
         machine.dump_prism()

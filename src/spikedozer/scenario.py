@@ -55,8 +55,23 @@ _PROFILE_KEYS = {"name", "preset", "layers", "anchor_work_slope", "duricrust",
 _LAYER_KEYS = {"thickness", "resistance", "friction_mu", "density"}
 _PATCH_KEYS = {"x_min", "y_min", "x_max", "y_max", "soil"}
 
-DRIVE_OPS = ("advance", "turn_to", "turn_by", "blade", "ripper", "dump",
-             "tow", "relax")
+# drive op -> the keys it takes besides "op"
+DRIVE_KEYS = {
+    "advance": {"distance", "halves", "stroke", "reverse"},
+    "turn_to": {"heading_deg"},
+    "turn_by": {"delta_deg"},
+    "blade": {"target_elevation"},
+    "ripper": {"depth"},
+    "dump": set(),
+    "tow": {"force"},
+    "relax": set(),
+}
+# drive ops that cannot run without one of these keys
+_DRIVE_NEEDS = {
+    "advance": {"distance", "halves"},
+    "turn_to": {"heading_deg"},
+    "turn_by": {"delta_deg"},
+}
 
 
 @dataclass
@@ -276,9 +291,17 @@ def _validate_drive(commands) -> list[dict]:
         if not isinstance(cmd, dict) or "op" not in cmd:
             raise ValueError(f"drive[{n}] needs an 'op' field")
         op = cmd["op"]
-        if op not in DRIVE_OPS:
+        if op not in DRIVE_KEYS:
             raise ValueError(
-                f"drive[{n}]: unknown op {op!r}; have {list(DRIVE_OPS)}")
+                f"drive[{n}]: unknown op {op!r}; have {list(DRIVE_KEYS)}")
+        unknown = set(cmd) - DRIVE_KEYS[op] - {"op"}
+        if unknown:
+            raise ValueError(
+                f"drive[{n}]: unknown keys {sorted(unknown)} for {op!r}; "
+                f"it takes {sorted(DRIVE_KEYS[op])}")
+        needs = _DRIVE_NEEDS.get(op)
+        if needs and needs.isdisjoint(cmd):
+            raise ValueError(f"drive[{n}]: {op!r} needs one of {sorted(needs)}")
         out.append(cmd)
     return out
 
@@ -295,8 +318,9 @@ def load_scenario(
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
+            doc = json.load(fh, parse_float=_finite_float,
+                            parse_constant=_reject_constant)
+        except ValueError as err:  # JSONDecodeError is a ValueError too
             raise ValueError(f"{path}: {err}") from err
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: scenario must be a JSON object")
@@ -304,6 +328,17 @@ def load_scenario(
         return _build_scenario(doc, seed_override, force_depth_override)
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from err
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} overflows to {value}")
+    return value
+
+
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"non-finite number {name} is not allowed")
 
 
 def _build_scenario(doc: dict, seed_override: int | None,

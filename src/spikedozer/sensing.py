@@ -123,40 +123,6 @@ class PenetrationRecorder:
         return event
 
 
-def lower_bound_strength(
-    events: list[PenetrationEvent],
-    x: float,
-    y: float,
-    radius: float,
-) -> float | None:
-    """Weakest resistance any spike felt within `radius` of the point (Pa).
-
-    A seated spike follows the locally weakest path, so each event's
-    minimum is already a lower bound; the neighborhood minimum extends
-    that bound laterally.  None when no event falls in the radius.
-    """
-    if radius <= 0.0:
-        raise ValueError("search radius must be positive")
-    best: float | None = None
-    for ev in events:
-        if math.hypot(ev.x - x, ev.y - y) <= radius:
-            if best is None or ev.min_q < best:
-                best = ev.min_q
-    return best
-
-
-def bearing_proxy(temperature: np.ndarray, slope: float,
-                  intercept: float) -> np.ndarray:
-    """Affine bearing-strength proxy from a temperature raster.
-
-    Subsurface temperature tracks thermal conductivity and with it the
-    packing of the ground, so an affine recalibration of a temperature
-    map serves as a stand-in strength map.  The output is a proxy and is
-    only as good as the calibration; no-data cells stay no-data.
-    """
-    return slope * np.asarray(temperature, dtype=float) + intercept
-
-
 def load_events(path: str) -> list[PenetrationEvent]:
     """Read an event log CSV written with EVENT_FIELDS back into events."""
     events: list[PenetrationEvent] = []

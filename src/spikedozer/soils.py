@@ -23,8 +23,8 @@ class Environment:
     gravity: float  # m/s^2
 
     def __post_init__(self) -> None:
-        if self.gravity <= 0.0:
-            raise ValueError(f"gravity must be positive, got {self.gravity}")
+        if not 0.0 < self.gravity < math.inf:
+            raise ValueError(f"gravity must be positive and finite, got {self.gravity}")
 
 
 EARTH = Environment("earth", GRAVITY_EARTH)
@@ -138,9 +138,6 @@ class SoilProfile:
     def resistance_at(self, depth: float) -> float:
         """Penetration resistance q (Pa) at `depth` below the bank surface."""
         return self.layer_at(depth).resistance
-
-    def friction_at(self, depth: float) -> float:
-        return self.layer_at(depth).friction_mu
 
     @property
     def surface_friction(self) -> float:

@@ -64,19 +64,6 @@ def flip_margin(weight: float, drawbar: float, thrust_angle_deg: float) -> float
     return weight - lift_force(drawbar, thrust_angle_deg)
 
 
-def thrust_force(drawbar: float, thrust_angle_deg: float) -> float:
-    """Force along the spike arm reacting a drawbar load, F_d / cos(beta).
-
-    Always at least the drawbar itself; the excess is what loads the
-    anchor in pull-out.
-    """
-    if drawbar < 0.0:
-        raise ValueError("drawbar force must be non-negative")
-    if not 0.0 <= thrust_angle_deg < 90.0:
-        raise ValueError(f"thrust angle must be in [0, 90) deg, got {thrust_angle_deg}")
-    return drawbar / math.cos(math.radians(thrust_angle_deg))
-
-
 def ripper_downforce(draft: float, rake_angle_deg: float) -> float:
     """Extra hold-down from dragging a raked tine: F_dr * tan(gamma).
 
@@ -105,11 +92,6 @@ class SpikeGeometry:
                      when loaded in shear (m)
     tip_area         end area pressed on the surface while seating (m^2)
     max_depth        mechanical seating limit (m)
-    rake_surface_deg tip rake from vertical at the surface; the rake
-    rake_full_deg    steepens to rake_full_deg at full seating.  Both are
-                     descriptive limits of the articulation, not force
-                     inputs; the backward rake is what lets a push seat
-                     the tip instead of skating it.
     """
 
     hinge_height: float
@@ -118,8 +100,6 @@ class SpikeGeometry:
     bearing_width: float = 1.5625e-3
     tip_area: float = 1e-4
     max_depth: float = 0.5
-    rake_surface_deg: float = 45.0
-    rake_full_deg: float = 65.0
 
     def __post_init__(self) -> None:
         if self.hinge_height <= 0.0:
@@ -134,8 +114,6 @@ class SpikeGeometry:
             raise ValueError("max seating depth must be in (0, 1] m")
         if self.reach(self.max_depth) <= 0.0:
             raise ValueError("reach must stay positive over the seating range")
-        if not 0.0 < self.rake_surface_deg < self.rake_full_deg < 90.0:
-            raise ValueError("tip rake must steepen with seating depth")
 
     @classmethod
     def from_thrust_angles(
@@ -178,22 +156,19 @@ class SpikeGeometry:
             return 0.0
         return profile.resistance_at(depth) * self.bearing_width * depth
 
-    def depth_for_capacity(
-        self, force: float, profile: SoilProfile,
-        increment: float = DEPTH_INCREMENT,
-    ) -> float | None:
+    def depth_for_capacity(self, force: float, profile: SoilProfile) -> float | None:
         """Shallowest seating depth whose capacity reacts `force`.
 
-        Depth is quantized to `increment`.  None when even the full
+        Depth is quantized to `DEPTH_INCREMENT`.  None when even the full
         mechanical range cannot hold the load.
         """
         if force < 0.0:
             raise ValueError("required force must be non-negative")
         if force == 0.0:
             return 0.0
-        steps = round(self.max_depth / increment)
+        steps = round(self.max_depth / DEPTH_INCREMENT)
         for i in range(1, steps + 1):
-            depth = i * increment
+            depth = i * DEPTH_INCREMENT
             if self.holding_capacity(depth, profile) >= force:
                 return depth
         return None

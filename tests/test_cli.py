@@ -1,11 +1,15 @@
 """End-to-end checks of the command line front end.
 
 Runs the shipped scenario presets through cli.main and inspects exit
-codes, artifact files, and determinism. No subprocesses: main() takes an
-argv list and returns the exit code directly.
+codes, artifact files, and determinism. main() takes an argv list and
+returns the exit code directly; only the checks that guard against a
+hang run the CLI in a child process, under a timeout.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +21,29 @@ from spikedozer.rasters import read_raster
 from spikedozer.sensing import EVENT_FIELDS, load_events
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 DRIVE_ARTIFACTS = {"trajectory.csv", "energy.csv", "events.csv",
                    "surface.csv", "bank.csv", "loose.csv"}
+
+
+def run_cli(argv, timeout=60.0):
+    """Run the CLI in a child process, so a hang fails the test instead
+    of stalling the suite; returns (exit code, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "spikedozer.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+    return proc.returncode, proc.stderr
+
+
+def write_scenario(tmp_path, doc):
+    """Write a scenario document, or JSON text verbatim; returns its path."""
+    path = tmp_path / "scenario.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return path
 
 
 def tree_bytes(root):
@@ -154,6 +178,77 @@ class TestSimulate:
                        "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "unknown keys" in capsys.readouterr().err
+
+    def test_non_finite_number_exits_1(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, (
+            '{"name": "nan", "environment": {"gravity": NaN}, '
+            '"drive": [{"op": "advance", "distance": 0.5}]}'))
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", "--scenario", str(path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "non-finite number NaN" in err
+        assert not out.exists()
+
+    def test_overflowing_number_exits_1(self, tmp_path, capsys):
+        path = write_scenario(
+            tmp_path, '{"name": "big", "drive": [{"op": "advance", "distance": 1e400}]}')
+        rc = cli.main(["simulate", "--scenario", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("heading", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_heading_exits_1(self, tmp_path, heading):
+        path = write_scenario(tmp_path, (
+            '{"name": "spin", "soil": "medium", '
+            f'"drive": [{{"op": "turn_to", "heading_deg": {heading}}}]}}'))
+        rc, err = run_cli(["simulate", "--scenario", str(path),
+                           "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"non-finite number {heading}" in err
+
+    def test_huge_heading_ends(self, tmp_path):
+        # finite, but far beyond the precision of a heading in radians
+        path = write_scenario(tmp_path, {
+            "name": "spin", "soil": "medium",
+            "drive": [{"op": "turn_to", "heading_deg": 1e300}]})
+        rc, err = run_cli(["simulate", "--scenario", str(path),
+                           "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "turn failed to converge" in err
+
+    def test_misspelt_drive_key_exits_1(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "name": "typo", "drive": [{"op": "blade", "target_elevation": -0.05},
+                                      {"op": "advance", "distanc": 1.0}]})
+        rc = cli.main(["simulate", "--scenario", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{path}: drive[1]: unknown keys ['distanc'] for 'advance'" in err
+
+    @pytest.mark.parametrize("cmd", [{"op": "advance", "reverse": True},
+                                     {"op": "turn_by"}])
+    def test_missing_drive_key_exits_1(self, tmp_path, capsys, cmd):
+        path = write_scenario(tmp_path, {"name": "short", "drive": [cmd]})
+        rc = cli.main(["simulate", "--scenario", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"drive[0]: '{cmd['op']}' needs one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vehicle", [
+        {"rolling_coeff": 0.1}, {"curvature_gain": 0.2},
+        {"curvature_balance_offset": 0.1},
+        {"spike": {"rake_surface_deg": 45.0}}, {"spike": {"rake_full_deg": 65.0}}])
+    def test_knobs_the_physics_never_read_exit_1(self, tmp_path, capsys, vehicle):
+        path = write_scenario(tmp_path, {
+            "name": "knob", "vehicle": vehicle,
+            "drive": [{"op": "advance", "distance": 0.5}]})
+        rc = cli.main(["simulate", "--scenario", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_mission_exits_1(self, tmp_path, capsys):
         path = tmp_path / "empty.json"

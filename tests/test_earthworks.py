@@ -1,6 +1,7 @@
 """Terrain raster, cut/fill audit, spoil relaxation, tool drafts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from spikedozer.earthworks import (
     SWELL_FACTOR,
     Terrain,
     VolumeAudit,
-    blade_draft,
     ripper_draft,
 )
+from spikedozer.locomotion import CONSTRUCTION, Machine
 from spikedozer.soils import (
+    EARTH,
     HARD,
+    MOON,
     SOFT,
     Duricrust,
     PatchSoilField,
@@ -32,31 +35,33 @@ CRUSTED = SoilProfile(
 
 
 class TestBladeDraft:
+    """The blade draft as the machine prices it: the face force of the
+    cut plus the carried prism's ground drag."""
+
     def test_face_plus_prism_drag(self):
-        # k_b w (d_l q_l + d_b q_b) + mu rho V g
-        f = blade_draft(width=2.0, loose_cut=0.1, bank_cut=0.05,
-                        q_loose=50e3, q_bank=960e3, prism_volume=0.5,
-                        loose_density=1200.0, gravity=9.81)
-        face = 1.0 * 2.0 * (0.1 * 50e3 + 0.05 * 960e3)
+        # k_b w (d_l q_l + d_b q_b) + mu rho V g on level ground
+        m = Machine(CONSTRUCTION, Terrain((8, 8), soil=SOFT), EARTH)
+        face = 0.01 * 3.0 * (0.1 * 50e3 + 0.05 * 960e3)
         drag = 0.8 * 1200.0 * 0.5 * 9.81
-        assert f == pytest.approx(face + drag)
+        assert float(m._drafts(0.0, 1200.0, 0.5, face, None)) \
+            == pytest.approx(face + drag)
 
     def test_empty_blade_off_the_ground_is_free(self):
-        assert blade_draft(3.1, 0.0, 0.0, 50e3, 960e3, 0.0, 1200.0, 1.62) == 0.0
+        m = Machine(CONSTRUCTION, Terrain((8, 8), soil=SOFT), MOON)
+        assert float(m._drafts(0.0, 1200.0, 0.0, 0.0, None)) == 0.0
 
     def test_drag_scales_with_gravity(self):
-        kw = dict(width=2.0, loose_cut=0.0, bank_cut=0.0, q_loose=50e3,
-                  q_bank=960e3, prism_volume=1.0, loose_density=1200.0)
-        assert blade_draft(gravity=9.81, **kw) \
-            == pytest.approx(6.0 * blade_draft(gravity=9.81 / 6.0, **kw))
+        assert CONSTRUCTION.prism_drag(1.0, 1200.0, 9.81) \
+            == pytest.approx(6.0 * CONSTRUCTION.prism_drag(1.0, 1200.0, 9.81 / 6.0))
 
     def test_validation(self):
+        # blade width, cut depth and the capacity that bounds the prism
         with pytest.raises(ValueError):
-            blade_draft(0.0, 0.1, 0.0, 50e3, 960e3, 0.0, 1200.0, 9.81)
+            replace(CONSTRUCTION, blade_width=0.0)
         with pytest.raises(ValueError):
-            blade_draft(2.0, -0.1, 0.0, 50e3, 960e3, 0.0, 1200.0, 9.81)
+            replace(CONSTRUCTION, blade_max_cut=-0.1)
         with pytest.raises(ValueError):
-            blade_draft(2.0, 0.1, 0.0, 50e3, 960e3, -1.0, 1200.0, 9.81)
+            replace(CONSTRUCTION, blade_capacity=-1.0)
 
 
 class TestRipperDraft:
@@ -94,7 +99,7 @@ class TestTerrainGrid:
     def test_flat_ground_is_level_everywhere(self):
         t = Terrain((6, 6), cell_size=0.5)
         assert t.height_at(1.3, 2.7) == 0.0
-        assert t.slope_at(1.3, 2.7) == 0.0
+        assert t.max_surface_slope_deg() == 0.0
 
     def test_height_interpolates_between_cell_centers(self):
         t = Terrain((2, 2), cell_size=1.0)
@@ -286,8 +291,8 @@ class TestSlopes:
         t = Terrain((9, 9), cell_size=0.5)
         for j in range(9):
             t.bank_floor[:, j] = 0.1 * j * 0.5
-        # tan(theta) = 0.1
-        assert t.slope_at(2.1, 2.1) == pytest.approx(math.degrees(math.atan(0.1)))
+        # tan(theta) = 0.1; the diagonals are shallower
+        assert t.max_surface_slope_deg() == pytest.approx(math.degrees(math.atan(0.1)))
 
     def test_max_slope_sees_diagonals(self):
         t = Terrain((4, 4), cell_size=1.0)

@@ -16,7 +16,6 @@ from spikedozer.locomotion import (
     Machine,
     VehicleSpec,
     conventional_drawbar_per_mass,
-    draft_balance_curvature,
     traverse_check,
 )
 from spikedozer.soils import (
@@ -51,10 +50,6 @@ class TestVehicleSpec:
         assert set(VEHICLES) == {"reference", "construction"}
         assert VEHICLES["reference"] is REFERENCE
 
-    def test_half_width_is_widest_offset(self):
-        assert CONSTRUCTION.half_width == 1.0
-        assert REFERENCE.half_width == 0.4
-
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
             replace(REFERENCE, mass=0.0)
@@ -69,9 +64,11 @@ class TestVehicleSpec:
         with pytest.raises(ValueError):
             replace(REFERENCE, heading_tolerance_deg=15.0)
 
-    def test_balance_point_must_sit_on_the_frame(self):
-        with pytest.raises(ValueError):
-            replace(REFERENCE, curvature_balance_offset=0.5)
+    def test_shared_draft_terms(self):
+        assert CONSTRUCTION.gauge == 0.8 + 0.5 * 4.0
+        assert CONSTRUCTION.loaded_weight(0.0, None, 9.81) == 3000.0 * 9.81
+        assert CONSTRUCTION.loaded_weight(0.5, 1200.0, 9.81) == (3000.0 + 600.0) * 9.81
+        assert CONSTRUCTION.prism_drag(0.5, 1200.0, 9.81) == 0.8 * 1200.0 * 0.5 * 9.81
 
 
 class TestHalfCycle:
@@ -305,11 +302,33 @@ class TestTurning:
             m.turn_to(90.0, tol_deg=0.0)
 
     def test_axial_spikes_cannot_pivot(self):
-        spec = replace(REFERENCE, spike_offsets=(0.0,),
-                       curvature_balance_offset=0.0)
+        spec = replace(REFERENCE, spike_offsets=(0.0,))
         m = Machine(spec, flat(soil=MEDIUM), MOON)
         with pytest.raises(ValueError, match="offset spike"):
             m.turn_to(90.0)
+
+    @pytest.mark.parametrize("heading", [math.inf, -math.inf, math.nan])
+    def test_non_finite_heading_rejected(self, heading):
+        m = Machine(REFERENCE, flat(soil=MEDIUM), MOON)
+        with pytest.raises(ValueError, match="finite"):
+            m.turn_to(heading)
+        with pytest.raises(ValueError, match="finite"):
+            m.turn_by(heading)
+        assert m.cycles == []
+
+    @given(st.floats(min_value=-3.0 * math.pi, max_value=3.0 * math.pi,
+                     exclude_min=True, exclude_max=True))
+    def test_wrap_equals_stepping_by_full_turns(self, angle):
+        # At +-3 pi, a tie, remainder rounds to the even turn and lands on
+        # the other end of [-pi, pi] than stepping does.
+        stepped = angle
+        while stepped > math.pi:
+            stepped -= 2.0 * math.pi
+        while stepped < -math.pi:
+            stepped += 2.0 * math.pi
+        wrapped = Machine._wrap(angle)
+        # equal to the bit, up to the sign of a zero
+        assert wrapped == stepped and -math.pi <= wrapped <= math.pi
 
 
 CRUSTED_SLICK = SoilProfile(
@@ -393,6 +412,17 @@ class TestBlade:
         carried_bank = (audit.loose_present + m.prism) / SWELL_FACTOR
         assert audit.bank_removed == pytest.approx(carried_bank, rel=1e-12)
 
+    def test_mask_limits_the_cut_to_its_cells(self):
+        terrain = flat()
+        m = Machine(REFERENCE, terrain, MOON)
+        i, j = terrain.cell_of(*m.blade_point())
+        cells = frozenset((i, j + k) for k in range(1, 5))
+        m.set_blade(-0.05, mask=cells)
+        m.half_cycle()
+        cut = terrain.bank_floor < 0.0
+        assert {tuple(c) for c in np.argwhere(cut).tolist()} == set(cells)
+        assert np.all(terrain.bank_floor[cut] == pytest.approx(-0.05))
+
     def test_clearing_the_blade(self):
         m = Machine(REFERENCE, flat(), MOON)
         m.set_blade(-0.05)
@@ -448,21 +478,6 @@ class TestDumpAndLedger:
         totals = m.energy_totals()
         assert totals["total"] == 0.0
         assert totals["efficiency"] == 1.0
-
-
-class TestSteeringModel:
-    def test_curvature_vanishes_at_the_balance_point(self):
-        offset = REFERENCE.curvature_balance_offset
-        assert draft_balance_curvature(offset, REFERENCE) == 0.0
-
-    def test_curvature_signs_straddle_the_balance_point(self):
-        inboard = draft_balance_curvature(0.0, REFERENCE)
-        outboard = draft_balance_curvature(0.4, REFERENCE)
-        assert inboard < 0.0 < outboard
-
-    def test_offset_beyond_the_spike_row_is_rejected(self):
-        with pytest.raises(ValueError):
-            draft_balance_curvature(0.5, REFERENCE)
 
 
 class TestTraverseDoctrine:

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spikedozer.locomotion import CONSTRUCTION
+from spikedozer.earthworks import Terrain
+from spikedozer.locomotion import CONSTRUCTION, Machine
 from spikedozer.planner import (
     PadSpec,
     describe_plan,
@@ -139,6 +140,20 @@ class TestPeakDraft:
     def test_all_terms_positive(self, plan):
         assert predict_peak_draft(plan, plan.trips[0], MOON, SOFT) > 0.0
 
+    @pytest.mark.parametrize("env", [MOON, EARTH])
+    def test_drag_and_climb_are_the_simulators(self, plan, env):
+        # With the face term zeroed the prediction is the prism drag plus
+        # the rim climb, which the machine prices with the same terms.
+        vehicle = replace(plan.vehicle, blade_cut_coeff=0.0)
+        plan = replace(plan, vehicle=vehicle)
+        trip = plan.trips[-1]
+        depth = -trip.target_elevation
+        machine = Machine(vehicle, Terrain((4, 4), soil=SOFT), env)
+        grade = float(machine._grades(np.array([depth]), False, 1.0)[0])
+        simulated = float(machine._drafts(grade, SOFT.loose_density,
+                                          trip.volume_loose, 0.0, None))
+        assert predict_peak_draft(plan, trip, env, SOFT) == simulated
+
 
 class TestValidatePlan:
     def test_default_mission_is_clear(self, plan):
@@ -173,7 +188,6 @@ class TestValidatePlan:
         assert any("blade capacity" in f for f in findings)
 
     def test_steep_start_terrain_is_flagged(self, plan):
-        from spikedozer.earthworks import Terrain
         n = 40
         xs = (np.arange(n) + 0.5) * 0.25
         surface = np.tile(xs * 0.6, (n, 1))  # ~31 degree grade

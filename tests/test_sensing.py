@@ -12,9 +12,7 @@ from spikedozer.sensing import (
     GroundTemperatureField,
     PenetrationEvent,
     PenetrationRecorder,
-    bearing_proxy,
     load_events,
-    lower_bound_strength,
     penetration_trace,
     rasterize_events,
 )
@@ -96,36 +94,6 @@ class TestRecorder:
         b = PenetrationRecorder(
             SoilField(LAYERED), rng=np.random.default_rng(3), noise_rel=0.1)
         assert a.record(0.5, 0.5, 0.25) == b.record(0.5, 0.5, 0.25)
-
-
-class TestLowerBound:
-    def test_weakest_reading_in_radius_governs(self):
-        # uniform firm patch around one probe, weak-topped ground at the other
-        field = PatchSoilField(
-            LAYERED, [SoilPatch(0.2, -0.2, 0.5, 0.2, SOFT)])
-        rec = PenetrationRecorder(field)
-        rec.record(0.0, 0.0, 0.2)
-        rec.record(0.3, 0.0, 0.2)
-        assert lower_bound_strength(rec.events, 0.3, 0.0, 1.0) == 100e3
-        assert lower_bound_strength(rec.events, 0.3, 0.0, 0.05) == 960e3
-
-    def test_no_events_in_radius(self):
-        rec = PenetrationRecorder(SoilField(SOFT))
-        rec.record(5.0, 5.0, 0.2)
-        assert lower_bound_strength(rec.events, 0.0, 0.0, 1.0) is None
-
-    def test_radius_validation(self):
-        with pytest.raises(ValueError):
-            lower_bound_strength([], 0.0, 0.0, 0.0)
-
-
-class TestBearingProxy:
-    def test_affine_map(self):
-        t = np.array([[240.0, 250.0], [260.0, np.nan]])
-        proxy = bearing_proxy(t, slope=-2.0, intercept=600.0)
-        assert proxy[0, 0] == 120.0
-        assert proxy[0, 1] == 100.0
-        assert np.isnan(proxy[1, 1])
 
 
 class TestEventLog:

@@ -1,5 +1,7 @@
 """Gravity environments and layered strength profiles."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,6 +34,11 @@ class TestEnvironments:
     def test_nonpositive_gravity_rejected(self):
         with pytest.raises(ValueError):
             Environment("void", 0.0)
+
+    @pytest.mark.parametrize("gravity", [math.nan, math.inf])
+    def test_non_finite_gravity_rejected(self, gravity):
+        with pytest.raises(ValueError, match="finite"):
+            Environment("custom", gravity)
 
 
 class TestLayers:

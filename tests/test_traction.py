@@ -16,7 +16,6 @@ from spikedozer.traction import (
     lift_force,
     pull_weight_ratio,
     ripper_downforce,
-    thrust_force,
     tractive_efficiency,
 )
 
@@ -73,17 +72,6 @@ class TestLiftAndFlip:
         m1 = flip_margin(5000.0, f + 10.0, beta)
         assert m1 < m0
 
-    def test_thrust_force_exceeds_drawbar(self):
-        assert thrust_force(100.0, 60.0) == pytest.approx(200.0)
-        assert thrust_force(100.0, 0.0) == pytest.approx(100.0)
-
-    @given(forces, angles)
-    def test_thrust_pythagoras(self, f, beta):
-        # axial force squared = drawbar^2 + lift^2
-        ft = thrust_force(f, beta)
-        fl = lift_force(f, beta)
-        assert ft * ft == pytest.approx(f * f + fl * fl, rel=1e-9)
-
     def test_ripper_downforce_tan_law(self):
         assert ripper_downforce(500.0, 45.0) == pytest.approx(500.0)
         assert ripper_downforce(500.0, 0.0) == 0.0
@@ -115,10 +103,6 @@ class TestSpikeGeometry:
     def test_calibration_rejects_shrinking_angle(self):
         with pytest.raises(ValueError):
             SpikeGeometry.from_thrust_angles(30.0, 10.0)
-
-    def test_rake_must_steepen(self):
-        with pytest.raises(ValueError):
-            SpikeGeometry.from_thrust_angles(rake_surface_deg=70.0, rake_full_deg=60.0)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
