@@ -123,6 +123,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    started = time.perf_counter()
     scn = load_scenario(args.scenario[0], seed_override=args.seed,
                         force_depth_override=args.force_depth_override)
     if scn.pad is None:
@@ -133,7 +134,8 @@ def _cmd_plan(args) -> int:
     _write_plan_file(os.path.join(args.out, "plan.txt"), plan, violations)
     print(f"{scn.name}: {len(plan.trips)} trips over {plan.n_lanes} lanes, "
           f"budget {plan.energy_budget:.9g} J, "
-          f"{len(violations)} findings -> {args.out}")
+          f"{len(violations)} findings, "
+          f"{time.perf_counter() - started:.1f} s -> {args.out}")
     return 0
 
 

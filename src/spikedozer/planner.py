@@ -1,9 +1,10 @@
 """Landing pad mission planning and execution.
 
-A circular pad is excavated in radial lanes.  Each lane is a wedge of
-cells claimed by exactly one lane (first lane to reach a cell owns it),
-so the sum of lane volumes is exactly the pad volume and no cell is cut
-twice.  Lanes are worked outermost strip first: the machine backs to the
+A circular pad is excavated in radial lanes.  One claim pass over the
+pad window gives each cell to the first lane whose wedge holds it; the
+lane loads, the claim map and the trips all come from that pass, so the
+sum of lane volumes is exactly the pad volume and no cell is cut twice.
+Lanes are worked outermost strip first: the machine backs to the
 inner end of a strip, cuts outward along the ray with the blade limited
 to the strip's claimed cells, pushes the prism past the rim, and dumps
 it on a berm ring staged over several radii so no single pile grows tall
@@ -97,6 +98,8 @@ class Trip:
     target_elevation: float
     cells: frozenset[tuple[int, int]]
     volume_loose: float  # m^3 the blade will carry
+    r_in: float  # radius of the innermost cell center
+    r_out: float  # radius of the outermost cell center
 
     @property
     def volume_bank(self) -> float:
@@ -133,28 +136,30 @@ class MissionResult:
     energy: dict[str, float]
 
 
-def _claim_lanes(n_cells: int, origin: tuple[float, float], cell_size: float,
-                 radius: float, n_lanes: int, lane_width: float,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Assign every pad cell to a lane: the first lane whose wedge holds
-    the cell center wins, so claims partition the pad exactly."""
-    idx = (np.arange(n_cells) + 0.5) * cell_size
-    X = origin[0] + idx[np.newaxis, :]
-    Y = origin[1] + idx[:, np.newaxis]
-    R = np.hypot(X, Y)
-    claims = np.full((n_cells, n_cells), -1, dtype=np.int32)
-    in_pad = R <= radius
+def _claim_lanes(local_half: int, cell_size: float, radius: float,
+                 n_lanes: int, lane_width: float,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Assign every pad cell to a lane in one pass over the pad window,
+    the `2*local_half` square of cells around the center: the first lane
+    whose wedge holds the cell center wins, so claims partition the pad
+    exactly.  Returns the window row, column and lane of each pad cell."""
+    coord = -local_half * cell_size \
+        + (np.arange(2 * local_half) + 0.5) * cell_size
+    ii, jj = np.nonzero(np.hypot(coord[np.newaxis, :],
+                                 coord[:, np.newaxis]) <= radius)
+    X, Y = coord[jj], coord[ii]
+    lanes = np.full(len(ii), -1, dtype=np.intp)
     for lane in range(n_lanes):
         az = 2.0 * math.pi * lane / n_lanes
         dx, dy = math.cos(az), math.sin(az)
         along = X * dx + Y * dy
         perp = -X * dy + Y * dx
-        wedge = in_pad & (claims < 0) & (along >= 0.0) \
+        wedge = (lanes < 0) & (along >= 0.0) \
             & (np.abs(perp) <= 0.5 * lane_width)
-        claims[wedge] = lane
-    if np.any(in_pad & (claims < 0)):
+        lanes[wedge] = lane
+    if np.any(lanes < 0):
         raise SimulationError("lane claiming left pad cells unowned")
-    return claims, R
+    return ii, jj, lanes
 
 
 def plan_pad_mission(
@@ -177,15 +182,13 @@ def plan_pad_mission(
     vol_per_cell = cell_area * lift_depth * SWELL_FACTOR  # loose
     cells_per_trip = max(1, math.floor(vehicle.blade_capacity / vol_per_cell))
 
-    # Cheap pad-local claim pass to learn per-lane cell loads; cell
-    # centers sit on the same lattice as the final grid, so counts match.
+    # One claim pass over the pad window gives the per-lane cell loads,
+    # which size the grid, and then the claims on that grid.
     local_half = math.ceil((pad.radius + pad.cell_size) / pad.cell_size)
-    local_claims, _ = _claim_lanes(
-        2 * local_half, (-local_half * pad.cell_size,) * 2, pad.cell_size,
-        pad.radius, n_lanes, lane_width)
-    lane_trips = [
-        n_lifts * math.ceil(int(np.sum(local_claims == lane)) / cells_per_trip)
-        for lane in range(n_lanes)]
+    ii, jj, lanes = _claim_lanes(local_half, pad.cell_size, pad.radius,
+                                 n_lanes, lane_width)
+    lane_cells = np.bincount(lanes, minlength=n_lanes).tolist()
+    lane_trips = [n_lifts * math.ceil(n / cells_per_trip) for n in lane_cells]
 
     max_blade_reach = 0.5 * (vehicle.base_separation + vehicle.stroke_length) \
         + vehicle.blade_lead
@@ -198,23 +201,30 @@ def plan_pad_mission(
     center = (0.0, 0.0)
     shape = (n_cells, n_cells)
 
-    claims, R = _claim_lanes(n_cells, origin, pad.cell_size,
-                             pad.radius, n_lanes, lane_width)
+    ii += cells_half - local_half
+    jj += cells_half - local_half
+    claims = np.full(shape, -1, dtype=np.int32)
+    claims[ii, jj] = lanes
+    # Radii from the full grid's own cell-center expression.
+    R = np.hypot(origin[0] + (jj + 0.5) * pad.cell_size,
+                 origin[1] + (ii + 0.5) * pad.cell_size)
+    # Each lane's cells outermost first, ties by row then column.
+    order = np.lexsort((jj, ii, -R, lanes))
+    cells = list(zip(ii[order].tolist(), jj[order].tolist()))
+    radii = R[order].tolist()
 
     trips: list[Trip] = []
-    for lane in range(n_lanes):
-        ii, jj = np.nonzero(claims == lane)
-        order = sorted(
-            range(len(ii)),
-            key=lambda k: (-float(R[ii[k], jj[k]]), int(ii[k]), int(jj[k])))
-        cells = [(int(ii[k]), int(jj[k])) for k in order]
-        radii = [float(R[c]) for c in cells]
+    lane_end = 0
+    for lane, n_claimed in enumerate(lane_cells):
+        lane_start, lane_end = lane_end, lane_end + n_claimed
+        starts = range(lane_start, lane_end, cells_per_trip)
+        ends = [min(s + cells_per_trip, lane_end) for s in starts]
+        groups = [frozenset(cells[s:e]) for s, e in zip(starts, ends)]
         seq = 0
         for lift in range(n_lifts):
             target = -lift_depth * (lift + 1)
-            for s in range(0, len(cells), cells_per_trip):
-                group = cells[s:s + cells_per_trip]
-                r_in = min(radii[s:s + len(group)])
+            for s, e, group in zip(starts, ends, groups):
+                r_in = radii[e - 1]
                 start_r = r_in - pad.cell_size - max_blade_reach - 0.3
                 # retreating dump line: later trips stop short of all
                 # earlier piles on this lane
@@ -226,8 +236,10 @@ def plan_pad_mission(
                     start_r=start_r,
                     deposit_r=deposit_r,
                     target_elevation=target,
-                    cells=frozenset(group),
-                    volume_loose=len(group) * vol_per_cell,
+                    cells=group,
+                    volume_loose=(e - s) * vol_per_cell,
+                    r_in=r_in,
+                    r_out=radii[s],
                 ))
                 seq += 1
 
@@ -274,8 +286,6 @@ def estimate_energy(
     g = env.gravity
     k = soil.anchor_work_slope
     cell = plan.pad.cell_size
-    cx, cy = plan.center
-    ox, oy = plan.origin
     total = 0.0
     lane_changes = 0
     last_lane = -1
@@ -283,11 +293,8 @@ def estimate_energy(
         if trip.lane != last_lane:
             lane_changes += 1
             last_lane = trip.lane
-        radii = [math.hypot(ox + (j + 0.5) * cell - cx,
-                            oy + (i + 0.5) * cell - cy)
-                 for i, j in trip.cells]
-        r_lo = min(radii) - 0.5 * cell
-        r_hi = max(radii) + 0.5 * cell
+        r_lo = trip.r_in - 0.5 * cell
+        r_hi = trip.r_out + 0.5 * cell
         depth = -trip.target_elevation
         face_work = vehicle.blade_cut_coeff * soil.resistance_at(depth) \
             * trip.volume_bank
@@ -357,6 +364,7 @@ def validate_plan(
 
     weight = vehicle.mass * env.gravity
     n_spikes = len(vehicle.spike_offsets)
+    load_findings: dict[tuple[float, float], str | None] = {}
     for n, trip in enumerate(plan.trips):
         push = trip.deposit_r - trip.start_r
         if push > plan.pad.max_push_distance + 1e-9:
@@ -367,17 +375,23 @@ def validate_plan(
             violations.append(
                 f"trip {n}: planned prism {trip.volume_loose:.9g} m3 exceeds "
                 f"blade capacity {vehicle.blade_capacity:.9g} m3")
-        draft = predict_peak_draft(plan, trip, env, soil)
-        depth = vehicle.spike.depth_for_capacity(draft / n_spikes, soil)
-        if depth is None:
-            violations.append(
-                f"trip {n}: predicted draft {draft:.9g} N exceeds spike "
-                "holding capacity at full seating depth")
-        elif flip_margin(weight, draft,
-                         vehicle.spike.thrust_angle_deg(depth)) <= 0.0:
-            violations.append(
-                f"trip {n}: predicted draft {draft:.9g} N lifts the machine "
-                "at the seated thrust angle; flip risk")
+        # the peak draft depends only on the lift and the load
+        load = (trip.target_elevation, trip.volume_loose)
+        if load not in load_findings:
+            draft = predict_peak_draft(plan, trip, env, soil)
+            depth = vehicle.spike.depth_for_capacity(draft / n_spikes, soil)
+            load_findings[load] = None
+            if depth is None:
+                load_findings[load] = (
+                    f"predicted draft {draft:.9g} N exceeds spike "
+                    "holding capacity at full seating depth")
+            elif flip_margin(weight, draft,
+                             vehicle.spike.thrust_angle_deg(depth)) <= 0.0:
+                load_findings[load] = (
+                    f"predicted draft {draft:.9g} N lifts the machine "
+                    "at the seated thrust angle; flip risk")
+        if load_findings[load] is not None:
+            violations.append(f"trip {n}: {load_findings[load]}")
     return violations
 
 

@@ -74,6 +74,21 @@ _DRIVE_NEEDS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what each drive value must be: (description, test); every key not
+# named here takes a number
+_DRIVE_VALUES = {
+    "reverse": ("a bool", lambda v: isinstance(v, bool)),
+    "halves": ("a non-negative int",
+               lambda v: _is_number(v) and isinstance(v, int) and v >= 0),
+    "target_elevation": ("a number or null",
+                         lambda v: v is None or _is_number(v)),
+}
+
+
 @dataclass
 class Scenario:
     """A parsed, validated scenario ready to run."""
@@ -299,6 +314,12 @@ def _validate_drive(commands) -> list[dict]:
             raise ValueError(
                 f"drive[{n}]: unknown keys {sorted(unknown)} for {op!r}; "
                 f"it takes {sorted(DRIVE_KEYS[op])}")
+        for key, value in cmd.items():
+            kind, valid = _DRIVE_VALUES.get(key, ("a number", _is_number))
+            if key != "op" and not valid(value):
+                got = value if _is_number(value) else (
+                    "null" if value is None else type(value).__name__)
+                raise ValueError(f"drive[{n}]: {key!r} must be {kind}, got {got}")
         needs = _DRIVE_NEEDS.get(op)
         if needs and needs.isdisjoint(cmd):
             raise ValueError(f"drive[{n}]: {op!r} needs one of {sorted(needs)}")

@@ -8,6 +8,7 @@ hang run the CLI in a child process, under a timeout.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 from spikedozer import cli
 from spikedozer.locomotion import RECORD_FIELDS
 from spikedozer.rasters import read_raster
+from spikedozer.scenario import load_scenario
 from spikedozer.sensing import EVENT_FIELDS, load_events
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -237,6 +239,30 @@ class TestSimulate:
         assert rc == 1
         assert f"drive[0]: '{cmd['op']}' needs one of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, message", [
+        ({"op": "advance", "distance": [1]}, "'distance' must be a number, got list"),
+        ({"op": "advance", "distance": True}, "'distance' must be a number, got bool"),
+        ({"op": "advance", "halves": -1}, "'halves' must be a non-negative int, got -1"),
+        ({"op": "advance", "halves": 1.5}, "'halves' must be a non-negative int, got 1.5"),
+        ({"op": "advance", "distance": 1.0, "reverse": "yes"},
+         "'reverse' must be a bool, got str"),
+        ({"op": "blade", "target_elevation": "low"},
+         "'target_elevation' must be a number or null, got str"),
+        ({"op": "tow", "force": None}, "'force' must be a number, got null"),
+    ])
+    def test_drive_value_of_wrong_type_exits_1(self, tmp_path, cmd, message):
+        path = write_scenario(tmp_path, {"name": "typed", "drive": [cmd]})
+        rc, err = run_cli(["simulate", "--scenario", str(path),
+                           "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "Traceback" not in err
+        assert f"drive[0]: {message}" in err
+
+    @pytest.mark.parametrize("preset", sorted(SCENARIOS.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_every_preset_loads(self, preset):
+        assert load_scenario(str(preset)).name == preset.stem
+
     @pytest.mark.parametrize("vehicle", [
         {"rolling_coeff": 0.1}, {"curvature_gain": 0.2},
         {"curvature_balance_offset": 0.1},
@@ -269,6 +295,21 @@ class TestPlan:
         assert text.endswith("findings\nnone\n")
         assert "lanes" in text
         assert "trips" in capsys.readouterr().out
+
+    def test_console_line_ends_with_elapsed_time(self, tmp_path, capsys):
+        plans = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            rc = cli.main(["plan", "--scenario",
+                           str(SCENARIOS / "pad_quick.json"), "--out", str(out)])
+            assert rc == 0
+            line = capsys.readouterr().out.strip()
+            assert re.fullmatch(
+                r"pad_quick: \d+ trips over \d+ lanes, budget \S+ J, "
+                rf"\d+ findings, \d+\.\d s -> {re.escape(str(out))}", line)
+            plans.append((out / "plan.txt").read_bytes())
+        # the time goes to the console only, so the plan file repeats
+        assert plans[0] == plans[1]
 
     def test_rejects_drive_scenario(self, tmp_path, capsys):
         rc = cli.main(["plan", "--scenario",

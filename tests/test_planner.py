@@ -5,11 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spikedozer.earthworks import Terrain
-from spikedozer.locomotion import CONSTRUCTION, Machine
+from spikedozer.earthworks import SWELL_FACTOR, Terrain
+from spikedozer.locomotion import CONSTRUCTION, REFERENCE, Machine
 from spikedozer.planner import (
+    LANE_ALIGNMENT_MARGIN,
     PadSpec,
+    Trip,
     describe_plan,
     estimate_energy,
     execute_plan,
@@ -28,6 +31,7 @@ from spikedozer.soils import (
     SoilLayer,
     SoilProfile,
 )
+from spikedozer.traction import flip_margin
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +123,121 @@ class TestPlanLayout:
         assert len(text.strip().splitlines()) == 7 + len(plan.trips)
 
 
+def full_grid_layout(pad, vehicle):
+    """Claims and trips laid out the slow way: a claim pass over the pad
+    window for the lane loads, then a second pass, one lane at a time,
+    over the whole grid, and a (-R, i, j) key sort of each lane's cells.
+    Trip spans come from that pass's radius array."""
+    cell = pad.cell_size
+    n_lanes = max(4, math.ceil(2.0 * math.pi * pad.radius
+                               / (vehicle.blade_width - LANE_ALIGNMENT_MARGIN)))
+    lane_width = 2.0 * math.pi * pad.radius / n_lanes
+    n_lifts = max(1, math.ceil(pad.depth / vehicle.blade_max_cut))
+    lift_depth = pad.depth / n_lifts
+    vol_per_cell = cell * cell * lift_depth * SWELL_FACTOR
+    cells_per_trip = max(1, math.floor(vehicle.blade_capacity / vol_per_cell))
+
+    def claim(n_cells, origin):
+        idx = (np.arange(n_cells) + 0.5) * cell
+        X = origin + idx[np.newaxis, :]
+        Y = origin + idx[:, np.newaxis]
+        R = np.hypot(X, Y)
+        claims = np.full((n_cells, n_cells), -1, dtype=np.int32)
+        in_pad = R <= pad.radius
+        for lane in range(n_lanes):
+            az = 2.0 * math.pi * lane / n_lanes
+            dx, dy = math.cos(az), math.sin(az)
+            along = X * dx + Y * dy
+            perp = -X * dy + Y * dx
+            wedge = in_pad & (claims < 0) & (along >= 0.0) \
+                & (np.abs(perp) <= 0.5 * lane_width)
+            claims[wedge] = lane
+        assert not np.any(in_pad & (claims < 0))
+        return claims, R
+
+    local_half = math.ceil((pad.radius + cell) / cell)
+    local, _ = claim(2 * local_half, -local_half * cell)
+    lane_trips = [n_lifts * math.ceil(int(np.sum(local == lane)) / cells_per_trip)
+                  for lane in range(n_lanes)]
+    reach = 0.5 * (vehicle.base_separation + vehicle.stroke_length) \
+        + vehicle.blade_lead
+    deposit_r_max = pad.radius + pad.berm_setback \
+        + pad.berm_ring_spacing * max(0, max(lane_trips) - 1)
+    cells_half = math.ceil((deposit_r_max + reach + 6.0) / cell)
+    claims, R = claim(2 * cells_half, -cells_half * cell)
+
+    trips = []
+    for lane in range(n_lanes):
+        ii, jj = np.nonzero(claims == lane)
+        order = sorted(
+            range(len(ii)),
+            key=lambda k: (-float(R[ii[k], jj[k]]), int(ii[k]), int(jj[k])))
+        cells = [(int(ii[k]), int(jj[k])) for k in order]
+        seq = 0
+        for lift in range(n_lifts):
+            for s in range(0, len(cells), cells_per_trip):
+                group = cells[s:s + cells_per_trip]
+                radii = [float(R[c]) for c in group]
+                trips.append(Trip(
+                    lane=lane, lift=lift, seq=seq,
+                    azimuth_deg=360.0 * lane / n_lanes,
+                    start_r=min(radii) - cell - reach - 0.3,
+                    deposit_r=pad.radius + pad.berm_setback
+                    + pad.berm_ring_spacing * (lane_trips[lane] - 1 - seq),
+                    target_elevation=-lift_depth * (lift + 1),
+                    cells=frozenset(group),
+                    volume_loose=len(group) * vol_per_cell,
+                    r_in=min(radii), r_out=max(radii)))
+                seq += 1
+    return claims, trips
+
+
+# The reference blade is too narrow for a lane once the alignment margin
+# is taken off, so a widened copy stands in for the small machine.
+WIDE_REFERENCE = replace(REFERENCE, blade_width=2.0)
+
+
+class TestLayoutOracle:
+    @given(radius=st.one_of(st.just(0.0), st.floats(0.0, 0.5),
+                            st.floats(0.0, 14.0)),
+           cell_size=st.sampled_from([0.125, 0.25, 0.5]),
+           vehicle=st.sampled_from([CONSTRUCTION, REFERENCE, WIDE_REFERENCE]))
+    @settings(deadline=None, max_examples=60)
+    def test_layout_matches_the_full_grid_reference(self, radius, cell_size,
+                                                    vehicle):
+        pad = PadSpec(radius=radius, cell_size=cell_size,
+                      max_push_distance=1000.0)
+        if vehicle.blade_width <= LANE_ALIGNMENT_MARGIN:
+            with pytest.raises(ValueError, match="blade too narrow"):
+                plan_pad_mission(pad, vehicle, MOON, SOFT)
+            return
+        plan = plan_pad_mission(pad, vehicle, MOON, SOFT)
+        claims, trips = full_grid_layout(pad, vehicle)
+        assert np.array_equal(plan.claims, claims)
+        assert plan.trips == trips
+        assert plan.energy_budget == estimate_energy(
+            replace(plan, trips=trips), vehicle, MOON, SOFT)
+
+    @pytest.mark.parametrize("cell_size", [0.1, 0.125, 0.2, 0.25, 0.3, 0.5])
+    @pytest.mark.parametrize("radius", [3.7, 9.979845551933689])
+    def test_trips_partition_each_lanes_claim(self, radius, cell_size):
+        # One claim pass sizes the lane loads and lays the trips, so each
+        # lane's dump line ends exactly at the setback for any cell size.
+        # At 9.9798 m and 0.2 m cells, a count pass and a claim pass over
+        # differently placed grids disagree on one cell.
+        pad = PadSpec(radius=radius, cell_size=cell_size)
+        plan = plan_pad_mission(pad, CONSTRUCTION, MOON, SOFT)
+        for lane in range(plan.n_lanes):
+            trips = [t for t in plan.trips if t.lane == lane]
+            assert [t.seq for t in trips] == list(range(len(trips)))
+            assert trips[-1].deposit_r == pad.radius + pad.berm_setback
+            claimed = set(map(tuple, np.argwhere(plan.claims == lane).tolist()))
+            for lift in range(plan.n_lifts):
+                groups = [t.cells for t in trips if t.lift == lift]
+                assert sum(len(g) for g in groups) == len(claimed)
+                assert set().union(*groups) == claimed
+
+
 class TestEnergyBudget:
     def test_budget_is_positive_and_scales_with_ground(self, plan):
         assert plan.energy_budget > 0.0
@@ -186,6 +305,34 @@ class TestValidatePlan:
         finally:
             plan.trips[0] = original
         assert any("blade capacity" in f for f in findings)
+
+    def test_findings_price_each_load_like_each_trip(self):
+        # Anchoring in this ground only just holds: the full prisms lose
+        # their grip and the part-filled ones keep it.
+        plan = plan_pad_mission(PadSpec(radius=8.0), CONSTRUCTION, MOON, SOFT)
+        thin = SoilProfile(
+            name="thin", layers=(SoilLayer(thickness=10.0, resistance=67.75e3),),
+            anchor_work_slope=0.10, loose_resistance=500.0)
+        spike = CONSTRUCTION.spike
+        n_spikes = len(CONSTRUCTION.spike_offsets)
+        weight = CONSTRUCTION.mass * MOON.gravity
+        expected = []
+        for n, trip in enumerate(plan.trips):
+            draft = predict_peak_draft(plan, trip, MOON, thin)
+            depth = spike.depth_for_capacity(draft / n_spikes, thin)
+            if depth is None:
+                expected.append(
+                    f"trip {n}: predicted draft {draft:.9g} N exceeds spike "
+                    "holding capacity at full seating depth")
+            elif flip_margin(weight, draft, spike.thrust_angle_deg(depth)) <= 0.0:
+                expected.append(
+                    f"trip {n}: predicted draft {draft:.9g} N lifts the machine "
+                    "at the seated thrust angle; flip risk")
+        assert validate_plan(plan, MOON, thin) == expected
+        full = max(t.volume_loose for t in plan.trips)
+        flagged = {int(f.split(":")[0].split()[1]) for f in expected}
+        assert flagged == {n for n, t in enumerate(plan.trips)
+                           if t.volume_loose == full}
 
     def test_steep_start_terrain_is_flagged(self, plan):
         n = 40
