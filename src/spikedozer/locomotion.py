@@ -302,29 +302,15 @@ class _StrokePath:
         fx, fy, ax, ay = machine._grade_samples(self.xs, self.ys)
         self.footprint = terrain.bilinear_weights(np.stack((fx, ax)), np.stack((fy, ay)))
         self.level = ~(self.footprint[3][0] & self.footprint[3][1])
-        self._soil = terrain.soil
-        self._profiles: list[SoilProfile] | None = None
-        self._friction: np.ndarray | None = None
+        # the soil under the machine center before each step: its skid
+        # friction capacity, and the loose density of a prism carried on it
+        profiles, at = terrain.soil.profiles_at(self.xs, self.ys)
+        self.friction = np.array([machine._friction_capacity(p) for p in profiles])[at]
         self.density = None
         if cutting or machine.prism > 0.0:
-            self.density = np.array([p.loose_density for p in self.profiles()])
+            self.density = np.array([p.loose_density for p in profiles])[at]
         self._stop = self._crossing = 0
         self.k = 0
-
-    def profiles(self) -> list[SoilProfile]:
-        """Soil profile under the machine center before each step."""
-        if self._profiles is None:
-            profile_at = self._soil.profile_at
-            self._profiles = [profile_at(x, y) for x, y
-                              in zip(self.xs.tolist(), self.ys.tolist())]
-        return self._profiles
-
-    def friction(self, machine: Machine) -> np.ndarray:
-        """Skid friction capacity of the seated frame before each step."""
-        if self._friction is None:
-            self._friction = np.array([machine._friction_capacity(p)
-                                       for p in self.profiles()])
-        return self._friction
 
     def next_stop(self) -> int:
         """First stop at or after step k."""
@@ -760,7 +746,7 @@ class Machine:
         anchor = self.anchors[seat_frame]
         over = drafts > anchor.capacity
         if over.any() and not anchor.by_friction:
-            over &= drafts > anchor.capacity + path.friction(self)[k:k + len(drafts)]
+            over &= drafts > anchor.capacity + path.friction[k:k + len(drafts)]
         stop = int(over.argmax()) if over.any() else len(drafts)
         if not anchor.by_friction:
             hold = self.weight

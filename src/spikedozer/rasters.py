@@ -2,7 +2,10 @@
 
 Everything numeric is formatted with %.9g so a run writes byte-identical
 artifacts every time the inputs and seed repeat.  Rasters are CSV grids
-with one metadata comment line; NaN marks no-data cells.
+with one metadata comment line; NaN marks no-data cells.  A raster row is
+formatted by one `%` call on its Python floats: `"%.9g" % x` and
+`fmt`'s `f"{x:.9g}"` go through the same float formatter, so the text is
+that of formatting value by value.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ def write_raster(
     rows, cols = grid.shape
     lines = [f"# {rows} {cols} {fmt(float(cell_size))} "
              f"{fmt(float(origin[0]))} {fmt(float(origin[1]))}"]
-    for i in range(rows):
-        lines.append(",".join(fmt(float(v)) for v in grid[i]))
+    template = ",".join(["%.9g"] * cols)
+    for i in range(rows):  # row by row: a whole-grid tolist() costs memory
+        lines.append(template % tuple(grid[i].tolist()))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -60,10 +64,13 @@ def read_raster(path: str) -> tuple[np.ndarray, float, tuple[float, float]]:
         parts = header[1:].split()
         if len(parts) != 5:
             raise ValueError(f"{path} has a malformed raster header")
-        rows, cols = int(parts[0]), int(parts[1])
-        cell_size = float(parts[2])
-        origin = (float(parts[3]), float(parts[4]))
-        grid = np.empty((rows, cols))
+        try:
+            rows, cols = int(parts[0]), int(parts[1])
+            cell_size = float(parts[2])
+            origin = (float(parts[3]), float(parts[4]))
+            grid = np.empty((rows, cols))
+        except ValueError as exc:
+            raise ValueError(f"{path} has a malformed raster header: {exc}") from None
         for i in range(rows):
             line = fh.readline()
             if not line:
@@ -71,7 +78,10 @@ def read_raster(path: str) -> tuple[np.ndarray, float, tuple[float, float]]:
             vals = line.strip().split(",")
             if len(vals) != cols:
                 raise ValueError(f"{path} row {i} has {len(vals)} of {cols} columns")
-            grid[i] = [float(v) for v in vals]
+            try:
+                grid[i] = [float(v) for v in vals]
+            except ValueError as exc:
+                raise ValueError(f"{path} row {i}: {exc}") from None
     return grid, cell_size, origin
 
 

@@ -269,7 +269,16 @@ def _parse_terrain(node) -> tuple[tuple[int, int], float, tuple[float, float],
     _reject_unknown(node, _TERRAIN_KEYS, "terrain")
 
     if "surface_raster" in node:
-        grid, cell, origin = read_raster(str(node["surface_raster"]))
+        path = str(node["surface_raster"])
+        grid, cell, origin = read_raster(path)
+        if not (0.0 < cell < math.inf and all(map(math.isfinite, origin))):
+            raise ValueError(f"surface raster {path} needs a positive finite "
+                             f"cell size and a finite origin")
+        bad = np.argwhere(~np.isfinite(grid))
+        if bad.size:
+            i, j = bad[0].tolist()
+            raise ValueError(f"surface raster {path} row {i} column {j} "
+                             f"is {grid[i, j]}; heights must be finite")
         return grid.shape, cell, origin, grid
 
     cell = float(node.get("cell_size", DEFAULT_CELL_SIZE))
@@ -339,7 +348,7 @@ def load_scenario(
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_float=_finite_float,
+            doc = json.load(fh, parse_float=_finite_float, parse_int=_finite_int,
                             parse_constant=_reject_constant)
         except ValueError as err:  # JSONDecodeError is a ValueError too
             raise ValueError(f"{path}: {err}") from err
@@ -355,6 +364,16 @@ def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"number {text} overflows to {value}")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    value = int(text)
+    try:
+        float(value)  # the bound _finite_float keeps
+    except OverflowError:
+        raise ValueError(
+            f"number {text[:20]}... of {len(text)} characters overflows to inf") from None
     return value
 
 

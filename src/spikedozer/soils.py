@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 GRAVITY_EARTH = 9.81  # m/s^2
 
 
@@ -183,7 +185,8 @@ class SoilField:
     """Maps plan position to a strength profile.
 
     The base class is uniform; subclasses may vary the profile laterally.
-    Simulation code only ever calls `profile_at`.
+    Simulation code calls `profile_at` for one point and `profiles_at`
+    for the steps of a stroke.
     """
 
     def __init__(self, base: SoilProfile):
@@ -191,6 +194,11 @@ class SoilField:
 
     def profile_at(self, x: float, y: float) -> SoilProfile:
         return self.base
+
+    def profiles_at(self, xs: np.ndarray, ys: np.ndarray) -> tuple[list[SoilProfile], np.ndarray]:
+        """The field's profiles, and for each point the index of the one
+        `profile_at` returns there."""
+        return [self.base], np.zeros(np.shape(xs), dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -219,3 +227,12 @@ class PatchSoilField(SoilField):
             if patch.contains(x, y):
                 return patch.profile
         return self.base
+
+    def profiles_at(self, xs: np.ndarray, ys: np.ndarray) -> tuple[list[SoilProfile], np.ndarray]:
+        # the base, then each patch's profile; masks go on in reverse so
+        # the first matching patch wins
+        at = np.zeros(np.shape(xs), dtype=np.intp)
+        for n in range(len(self.patches), 0, -1):
+            p = self.patches[n - 1]
+            at[(p.x_min <= xs) & (xs <= p.x_max) & (p.y_min <= ys) & (ys <= p.y_max)] = n
+        return [self.base] + [p.profile for p in self.patches], at

@@ -200,6 +200,33 @@ class TestSimulate:
         assert rc == 1
         assert "overflows" in capsys.readouterr().err
 
+    def test_oversize_integer_exits_1(self, tmp_path):
+        path = write_scenario(tmp_path, (
+            '{"name": "big", "drive": [{"op": "advance", "distance": 1%s}]}' % ("0" * 400)))
+        rc, err = run_cli(["simulate", "--scenario", str(path),
+                           "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "Traceback" not in err
+        assert f"{path}: number 10000000000000000000... of 401 characters overflows" in err
+
+    @pytest.mark.parametrize("cell, message", [
+        ("nan", "row 1 column 2 is nan; heights must be finite"),
+        ("-inf", "row 1 column 2 is -inf; heights must be finite"),
+        ("0.1x", "row 1: could not convert string to float: '0.1x'"),
+    ])
+    def test_bad_surface_raster_exits_1(self, tmp_path, cell, message):
+        raster = tmp_path / "surface.csv"
+        raster.write_text(f"# 3 4 0.5 -1 -0.75\n0,0,0,0\n0,0,{cell},0\n0,0,0,0\n")
+        path = write_scenario(tmp_path, {
+            "name": "raster", "terrain": {"surface_raster": str(raster)},
+            "start": {"x": 0.0, "y": 0.0}, "drive": [{"op": "advance", "distance": 0.1}]})
+        out = tmp_path / "out"
+        rc, err = run_cli(["simulate", "--scenario", str(path), "--out", str(out)])
+        assert rc == 1
+        assert "Traceback" not in err
+        assert f"{raster} {message}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("heading", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_heading_exits_1(self, tmp_path, heading):
         path = write_scenario(tmp_path, (

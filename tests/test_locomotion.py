@@ -15,6 +15,7 @@ from spikedozer.locomotion import (
     VEHICLES,
     Machine,
     VehicleSpec,
+    _StrokePath,
     conventional_drawbar_per_mass,
     traverse_check,
 )
@@ -25,7 +26,9 @@ from spikedozer.soils import (
     MOON,
     SOFT,
     Duricrust,
+    PatchSoilField,
     SoilLayer,
+    SoilPatch,
     SoilProfile,
 )
 
@@ -254,6 +257,28 @@ class TestGradeDraft:
         assert late.half_cycle() == second
         # the step does reach the second half-cycle's grade
         assert level.half_cycle() != second
+
+
+class TestStrokePathSoil:
+    def test_density_and_friction_are_the_per_step_lookups(self):
+        def blade_path(soil):
+            m = Machine(REFERENCE, flat(soil), MOON)
+            m.set_blade(-0.05)
+            return m, _StrokePath(m, "front", 1.0, 0.0, REFERENCE.stroke_length,
+                                  cutting=True, ripping=False)
+
+        # a patch whose near edge sits exactly on the center before step 37
+        _, plain = blade_path(SOFT)
+        edge = float(plain.xs[37])
+        patch = SoilProfile(
+            name="patch", anchor_work_slope=0.08, loose_density=1100.0,
+            layers=(SoilLayer(thickness=10.0, resistance=2e6, friction_mu=0.4),))
+        field = PatchSoilField(SOFT, [SoilPatch(edge, -1.0, edge + 5.0, 1.0, patch)])
+        m, path = blade_path(field)
+        steps = [field.profile_at(x, y) for x, y in zip(path.xs.tolist(), path.ys.tolist())]
+        assert steps[36] is SOFT and steps[37] is patch
+        assert np.all(path.density == [p.loose_density for p in steps])
+        assert np.all(path.friction == [m._friction_capacity(p) for p in steps])
 
 
 class TestTurning:

@@ -1,0 +1,87 @@
+"""Raster and table text I/O: exact bytes and readable diagnostics."""
+
+import os
+import re
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from spikedozer.rasters import fmt, read_raster, write_raster
+
+# decimal values one digit past the 9 that %.9g keeps, ending in 5: the
+# rounding edge, as near as a double can sit to it
+ROUNDING_EDGE = st.builds(lambda d, e: float(f"{d}5e{e}"),
+                          st.integers(10**8, 10**9 - 1), st.integers(-330, 290))
+SPECIAL = st.sampled_from([
+    float("nan"), 0.0, -0.0, float("inf"), -float("inf"), 5e-324, -2.2250738585072014e-308,
+    1e300, -1e300, 1e-300, -1e-300, 0.5, 123456789.5, 999999999.5])
+
+GRIDS = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+               elements=st.one_of(st.floats(), SPECIAL, ROUNDING_EDGE)),
+    hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+               elements=st.floats(width=32)),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6)),
+    hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6)),
+)
+
+
+def reference_raster_text(grid, cell_size, origin):
+    """The raster text of a writer that formats one value at a time."""
+    rows, cols = grid.shape
+    lines = [f"# {rows} {cols} {fmt(float(cell_size))} "
+             f"{fmt(float(origin[0]))} {fmt(float(origin[1]))}"]
+    for i in range(rows):
+        lines.append(",".join(fmt(float(v)) for v in grid[i]))
+    return "\n".join(lines) + "\n"
+
+
+def written_bytes(grid, cell_size=0.25, origin=(-1.5, 2.0)):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.csv")
+        write_raster(path, grid, cell_size, origin)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+class TestWriteRaster:
+    @settings(max_examples=300, deadline=None)
+    @given(grid=GRIDS)
+    @example(grid=np.zeros((0, 4)))
+    @example(grid=np.zeros((3, 0)))
+    @example(grid=np.full((1, 1), -0.0))
+    @example(grid=np.array([[np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e-300]]))
+    @example(grid=np.array([[True, False]]))
+    @example(grid=np.array([[2**63 - 1, -2**63]], dtype=np.int64))
+    def test_same_bytes_as_formatting_each_value(self, grid):
+        expected = reference_raster_text(grid, 0.25, (-1.5, 2.0)).encode("utf-8")
+        assert written_bytes(grid) == expected
+
+    def test_round_trip(self, tmp_path):
+        grid = np.array([[0.1, -2.5e-7, np.nan], [1e300, -0.0, 3.0]])
+        path = tmp_path / "grid.csv"
+        write_raster(str(path), grid, 0.25, (-1.5, 2.0))
+        back, cell, origin = read_raster(str(path))
+        np.testing.assert_array_equal(back, grid)
+        assert (cell, origin) == (0.25, (-1.5, 2.0))
+
+    def test_rejects_a_grid_that_is_not_two_dimensional(self, tmp_path):
+        with pytest.raises(ValueError, match="two-dimensional"):
+            write_raster(str(tmp_path / "line.csv"), np.zeros(3), 0.25)
+
+
+class TestReadRaster:
+    def test_value_that_does_not_parse_names_file_and_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# 2 3 0.5 0 0\n0,0,0\n0,abc,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path} row 1: ") + ".*'abc'"):
+            read_raster(str(path))
+
+    def test_malformed_header_names_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# two 3 0.5 0 0\n0,0,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path} has a malformed raster header")):
+            read_raster(str(path))

@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spikedozer.soils import (
     EARTH,
@@ -144,3 +145,53 @@ class TestSoilFields:
         field = PatchSoilField(SOFT, [inner, outer])
         assert field.profile_at(2.0, 2.0) is HARD
         assert field.profile_at(8.0, 8.0) is MEDIUM
+
+
+# A patch whose profile equals HARD but is another object, so `is` tells
+# the two apart, and overlaps in both orders.
+HARD_TWIN = SoilProfile(name="hard", layers=HARD.layers,
+                        anchor_work_slope=HARD.anchor_work_slope)
+PATCHES = [SoilPatch(0.0, 0.0, 5.0, 5.0, HARD),
+           SoilPatch(2.5, -1.0, 10.0, 5.0, MEDIUM),
+           SoilPatch(-3.0, 4.0, 1.0, 8.0, HARD_TWIN),
+           SoilPatch(0.0, 0.0, 5.0, 5.0, SOFT),
+           SoilPatch(-2.0, -2.0, -2.0, 3.0, MEDIUM)]
+EDGES = sorted({v for p in PATCHES for v in (p.x_min, p.y_min, p.x_max, p.y_max)})
+COORDS = st.one_of(
+    st.sampled_from(EDGES + [math.nextafter(v, d) for v in EDGES for d in (-math.inf, math.inf)]
+                    + [math.nan]),
+    st.floats(-12.0, 12.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+POINTS = st.lists(st.tuples(COORDS, COORDS), max_size=40)
+
+
+def assert_profiles_match(field, points):
+    xs = np.array([p[0] for p in points], dtype=float)
+    ys = np.array([p[1] for p in points], dtype=float)
+    profiles, at = field.profiles_at(xs, ys)
+    assert at.shape == xs.shape
+    for (x, y), n in zip(points, at.tolist()):
+        assert profiles[n] is field.profile_at(x, y)
+
+
+class TestProfilesAt:
+    @given(points=POINTS)
+    @example(points=[(v, w) for v in EDGES for w in EDGES])  # every edge and corner
+    @example(points=[(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_patch_field_matches_profile_at(self, points):
+        assert_profiles_match(PatchSoilField(SOFT, PATCHES), points)
+
+    @given(points=POINTS)
+    def test_reversed_overlaps_match_profile_at(self, points):
+        assert_profiles_match(PatchSoilField(MEDIUM, PATCHES[::-1]), points)
+
+    @given(points=POINTS)
+    def test_fields_without_patches_match_profile_at(self, points):
+        assert_profiles_match(PatchSoilField(HARD), points)
+        assert_profiles_match(SoilField(SOFT), points)
+
+    def test_first_patch_wins_on_a_shared_corner(self):
+        field = PatchSoilField(SOFT, PATCHES)
+        profiles, at = field.profiles_at(np.array([5.0, 2.5, 5.0]), np.array([5.0, 5.0, -1.0]))
+        assert all(profiles[n] is want for n, want in zip(at, (HARD, HARD, MEDIUM)))
