@@ -185,16 +185,6 @@ class Terrain:
                + (bank.item(i1, j1) + loose.item(i1, j1)) * tx)
         return top * (1.0 - ty) + bot * ty
 
-    def heights_at(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`height_at` over arrays of points, with the same arithmetic.
-
-        Returns (heights, inside).  Each height equals what `height_at`
-        gives for that point bit for bit; where `height_at` would raise,
-        `inside` is False and the height is NaN.
-        """
-        corners, tx, ty, inside = self.bilinear_weights(xs, ys)
-        return np.where(inside, self.blend(corners, tx, ty), np.nan), inside
-
     def bilinear_weights(self, xs: np.ndarray, ys: np.ndarray) -> tuple[
             np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The cells and weights `height_at` blends at each point.

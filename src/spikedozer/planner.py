@@ -451,7 +451,8 @@ def execute_plan(
             # translates the center, so the aim is recomputed until it
             # survives its own turn, and the whole pass repeats if the
             # squaring pivot still walked the machine off the claim.
-            _move_to_r(machine, cx, cy, current_lane, plan, plan.pad.hub_radius)
+            _move_to_r(machine, cx, cy, plan.lane_azimuth_deg(current_lane),
+                       plan.pad.hub_radius)
             r_entry = max(trip.start_r, plan.pad.hub_radius + 4.0)
             tol = math.radians(LANE_HEADING_TOL_DEG)
             guard = max(lane_margin - plan.pad.cell_size, 0.0)
@@ -480,12 +481,7 @@ def execute_plan(
                     f"lane {trip.lane}: lateral drift {offset:.3f} m exceeds "
                     "the claim margin")
             current_lane = trip.lane
-        r_now = (machine.x - cx) * dx + (machine.y - cy) * dy
-        delta = trip.start_r - r_now
-        if delta > 1e-9:
-            machine.advance(delta)
-        elif delta < -1e-9:
-            machine.advance(-delta, reverse=True)
+        _move_to_r(machine, cx, cy, trip.azimuth_deg, trip.start_r)
         machine.set_blade(trip.target_elevation, mask=trip.cells)
         machine.advance(trip.deposit_r - trip.start_r)
         machine.set_blade(None)
@@ -504,9 +500,11 @@ def execute_plan(
     )
 
 
-def _move_to_r(machine: Machine, cx: float, cy: float, lane: int,
-               plan: MissionPlan, r_target: float) -> None:
-    az = math.radians(plan.lane_azimuth_deg(lane))
+def _move_to_r(machine: Machine, cx: float, cy: float, azimuth_deg: float,
+               r_target: float) -> None:
+    """Drive forward or back along the ray from (cx, cy) at `azimuth_deg`
+    until the machine is `r_target` out along it."""
+    az = math.radians(azimuth_deg)
     dx, dy = math.cos(az), math.sin(az)
     r_now = (machine.x - cx) * dx + (machine.y - cy) * dy
     delta = r_target - r_now

@@ -82,6 +82,8 @@ def read_raster(path: str) -> tuple[np.ndarray, float, tuple[float, float]]:
                 grid[i] = [float(v) for v in vals]
             except ValueError as exc:
                 raise ValueError(f"{path} row {i}: {exc}") from None
+        if fh.read().strip():
+            raise ValueError(f"{path} has rows beyond the {rows} its header gives")
     return grid, cell_size, origin
 
 

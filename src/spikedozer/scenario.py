@@ -6,15 +6,25 @@ in order) or a pad specification handed to the mission planner.  The
 seed pins every stochastic element, so a scenario plus a seed is a
 complete, replayable experiment.
 
-Parsing is strict: unknown keys are rejected so a typo cannot silently
-change an experiment.
+Parsing is strict, so a typo cannot silently change an experiment:
+
+- unknown keys are rejected;
+- numbers are JSON numbers and bools are JSON bools: ``"1.62"`` is not
+  a gravity, ``"false"`` is not a bool and ``1.5`` is not a seed;
+- a section's keys, their types and the value an absent key takes all
+  come from the dataclass the section fills (`Environment`,
+  `SoilProfile`, `SoilLayer`, `Duricrust`, `SoilPatch`, `VehicleSpec`,
+  `GroundTemperatureField`, `PadSpec`);
+- a relative ``surface_raster`` path is relative to the scenario file.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,50 +52,40 @@ from .soils import (
     SoilPatch,
     SoilProfile,
 )
+from .traction import SpikeGeometry
 
 _TOP_KEYS = {"name", "environment", "soil", "vehicle", "terrain", "start",
              "sensing", "seed", "drive", "pad"}
-_TERRAIN_KEYS = {"extent", "shape", "cell_size", "origin", "slope_deg",
-                 "slope_azimuth_deg", "surface_raster"}
-_START_KEYS = {"x", "y", "heading_deg"}
-_SENSING_KEYS = {"noise_rel", "surface_K", "gradient_K_per_m"}
-_PROFILE_KEYS = {"name", "preset", "layers", "anchor_work_slope", "duricrust",
-                 "loose_resistance", "loose_density", "repose_angle_deg",
-                 "allow_inversion"}
-_LAYER_KEYS = {"thickness", "resistance", "friction_mu", "density"}
-_PATCH_KEYS = {"x_min", "y_min", "x_max", "y_max", "soil"}
 
-# drive op -> the keys it takes besides "op"
+# What a JSON value of each kind must be: kind -> (description, test).
+# json.load gives only int, float, bool, str, None, list and dict, and a
+# bool does not pass for a number.
+_KINDS = {
+    float: ("a number", lambda v: type(v) is float or type(v) is int),
+    int: ("a non-negative int", lambda v: type(v) is int and v >= 0),
+    bool: ("a bool", lambda v: type(v) is bool),
+    str: ("a string", lambda v: type(v) is str),
+    float | None: ("a number or null",
+                   lambda v: v is None or type(v) is float or type(v) is int),
+}
+
+# drive op -> the kind of each key it takes besides "op"
 DRIVE_KEYS = {
-    "advance": {"distance", "halves", "stroke", "reverse"},
-    "turn_to": {"heading_deg"},
-    "turn_by": {"delta_deg"},
-    "blade": {"target_elevation"},
-    "ripper": {"depth"},
-    "dump": set(),
-    "tow": {"force"},
-    "relax": set(),
+    "advance": {"distance": float, "halves": int, "stroke": float,
+                "reverse": bool},
+    "turn_to": {"heading_deg": float},
+    "turn_by": {"delta_deg": float},
+    "blade": {"target_elevation": float | None},
+    "ripper": {"depth": float},
+    "dump": {},
+    "tow": {"force": float},
+    "relax": {},
 }
 # drive ops that cannot run without one of these keys
 _DRIVE_NEEDS = {
     "advance": {"distance", "halves"},
     "turn_to": {"heading_deg"},
     "turn_by": {"delta_deg"},
-}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# what each drive value must be: (description, test); every key not
-# named here takes a number
-_DRIVE_VALUES = {
-    "reverse": ("a bool", lambda v: isinstance(v, bool)),
-    "halves": ("a non-negative int",
-               lambda v: _is_number(v) and isinstance(v, int) and v >= 0),
-    "target_elevation": ("a number or null",
-                         lambda v: v is None or _is_number(v)),
 }
 
 
@@ -123,153 +123,166 @@ class RunResult:
     violations: list[str] | None = None
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+def _got(value) -> str:
+    if value is None:
+        return "null"
+    return str(value) if type(value) in (int, float) else type(value).__name__
 
 
-def _parse_environment(node) -> Environment:
-    if node is None:
-        return ENVIRONMENTS["moon"]
-    if isinstance(node, str):
-        try:
-            return ENVIRONMENTS[node]
-        except KeyError:
-            raise ValueError(
-                f"unknown environment preset {node!r}; "
-                f"have {sorted(ENVIRONMENTS)}")
-    if isinstance(node, dict):
-        _reject_unknown(node, {"name", "gravity"}, "environment")
-        if "gravity" not in node:
-            raise ValueError("a custom environment needs a gravity value")
-        return Environment(str(node.get("name", "custom")),
-                           float(node["gravity"]))
-    raise ValueError("environment must be a preset name or an object")
+def _value(value, kind, where: str, key: str):
+    """`value` of `key` checked against `kind`, a number as a float unless
+    the kind is int.  A kind not in _KINDS reads a list or an object."""
+    check = _KINDS.get(kind)
+    if check is None:
+        return kind(value, f"{where}.{key}")
+    if not check[1](value):
+        raise ValueError(f"{where}: {key!r} must be {check[0]}, got {_got(value)}")
+    return float(value) if type(value) is int and kind is not int else value
 
 
-def _parse_profile(node, where: str = "soil") -> SoilProfile:
-    if isinstance(node, str):
-        try:
-            return SOILS[node]
-        except KeyError:
-            raise ValueError(
-                f"unknown soil preset {node!r}; have {sorted(SOILS)}")
-    if not isinstance(node, dict):
-        raise ValueError(f"{where} must be a preset name or an object")
-    _reject_unknown(node, _PROFILE_KEYS, where)
+class _Fields(dict):
+    """JSON key -> kind for the section that fills dataclass `cls`.
 
-    crust = None
-    if node.get("duricrust") is not None:
-        c = node["duricrust"]
-        _reject_unknown(c, {"strength", "thickness"}, f"{where}.duricrust")
-        crust = Duricrust(float(c["strength"]), float(c["thickness"]))
+    A field's kind is its type; `kinds` adds keys, or gives the reader of
+    a field that holds a list or another object.  `keys` renames a
+    field's JSON key.  A field without a default is required, except a
+    name: an object given without one is called "custom".
+    """
 
-    if "preset" in node:
-        base = _parse_profile(node["preset"], where)
-        changes = {}
-        for key in ("anchor_work_slope", "loose_resistance", "loose_density",
-                    "repose_angle_deg"):
-            if key in node:
-                changes[key] = float(node[key])
-        if "allow_inversion" in node:
-            changes["allow_inversion"] = bool(node["allow_inversion"])
-        if "name" in node:
-            changes["name"] = str(node["name"])
-        if "layers" in node:
-            raise ValueError(
-                f"{where}: give either a preset to adjust or explicit "
-                "layers, not both")
-        if "duricrust" in node:
-            changes["duricrust"] = crust
-        return dataclasses.replace(base, **changes)
-
-    if "layers" not in node or "anchor_work_slope" not in node:
-        raise ValueError(
-            f"{where}: a custom profile needs layers and anchor_work_slope")
-    layers = []
-    for n, lnode in enumerate(node["layers"]):
-        _reject_unknown(lnode, _LAYER_KEYS, f"{where}.layers[{n}]")
-        layers.append(SoilLayer(
-            thickness=float(lnode["thickness"]),
-            resistance=float(lnode["resistance"]),
-            friction_mu=float(lnode.get("friction_mu", 0.6)),
-            density=float(lnode.get("density", 1500.0)),
-        ))
-    return SoilProfile(
-        name=str(node.get("name", "custom")),
-        layers=tuple(layers),
-        anchor_work_slope=float(node["anchor_work_slope"]),
-        duricrust=crust,
-        loose_resistance=float(node.get("loose_resistance", 50e3)),
-        loose_density=float(node.get("loose_density", 1200.0)),
-        repose_angle_deg=float(node.get("repose_angle_deg", 41.0)),
-        allow_inversion=bool(node.get("allow_inversion", False)),
-    )
+    def __init__(self, cls=None, keys=None, **kinds):
+        hints = inspect.get_annotations(cls, eval_str=True) if cls else {}
+        fields = {(keys or {}).get(f.name, f.name): f for f in
+                  (dataclasses.fields(cls) if cls else ())}
+        super().__init__({key: hints[f.name] for key, f in fields.items()}, **kinds)
+        if any(self[key] not in _KINDS for key in fields.keys() - kinds.keys()):
+            raise TypeError(f"a field of {cls.__name__} needs a reader")
+        self.cls = cls
+        self.required = frozenset(
+            key for key, f in fields.items()
+            if f.default is dataclasses.MISSING and key != "name")
 
 
-def _parse_soil(node) -> tuple[SoilField, SoilProfile]:
-    if isinstance(node, dict) and "patches" in node:
+def _reject_unknown(obj: dict, allowed, where: str) -> None:
+    if not obj.keys() <= allowed:
+        raise ValueError(f"unknown keys in {where}: {sorted(obj.keys() - allowed)}")
+
+
+def _read(node, fields: _Fields, where: str) -> dict:
+    """The values of the JSON object `node`, each checked against its kind.
+    An object that names a preset to adjust needs no other key."""
+    if type(node) is not dict:
+        raise ValueError(f"{where} must be an object, got {_got(node)}")
+    _reject_unknown(node, fields.keys(), where)
+    if fields.required and "preset" not in node and not fields.required <= node.keys():
+        raise ValueError(f"{where} needs {sorted(fields.required - node.keys())}")
+    return {key: _value(value, fields[key], where, key)
+            for key, value in node.items()}
+
+
+def _named(node, presets: dict, fields: _Fields, where: str, base=None):
+    """A preset by name, or a JSON object.  An object whose "preset" (or
+    else `base`) names a preset adjusts it; any other fills fields.cls."""
+    given = None
+    if type(node) is not str:
+        given = _read(node, fields, where)
+        node = given.pop("preset", base)
+        if node is None:
+            return fields.cls(**{"name": "custom", **given})
+    if type(node) is str and node in presets:
+        return presets[node] if given is None else dataclasses.replace(
+            presets[node], **given)
+    raise ValueError(f"unknown {where} preset {node!r}; have {sorted(presets)}")
+
+
+def _section(doc: dict, key: str, default):
+    """A top-level section, or `default` where it is absent or null."""
+    node = doc.get(key)
+    return default if node is None else node
+
+
+def _scalars(kind, length: int | None = None):
+    """Reader of a JSON list of `kind` values, `length` of them if given."""
+    desc, valid = _KINDS[kind]
+
+    def read(value, where: str) -> tuple:
+        if (type(value) is not list or length not in (None, len(value))
+                or not all(map(valid, value))):
+            got = json.dumps(value)[:40] if type(value) is list else _got(value)
+            count = "" if length is None else f"{length} "
+            raise ValueError(f"{where} must be a list of {count}values, each "
+                             f"{desc}, got {got}")
+        return tuple(float(v) if kind is float else v for v in value)
+    return read
+
+
+def _objects(read_one):
+    """Reader of a JSON list of objects, each built by `read_one`."""
+    def read(value, where: str) -> list:
+        if type(value) is not list:
+            raise ValueError(f"{where} must be a list, got {_got(value)}")
+        return [read_one(item, f"{where}[{n}]") for n, item in enumerate(value)]
+    return read
+
+
+def _profile(node, where: str = "soil") -> SoilProfile:
+    if type(node) is dict and "preset" in node and "layers" in node:
+        raise ValueError(f"{where}: give either a preset to adjust or "
+                         "explicit layers, not both")
+    return _named(node, SOILS, _PROFILE, where)
+
+
+def _patch(node, where: str) -> SoilPatch:
+    given = _read(node, _PATCH, where)
+    given["profile"] = given.pop("soil")
+    return SoilPatch(**given)
+
+
+def _soil(node) -> tuple[SoilField, SoilProfile]:
+    if type(node) is dict and "patches" in node:
         body = dict(node)
-        patches_node = body.pop("patches")
-        base = _parse_profile(body if body else "soft", "soil")
-        patches = []
-        for n, pnode in enumerate(patches_node):
-            _reject_unknown(pnode, _PATCH_KEYS, f"soil.patches[{n}]")
-            patches.append(SoilPatch(
-                x_min=float(pnode["x_min"]), y_min=float(pnode["y_min"]),
-                x_max=float(pnode["x_max"]), y_max=float(pnode["y_max"]),
-                profile=_parse_profile(pnode["soil"], f"soil.patches[{n}].soil"),
-            ))
-        return PatchSoilField(base, patches), base
-    base = _parse_profile(node if node is not None else "soft", "soil")
+        patches = body.pop("patches")
+        base = _profile(body or "soft")
+        return PatchSoilField(base, _objects(_patch)(patches, "soil.patches")), base
+    base = _profile(node)
     return SoilField(base), base
 
 
-def _parse_vehicle(node) -> VehicleSpec:
-    if node is None:
-        return VEHICLES["reference"]
-    if isinstance(node, str):
-        try:
-            return VEHICLES[node]
-        except KeyError:
-            raise ValueError(
-                f"unknown vehicle preset {node!r}; have {sorted(VEHICLES)}")
-    if not isinstance(node, dict):
-        raise ValueError("vehicle must be a preset name or an object")
-    body = dict(node)
-    base = VEHICLES[str(body.pop("preset", "reference"))]
-    spike_node = body.pop("spike", None)
-    changes: dict = {}
-    if spike_node is not None:
-        from .traction import SpikeGeometry
-        changes["spike"] = SpikeGeometry.from_thrust_angles(
-            **{k: float(v) for k, v in spike_node.items()})
-    if "spike_offsets" in body:
-        changes["spike_offsets"] = tuple(
-            float(v) for v in body.pop("spike_offsets"))
-    if "name" in body:
-        changes["name"] = str(body.pop("name"))
-    if "has_crust_actuator" in body:
-        changes["has_crust_actuator"] = bool(body.pop("has_crust_actuator"))
-    scalar_fields = {
-        f.name for f in dataclasses.fields(VehicleSpec)
-        if f.type in ("float", "int")}
-    for key, value in body.items():
-        if key not in scalar_fields:
-            raise ValueError(f"unknown vehicle field {key!r}")
-        changes[key] = float(value)
-    return dataclasses.replace(base, **changes)
+_ENVIRONMENT = _Fields(Environment)
+_LAYER = _Fields(SoilLayer)
+_CRUST = _Fields(Duricrust)
+_LAYERS = _objects(lambda node, where: SoilLayer(**_read(node, _LAYER, where)))
+_PROFILE = _Fields(
+    SoilProfile, preset=str,
+    layers=lambda node, where: tuple(_LAYERS(node, where)),
+    duricrust=lambda node, where: None if node is None else Duricrust(
+        **_read(node, _CRUST, where)))
+_PATCH = _Fields(SoilPatch, keys={"profile": "soil"}, soil=_profile)
+# A spike is calibrated from two thrust angles instead of being given its
+# reach; the rest of its geometry passes through to SpikeGeometry.
+_SPIKE = _Fields(SpikeGeometry,
+                 **inspect.get_annotations(SpikeGeometry.from_thrust_angles))
+del _SPIKE["return"], _SPIKE["reach_at_zero"], _SPIKE["reach_slope"]
+_SPIKE.required = frozenset()
+_VEHICLE = _Fields(
+    VehicleSpec, preset=str, spike_offsets=_scalars(float),
+    spike=lambda node, where: SpikeGeometry.from_thrust_angles(
+        **_read(node, _SPIKE, where)))
+_VEHICLE.required = frozenset()  # every key adjusts a preset
+_SENSING = _Fields(GroundTemperatureField, noise_rel=float)
+_PAD = _Fields(PadSpec)
+_START = _Fields(x=float, y=float, heading_deg=float)
+_TERRAIN = _Fields(
+    extent=_scalars(float, 2), shape=_scalars(int, 2), cell_size=float,
+    origin=_scalars(float, 2), slope_deg=float, slope_azimuth_deg=float,
+    surface_raster=str)
 
 
-def _parse_terrain(node) -> tuple[tuple[int, int], float, tuple[float, float],
-                                  np.ndarray | None]:
-    if node is None:
-        node = {}
-    _reject_unknown(node, _TERRAIN_KEYS, "terrain")
+def _parse_terrain(node: dict, base_dir: str) -> tuple[
+        tuple[int, int], float, tuple[float, float], np.ndarray | None]:
+    given = _read(node, _TERRAIN, "terrain")
 
-    if "surface_raster" in node:
-        path = str(node["surface_raster"])
+    if "surface_raster" in given:
+        path = os.path.join(base_dir, given["surface_raster"])
         grid, cell, origin = read_raster(path)
         if not (0.0 < cell < math.inf and all(map(math.isfinite, origin))):
             raise ValueError(f"surface raster {path} needs a positive finite "
@@ -281,24 +294,23 @@ def _parse_terrain(node) -> tuple[tuple[int, int], float, tuple[float, float],
                              f"is {grid[i, j]}; heights must be finite")
         return grid.shape, cell, origin, grid
 
-    cell = float(node.get("cell_size", DEFAULT_CELL_SIZE))
-    if "shape" in node:
-        rows, cols = (int(v) for v in node["shape"])
+    cell = given.get("cell_size", DEFAULT_CELL_SIZE)
+    if not cell > 0.0:
+        raise ValueError(f"terrain: 'cell_size' must be positive, got {cell}")
+    if "shape" in given:
+        rows, cols = given["shape"]
     else:
-        ex, ey = node.get("extent", (40.0, 40.0))
-        cols = max(1, round(float(ex) / cell))
-        rows = max(1, round(float(ey) / cell))
-    if "origin" in node:
-        origin = (float(node["origin"][0]), float(node["origin"][1]))
-    else:
-        origin = (-0.5 * cols * cell, -0.5 * rows * cell)
+        ex, ey = given.get("extent", (40.0, 40.0))
+        cols = max(1, round(ex / cell))
+        rows = max(1, round(ey / cell))
+    origin = given.get("origin", (-0.5 * cols * cell, -0.5 * rows * cell))
 
     surface = None
-    slope_deg = float(node.get("slope_deg", 0.0))
+    slope_deg = given.get("slope_deg", 0.0)
     if slope_deg != 0.0:
         if not -60.0 < slope_deg < 60.0:
             raise ValueError("terrain slope must be within (-60, 60) degrees")
-        az = math.radians(float(node.get("slope_azimuth_deg", 0.0)))
+        az = math.radians(given.get("slope_azimuth_deg", 0.0))
         xs = origin[0] + (np.arange(cols) + 0.5) * cell
         ys = origin[1] + (np.arange(rows) + 0.5) * cell
         plane = math.tan(math.radians(slope_deg)) * (
@@ -307,33 +319,29 @@ def _parse_terrain(node) -> tuple[tuple[int, int], float, tuple[float, float],
     return (rows, cols), cell, origin, surface
 
 
-def _validate_drive(commands) -> list[dict]:
-    if not isinstance(commands, list):
-        raise ValueError("drive must be a list of command objects")
-    out = []
-    for n, cmd in enumerate(commands):
-        if not isinstance(cmd, dict) or "op" not in cmd:
-            raise ValueError(f"drive[{n}] needs an 'op' field")
-        op = cmd["op"]
-        if op not in DRIVE_KEYS:
-            raise ValueError(
-                f"drive[{n}]: unknown op {op!r}; have {list(DRIVE_KEYS)}")
-        unknown = set(cmd) - DRIVE_KEYS[op] - {"op"}
-        if unknown:
-            raise ValueError(
-                f"drive[{n}]: unknown keys {sorted(unknown)} for {op!r}; "
-                f"it takes {sorted(DRIVE_KEYS[op])}")
-        for key, value in cmd.items():
-            kind, valid = _DRIVE_VALUES.get(key, ("a number", _is_number))
-            if key != "op" and not valid(value):
-                got = value if _is_number(value) else (
-                    "null" if value is None else type(value).__name__)
-                raise ValueError(f"drive[{n}]: {key!r} must be {kind}, got {got}")
-        needs = _DRIVE_NEEDS.get(op)
-        if needs and needs.isdisjoint(cmd):
-            raise ValueError(f"drive[{n}]: {op!r} needs one of {sorted(needs)}")
-        out.append(cmd)
-    return out
+def _command(cmd, where: str) -> dict:
+    """One drive command, its values checked."""
+    if type(cmd) is not dict or "op" not in cmd:
+        raise ValueError(f"{where} needs an 'op' field")
+    op = cmd["op"]
+    kinds = DRIVE_KEYS.get(op) if type(op) is str else None
+    if kinds is None:
+        raise ValueError(f"{where}: unknown op {op!r}; have {list(DRIVE_KEYS)}")
+    checked = {}
+    for key, value in cmd.items():
+        kind = kinds.get(key)
+        if kind is not None:
+            checked[key] = _value(value, kind, where, key)
+        elif key == "op":
+            checked[key] = op
+        else:
+            unknown = sorted(cmd.keys() - kinds.keys() - {"op"})
+            raise ValueError(f"{where}: unknown keys {unknown} for {op!r}; "
+                             f"it takes {sorted(kinds)}")
+    needs = _DRIVE_NEEDS.get(op)
+    if needs and needs.isdisjoint(cmd):
+        raise ValueError(f"{where}: {op!r} needs one of {sorted(needs)}")
+    return checked
 
 
 def load_scenario(
@@ -343,20 +351,19 @@ def load_scenario(
 ) -> Scenario:
     """Parse and validate one scenario file.
 
-    Raises ValueError with a diagnostic (JSON syntax errors keep their
-    line and column) for anything malformed.
+    Raises ValueError with a diagnostic for anything malformed, and for a
+    scenario or surface raster file that cannot be read.  JSON syntax
+    errors keep their line and column.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=_finite_float, parse_int=_finite_int,
                             parse_constant=_reject_constant)
-        except ValueError as err:  # JSONDecodeError is a ValueError too
-            raise ValueError(f"{path}: {err}") from err
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: scenario must be a JSON object")
-    try:
-        return _build_scenario(doc, seed_override, force_depth_override)
-    except (KeyError, TypeError, ValueError) as err:
+        if not isinstance(doc, dict):
+            raise ValueError("scenario must be a JSON object")
+        return _build_scenario(doc, seed_override, force_depth_override,
+                               os.path.dirname(path))
+    except (OSError, KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from err
 
 
@@ -382,7 +389,7 @@ def _reject_constant(name: str) -> float:
 
 
 def _build_scenario(doc: dict, seed_override: int | None,
-                    force_depth_override: bool) -> Scenario:
+                    force_depth_override: bool, base_dir: str) -> Scenario:
     _reject_unknown(doc, _TOP_KEYS, "scenario")
 
     has_drive = "drive" in doc
@@ -390,51 +397,43 @@ def _build_scenario(doc: dict, seed_override: int | None,
     if has_drive == has_pad:
         raise ValueError("a scenario needs exactly one of 'drive' or 'pad'")
 
-    environment = _parse_environment(doc.get("environment"))
-    soil, base_profile = _parse_soil(doc.get("soil"))
-    vehicle = _parse_vehicle(doc.get("vehicle"))
+    environment = _named(_section(doc, "environment", "moon"), ENVIRONMENTS,
+                         _ENVIRONMENT, "environment")
+    soil, base_profile = _soil(_section(doc, "soil", "soft"))
+    vehicle = _named(_section(doc, "vehicle", "reference"), VEHICLES,
+                     _VEHICLE, "vehicle", base="reference")
+    seed = _value(doc.get("seed", 0) if seed_override is None else seed_override,
+                  int, "scenario", "seed")
 
-    seed = seed_override if seed_override is not None else int(doc.get("seed", 0))
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-
-    sensing_node = doc.get("sensing") or {}
-    _reject_unknown(sensing_node, _SENSING_KEYS, "sensing")
-    noise_rel = float(sensing_node.get("noise_rel", 0.0))
+    sensing = _read(_section(doc, "sensing", {}), _SENSING, "sensing")
+    noise_rel = sensing.pop("noise_rel", 0.0)
     if not 0.0 <= noise_rel < 1.0:
         raise ValueError("sensing noise must be in [0, 1)")
-    temperature = GroundTemperatureField(
-        surface_K=float(sensing_node.get("surface_K", 250.0)),
-        gradient_K_per_m=float(sensing_node.get("gradient_K_per_m", -40.0)),
-    )
+    temperature = GroundTemperatureField(**sensing)
 
-    pad = None
-    drive = None
+    pad = drive = None
     if has_pad:
         if "terrain" in doc or "start" in doc:
             raise ValueError(
                 "pad missions size their own terrain and place the machine; "
                 "drop the 'terrain' and 'start' sections")
-        pad_node = dict(doc["pad"] or {})
-        field_names = {f.name for f in dataclasses.fields(PadSpec)}
-        _reject_unknown(pad_node, field_names, "pad")
+        given = _read(_section(doc, "pad", {}), _PAD, "pad")
         if force_depth_override:
-            pad_node["force_depth_override"] = True
-        pad = PadSpec(**pad_node)
+            given["force_depth_override"] = True
+        pad = PadSpec(**given)
         shape, cell, origin = (1, 1), pad.cell_size, (0.0, 0.0)
         surface = None
         start = (0.0, 0.0, 0.0)
     else:
-        drive = _validate_drive(doc["drive"])
-        shape, cell, origin, surface = _parse_terrain(doc.get("terrain"))
-        start_node = doc.get("start") or {}
-        _reject_unknown(start_node, _START_KEYS, "start")
-        start = (float(start_node.get("x", 0.0)),
-                 float(start_node.get("y", 0.0)),
-                 float(start_node.get("heading_deg", 0.0)))
+        drive = _objects(_command)(doc["drive"], "drive")
+        shape, cell, origin, surface = _parse_terrain(
+            _section(doc, "terrain", {}), base_dir)
+        given = _read(_section(doc, "start", {}), _START, "start")
+        start = (given.get("x", 0.0), given.get("y", 0.0),
+                 given.get("heading_deg", 0.0))
 
     return Scenario(
-        name=str(doc.get("name", "scenario")),
+        name=_value(doc.get("name", "scenario"), str, "scenario", "name"),
         environment=environment,
         soil=soil,
         base_profile=base_profile,
@@ -453,34 +452,32 @@ def _build_scenario(doc: dict, seed_override: int | None,
 
 
 def _run_command(machine: Machine, terrain: Terrain, cmd: dict) -> None:
+    """Run one drive command whose values `_command` checked."""
     op = cmd["op"]
     if op == "advance":
-        reverse = bool(cmd.get("reverse", False))
+        reverse = cmd.get("reverse", False)
         if "halves" in cmd:
-            for _ in range(int(cmd["halves"])):
+            for _ in range(cmd["halves"]):
                 machine.half_cycle(stroke=cmd.get("stroke"), reverse=reverse)
         else:
-            machine.advance(float(cmd["distance"]), reverse=reverse)
+            machine.advance(cmd["distance"], reverse=reverse)
     elif op == "turn_to":
-        machine.turn_to(float(cmd["heading_deg"]))
+        machine.turn_to(cmd["heading_deg"])
     elif op == "turn_by":
-        machine.turn_by(float(cmd["delta_deg"]))
+        machine.turn_by(cmd["delta_deg"])
     elif op == "blade":
-        target = cmd.get("target_elevation")
-        machine.set_blade(None if target is None else float(target))
+        machine.set_blade(cmd.get("target_elevation"))
     elif op == "ripper":
-        machine.set_ripper(float(cmd.get("depth", 0.0)))
+        machine.set_ripper(cmd.get("depth", 0.0))
     elif op == "dump":
         machine.dump_prism()
     elif op == "tow":
-        force = float(cmd.get("force", 0.0))
+        force = cmd.get("force", 0.0)
         if force < 0.0:
             raise ValueError("tow force must be non-negative")
         machine.extra_draft = force
-    elif op == "relax":
+    else:  # relax, the last op DRIVE_KEYS names
         terrain.relax()
-    else:
-        raise ValueError(f"unknown drive op {op!r}")
 
 
 def run_scenario(scn: Scenario) -> RunResult:

@@ -78,12 +78,11 @@ def penetration_trace(
     steps = max(1, round(depth / SAMPLE_STEP))
     offsets = ((0.0, 0.0), (SAMPLE_STEP, 0.0), (-SAMPLE_STEP, 0.0),
                (0.0, SAMPLE_STEP), (0.0, -SAMPLE_STEP))
+    profiles = [field.profile_at(x + ox, y + oy) for ox, oy in offsets]
     out = np.empty(steps)
     for k in range(steps):
         d = (k + 1) * depth / steps
-        q = min(field.profile_at(x + ox, y + oy).resistance_at(d)
-                for ox, oy in offsets)
-        out[k] = q
+        out[k] = min(p.resistance_at(d) for p in profiles)
     if rng is not None and noise_rel > 0.0:
         out = out * (1.0 + rng.uniform(-noise_rel, noise_rel, steps))
         np.maximum(out, 1.0, out=out)

@@ -285,6 +285,61 @@ class TestSimulate:
         assert "Traceback" not in err
         assert f"drive[0]: {message}" in err
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"sensing": {"surface_K": "nan"}}, "'surface_K' must be a number, got str"),
+        ({"environment": {"gravity": "1.62"}}, "'gravity' must be a number, got str"),
+        ({"soil": {"preset": "soft", "allow_inversion": "false"}},
+         "'allow_inversion' must be a bool, got str"),
+        ({"seed": 1.5}, "'seed' must be a non-negative int, got 1.5"),
+        ({"seed": "3"}, "'seed' must be a non-negative int, got str"),
+        ({"soil": {"layers": [{"thickness": True, "resistance": 1e6}],
+                   "anchor_work_slope": 0.1}},
+         "soil.layers[0]: 'thickness' must be a number, got bool"),
+        ({"start": {"x": "nan"}}, "start: 'x' must be a number, got str"),
+        ({"vehicle": {"spike": 5}}, "vehicle.spike must be an object, got 5"),
+        ({"vehicle": {"spike_offsets": 0.4}}, "vehicle.spike_offsets must be a list"),
+        ({"terrain": {"shape": [1]}}, "terrain.shape must be a list of 2 values"),
+        ({"vehicle": {"preset": "nope"}},
+         "unknown vehicle preset 'nope'; have ['construction', 'reference']"),
+        (None, "No such file or directory"),
+        ({"terrain": {"surface_raster": "absent.csv"}}, "absent.csv"),
+    ], ids=["surface_K", "gravity", "allow_inversion", "seed_fraction", "seed_text",
+            "layer_thickness", "start_x", "spike", "spike_offsets", "shape",
+            "vehicle_preset", "missing_scenario", "missing_raster"])
+    def test_input_hole_exits_1(self, tmp_path, doc, key):
+        path = tmp_path / "scenario.json"
+        if doc is not None:
+            path.write_text(json.dumps(
+                {"name": "hole", "drive": [{"op": "advance", "distance": 0.5}], **doc}))
+        out = tmp_path / "out"
+        rc, err = run_cli(["simulate", "--scenario", str(path), "--out", str(out)])
+        assert rc == 1
+        assert "Traceback" not in err
+        assert f"error: {path}: " in err and key in err
+        assert not out.exists()
+
+    def test_relative_raster_loads_from_the_scenario_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "maps").mkdir()
+        (tmp_path / "maps" / "surface.csv").write_text(
+            "# 2 3 0.5 -0.75 -0.5\n0,0.1,0\n0,0,0\n")
+        path = write_scenario(tmp_path, {
+            "name": "raster", "terrain": {"surface_raster": "maps/surface.csv"},
+            "drive": [{"op": "relax"}]})
+        monkeypatch.chdir(tmp_path / "maps")  # the raster is not at maps/maps/
+        scn = load_scenario(str(path))
+        assert scn.terrain_shape == (2, 3)
+        assert scn.initial_surface[0, 1] == 0.1
+
+    def test_json_integers_in_number_fields_read_as_floats(self, tmp_path):
+        path = write_scenario(tmp_path, {
+            "name": "ints", "environment": {"gravity": 2}, "seed": 3,
+            "start": {"x": 1}, "drive": [{"op": "advance", "distance": 1}]})
+        scn = load_scenario(str(path))
+        assert type(scn.environment.gravity) is float
+        assert type(scn.start[0]) is float
+        assert type(scn.drive[0]["distance"]) is float
+        assert type(scn.seed) is int
+
     @pytest.mark.parametrize("preset", sorted(SCENARIOS.glob("*.json")),
                              ids=lambda p: p.stem)
     def test_every_preset_loads(self, preset):

@@ -85,3 +85,10 @@ class TestReadRaster:
         path.write_text("# two 3 0.5 0 0\n0,0,0\n")
         with pytest.raises(ValueError, match=re.escape(f"{path} has a malformed raster header")):
             read_raster(str(path))
+
+    def test_rows_beyond_the_header_count_name_file(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("# 2 3 0.5 0 0\n0,0,0\n0,0,0\n0,0,0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} has rows beyond the 2 its header gives")):
+            read_raster(str(path))
