@@ -13,7 +13,7 @@ Parsing is strict, so a typo cannot silently change an experiment:
   a gravity, ``"false"`` is not a bool and ``1.5`` is not a seed;
 - a section's keys, their types and the value an absent key takes all
   come from the dataclass the section fills (`Environment`,
-  `SoilProfile`, `SoilLayer`, `Duricrust`, `SoilPatch`, `VehicleSpec`,
+  `SoilProfile`, `SoilLayer`, `Duricrust`, `VehicleSpec`,
   `GroundTemperatureField`, `PadSpec`);
 - a relative ``surface_raster`` path is relative to the scenario file.
 """
@@ -144,22 +144,23 @@ class _Fields(dict):
     """JSON key -> kind for the section that fills dataclass `cls`.
 
     A field's kind is its type; `kinds` adds keys, or gives the reader of
-    a field that holds a list or another object.  `keys` renames a
-    field's JSON key.  A field without a default is required, except a
-    name: an object given without one is called "custom".
+    a field that holds a list or another object.  A reader is a function
+    called with the JSON value and where it sits.  A field without a
+    default is required, except a name: an object given without one is
+    called "custom".
     """
 
-    def __init__(self, cls=None, keys=None, **kinds):
+    def __init__(self, cls=None, **kinds):
+        fields = dataclasses.fields(cls) if cls else ()
         hints = inspect.get_annotations(cls, eval_str=True) if cls else {}
-        fields = {(keys or {}).get(f.name, f.name): f for f in
-                  (dataclasses.fields(cls) if cls else ())}
-        super().__init__({key: hints[f.name] for key, f in fields.items()}, **kinds)
-        if any(self[key] not in _KINDS for key in fields.keys() - kinds.keys()):
-            raise TypeError(f"a field of {cls.__name__} needs a reader")
+        super().__init__({f.name: hints[f.name] for f in fields}, **kinds)
+        for key, kind in self.items():
+            if kind not in _KINDS and (isinstance(kind, type) or not callable(kind)):
+                raise TypeError(f"key {key!r} needs a kind or a reader, not {kind!r}")
         self.cls = cls
         self.required = frozenset(
-            key for key, f in fields.items()
-            if f.default is dataclasses.MISSING and key != "name")
+            f.name for f in fields
+            if f.default is dataclasses.MISSING and f.name != "name")
 
 
 def _reject_unknown(obj: dict, allowed, where: str) -> None:
@@ -233,8 +234,7 @@ def _profile(node, where: str = "soil") -> SoilProfile:
 
 def _patch(node, where: str) -> SoilPatch:
     given = _read(node, _PATCH, where)
-    given["profile"] = given.pop("soil")
-    return SoilPatch(**given)
+    return SoilPatch(profile=given.pop("soil"), **given)
 
 
 def _soil(node) -> tuple[SoilField, SoilProfile]:
@@ -256,13 +256,15 @@ _PROFILE = _Fields(
     layers=lambda node, where: tuple(_LAYERS(node, where)),
     duricrust=lambda node, where: None if node is None else Duricrust(
         **_read(node, _CRUST, where)))
-_PATCH = _Fields(SoilPatch, keys={"profile": "soil"}, soil=_profile)
+# A patch gives its profile as "soil", like the scenario's own section.
+_PATCH = _Fields(x_min=float, y_min=float, x_max=float, y_max=float,
+                 soil=_profile)
+_PATCH.required = frozenset(_PATCH)
 # A spike is calibrated from two thrust angles instead of being given its
 # reach; the rest of its geometry passes through to SpikeGeometry.
-_SPIKE = _Fields(SpikeGeometry,
-                 **inspect.get_annotations(SpikeGeometry.from_thrust_angles))
-del _SPIKE["return"], _SPIKE["reach_at_zero"], _SPIKE["reach_slope"]
-_SPIKE.required = frozenset()
+_SPIKE = _Fields(surface_angle_deg=float, seated_angle_deg=float,
+                 seated_depth=float, hinge_height=float, bearing_width=float,
+                 tip_area=float, max_depth=float)
 _VEHICLE = _Fields(
     VehicleSpec, preset=str, spike_offsets=_scalars(float),
     spike=lambda node, where: SpikeGeometry.from_thrust_angles(

@@ -21,6 +21,7 @@ from spikedozer.locomotion import RECORD_FIELDS
 from spikedozer.rasters import read_raster
 from spikedozer.scenario import load_scenario
 from spikedozer.sensing import EVENT_FIELDS, load_events
+from spikedozer.traction import SpikeGeometry
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -297,6 +298,8 @@ class TestSimulate:
          "soil.layers[0]: 'thickness' must be a number, got bool"),
         ({"start": {"x": "nan"}}, "start: 'x' must be a number, got str"),
         ({"vehicle": {"spike": 5}}, "vehicle.spike must be an object, got 5"),
+        ({"vehicle": {"spike": {"hinge_height": "0.12"}}},
+         "vehicle.spike: 'hinge_height' must be a number, got str"),
         ({"vehicle": {"spike_offsets": 0.4}}, "vehicle.spike_offsets must be a list"),
         ({"terrain": {"shape": [1]}}, "terrain.shape must be a list of 2 values"),
         ({"vehicle": {"preset": "nope"}},
@@ -304,7 +307,7 @@ class TestSimulate:
         (None, "No such file or directory"),
         ({"terrain": {"surface_raster": "absent.csv"}}, "absent.csv"),
     ], ids=["surface_K", "gravity", "allow_inversion", "seed_fraction", "seed_text",
-            "layer_thickness", "start_x", "spike", "spike_offsets", "shape",
+            "layer_thickness", "start_x", "spike", "spike_text", "spike_offsets", "shape",
             "vehicle_preset", "missing_scenario", "missing_raster"])
     def test_input_hole_exits_1(self, tmp_path, doc, key):
         path = tmp_path / "scenario.json"
@@ -329,6 +332,17 @@ class TestSimulate:
         scn = load_scenario(str(path))
         assert scn.terrain_shape == (2, 3)
         assert scn.initial_surface[0, 1] == 0.1
+
+    def test_spike_object_calibrates_from_thrust_angles(self, tmp_path):
+        path = write_scenario(tmp_path, {
+            "name": "spike", "drive": [{"op": "relax"}],
+            "vehicle": {"spike": {"surface_angle_deg": 12, "seated_angle_deg": 35.0,
+                                  "seated_depth": 0.25, "hinge_height": 0.12,
+                                  "bearing_width": 2e-3, "tip_area": 2e-4,
+                                  "max_depth": 0.4}}})
+        assert load_scenario(str(path)).vehicle.spike == SpikeGeometry.from_thrust_angles(
+            surface_angle_deg=12.0, seated_angle_deg=35.0, seated_depth=0.25,
+            hinge_height=0.12, bearing_width=2e-3, tip_area=2e-4, max_depth=0.4)
 
     def test_json_integers_in_number_fields_read_as_floats(self, tmp_path):
         path = write_scenario(tmp_path, {
