@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .earthworks import SWELL_FACTOR, Terrain, ripper_draft
-from .errors import FlipInstability, VehicleStuck
+from .errors import FlipInstability, SimulationError, VehicleStuck
 from .sensing import PenetrationRecorder
 from .soils import Environment, SoilProfile, crust_breaks
-from .traction import SpikeGeometry, anchoring_slip, anchoring_work, ripper_downforce
+from .traction import SpikeGeometry, anchoring_slip, anchoring_work
 
 STEP = 0.01  # m, quasi-static integration increment
 LOADED_SLOPE_LIMIT_DEG = 20.0
@@ -130,11 +130,15 @@ class VehicleSpec:
             raise ValueError("press mass must be positive")
         if not 0.0 <= self.crust_press_share <= 1.0:
             raise ValueError("actuator weight share must be in [0, 1]")
+        if not 0.0 <= self.ripper_rake_deg < 90.0:
+            raise ValueError("ripper rake must be in [0, 90) degrees")
         if not 0.0 < self.heading_tolerance_deg <= 10.0:
             raise ValueError("heading tolerance must be in (0, 10] degrees")
 
-    # The draft terms below are shared by the simulator, the planner's
-    # energy budget and its validator.
+    # The draft and hold terms below are shared by the simulator, the
+    # planner's energy budget and its validator.  Seated spikes hold a draft
+    # up to their capacity; the frame flips once draft * tan(beta) reaches
+    # its hold-down.
 
     @property
     def gauge(self) -> float:
@@ -150,6 +154,35 @@ class VehicleSpec:
     def prism_drag(self, prism, density, g: float):
         """Ground drag of `prism` m^3 of spoil at `density` on the blade (N)."""
         return self.prism_friction * density * prism * g
+
+    def seat(self, force: float, profile: SoilProfile,
+             n_spikes: int) -> tuple[float, float, float] | None:
+        """Seat `n_spikes` spikes sharing `force` in `profile`: the
+        shallowest depth that holds, the row's capacity there and the
+        arm's tan(beta), as (depth, capacity, tan_beta).  None when even
+        the full seating depth cannot hold."""
+        depth = self.spike.depth_for_capacity(force / n_spikes, profile)
+        if depth is None:
+            return None
+        return (depth, n_spikes * self.spike.holding_capacity(depth, profile),
+                math.tan(self.spike.thrust_angle_rad(depth)))
+
+    def hold_down(self, draft, g: float, ripping: bool):
+        """Force holding a spike-anchored frame down against the drawbar
+        lift (N): the machine's weight, plus the raked tine's downforce
+        draft * tan(gamma) when ripping.  `draft` is a float or an array."""
+        hold = self.mass * g
+        if ripping:
+            hold = hold + draft * math.tan(math.radians(self.ripper_rake_deg))
+        return hold
+
+    def crust_press(self, g: float) -> float:
+        """Normal force a spike tip presses on intact crust (N): the
+        seating press, plus the actuator's share of the weight if fitted."""
+        press = self.spike_press_mass * g
+        if self.has_crust_actuator:
+            press += self.crust_press_share * (self.mass * g)
+        return press
 
 
 REFERENCE = VehicleSpec(
@@ -251,10 +284,10 @@ class _StrokePath:
     of every step are located once; their heights are read as needed.
 
     `crossings` are the steps at which the working tool enters a new
-    cell, where it may change the terrain and its load.  `stops` are
-    the steps always taken on their own: one that would collide the
-    frames, and step `n`, the trimmed last step or the end of the stroke.
-    `k` is the next step to take.
+    cell, where it may change the terrain and its load.  `stop` is the
+    step always taken on its own: step `n`, the trimmed last step or the
+    end of the stroke, or an earlier step that would collide the frames
+    and so raises.  `k` is the next step to take.
     """
 
     def __init__(self, machine: Machine, move_frame: str, motion: float,
@@ -272,7 +305,7 @@ class _StrokePath:
         self.ys = np.concatenate(([machine.y], np.full(n, 0.5 * signed * uy))).cumsum()
         self.seps = np.concatenate(([machine.separation], np.full(n, d_sep))).cumsum()
         collide = (self.seps[1:] <= 0.0).nonzero()[0]
-        self.stops = sorted({n, int(collide[0])} if collide.size else {n})
+        self.stop = int(collide[0]) if collide.size else n
         crossings = []
         self.rip_on = None
         if cutting or ripping:
@@ -309,14 +342,7 @@ class _StrokePath:
         self.density = None
         if cutting or machine.prism > 0.0:
             self.density = np.array([p.loose_density for p in profiles])[at]
-        self._stop = self._crossing = 0
-        self.k = 0
-
-    def next_stop(self) -> int:
-        """First stop at or after step k."""
-        while self.stops[self._stop] < self.k:
-            self._stop += 1
-        return self.stops[self._stop]
+        self._crossing = self.k = 0
 
     def next_crossing(self, start: int) -> int:
         """First crossing at or after `start`; past `n` when none is left."""
@@ -359,7 +385,6 @@ class Machine:
         self.cycles: list[CycleRecord] = []
         self.recorder = recorder
         self.max_pin_drift = 0.0
-        self._half_count = 0
         self._expanded = False
         self._unit_for = float("nan")
         self._unit_vec = (1.0, 0.0)
@@ -436,22 +461,24 @@ class Machine:
     def _profile_at(self, x: float, y: float) -> SoilProfile:
         return self.terrain.soil.profile_at(x, y)
 
+    def _cell_on_map(self, what: str, x: float, y: float) -> tuple[int, int]:
+        """Cell under a point the machine works at; off the map is a runtime failure."""
+        try:
+            return self.terrain.cell_of(x, y)
+        except ValueError:
+            raise SimulationError(f"{what} ({x:.2f}, {y:.2f}) is off the map") from None
+
     def _try_break_crust(self, x: float, y: float) -> bool:
         """Clear any intact crust under a spike; True when spikes can seat."""
-        i, j = self.terrain.cell_of(x, y)
+        i, j = self._cell_on_map("seating spike point", x, y)
         if not self.terrain.crust_intact(i, j):
             return True
-        crust = self._profile_at(x, y).duricrust
-        press = self.spec.spike_press_mass * self.env.gravity
-        if crust_breaks(crust, press, self.spec.spike.tip_area):
-            self.terrain.break_crust(i, j)
-            return True
-        if self.spec.has_crust_actuator:
-            press += self.spec.crust_press_share * self.weight
-            if crust_breaks(crust, press, self.spec.spike.tip_area):
-                self.terrain.break_crust(i, j)
-                return True
-        return False
+        if not crust_breaks(self._profile_at(x, y).duricrust,
+                            self.spec.crust_press(self.env.gravity),
+                            self.spec.spike.tip_area):
+            return False
+        self.terrain.break_crust(i, j)
+        return True
 
     def _friction_capacity(self, profile: SoilProfile) -> float:
         """Draft the seated frame's skid friction reacts on `profile`."""
@@ -469,8 +496,6 @@ class Machine:
         """
         if offsets is None:
             offsets = self.spec.spike_offsets
-        n_spikes = len(offsets)
-        per_spike = force / n_spikes
         sx, sy = self.spike_point(frame, offsets[0], 0.0)
         if not self._try_break_crust(sx, sy):
             friction = self._friction_capacity(self._profile_at(self.x, self.y))
@@ -483,10 +508,11 @@ class Machine:
                 "crust resists the spike press and sliding friction "
                 f"cannot react {force:.1f} N")
         profile = self._profile_at(sx, sy)
-        depth = self.spec.spike.depth_for_capacity(per_spike, profile)
-        if depth is None:
+        seated = self.spec.seat(force, profile, len(offsets))
+        if seated is None:
             raise VehicleStuck(
                 f"holding capacity exhausted at max seating depth for {force:.1f} N")
+        depth, capacity, tan_beta = seated
         work = anchoring_work(force, profile)
         slip = anchoring_slip(force, profile) if slip_allowed else 0.0
         for off in offsets:
@@ -499,10 +525,8 @@ class Machine:
             if self.recorder is not None and depth > 0.0:
                 self.recorder.record(px, py, depth)
         self.anchors[frame] = AnchorState(
-            x=sx, y=sy, depth=depth,
-            capacity=n_spikes * self.spec.spike.holding_capacity(depth, profile),
-            stored_work=work, slipped=slip,
-            tan_beta=math.tan(self.spec.spike.thrust_angle_rad(depth)))
+            x=sx, y=sy, depth=depth, capacity=capacity,
+            stored_work=work, slipped=slip, tan_beta=tan_beta)
         return slip, work
 
     def _deepen_anchor(self, frame: str, new_force: float) -> tuple[float, float]:
@@ -516,12 +540,9 @@ class Machine:
         slipped its ramp deepens without shoving the frame again.
         """
         anchor = self.anchors[frame]
-        if anchor is None or anchor.by_friction:
-            raise VehicleStuck("draft rose with no spike anchor to deepen")
         profile = self._profile_at(anchor.x, anchor.y)
-        n_spikes = len(self.spec.spike_offsets)
-        depth = self.spec.spike.depth_for_capacity(new_force / n_spikes, profile)
-        if depth is None:
+        seated = self.spec.seat(new_force, profile, len(self.spec.spike_offsets))
+        if seated is None:
             raise VehicleStuck(
                 f"holding capacity exhausted deepening anchor to {new_force:.1f} N")
         rated = anchor.stored_work / profile.anchor_work_slope
@@ -530,10 +551,8 @@ class Machine:
         if extra_work > 0.0:
             extra_slip = max(0.0, anchoring_slip(new_force, profile) - anchor.slipped)
             anchor.slipped += extra_slip
-        anchor.depth = depth
-        anchor.capacity = n_spikes * self.spec.spike.holding_capacity(depth, profile)
+        anchor.depth, anchor.capacity, anchor.tan_beta = seated
         anchor.stored_work += extra_work
-        anchor.tan_beta = math.tan(self.spec.spike.thrust_angle_rad(depth))
         return extra_slip, extra_work
 
     def _release_frame(self, frame: str) -> None:
@@ -725,37 +744,42 @@ class Machine:
             self._rip_face = face + drag
         return self._rip_face
 
+    def _must_deepen(self, frame: str, draft: float, friction: float) -> bool:
+        """True when `draft` needs deeper spikes: it clears their capacity
+        plus `friction`, the seated frame's skid friction, which reacts
+        draft in parallel with them.  A friction anchor cannot deepen, so
+        a draft beyond its capacity raises VehicleStuck."""
+        anchor = self.anchors[frame]
+        if anchor.by_friction:
+            if draft > anchor.capacity:
+                raise VehicleStuck(f"sliding friction anchor cannot react {draft:.1f} N")
+            return False
+        return draft > anchor.capacity + friction
+
     def _check_flip(self, seat_frame: str, draft: float, ripping: bool) -> None:
         anchor = self.anchors[seat_frame]
-        if anchor is None or anchor.by_friction:
+        if anchor.by_friction:
             return
-        hold = self.weight
-        if ripping:
-            hold += ripper_downforce(draft, self.spec.ripper_rake_deg)
+        hold = self.spec.hold_down(draft, self.env.gravity, ripping)
         if draft * anchor.tan_beta >= hold:
             beta = self.spec.spike.thrust_angle_deg(anchor.depth)
             raise FlipInstability(
                 f"drawbar lift at beta={beta:.1f} deg exceeds {hold:.0f} N of hold-down")
 
     def _first_hold_event(self, seat_frame: str, drafts: np.ndarray,
-                          path: _StrokePath, k: int, ripping: bool) -> int:
-        """Index of the first of the steps from k whose draft the seated
-        frame cannot simply hold: it needs deeper spikes, exceeds a
-        friction anchor, or flips the machine.  len(drafts) when every
-        step holds."""
+                          friction: np.ndarray, ripping: bool) -> int:
+        """Index of the first step of a run whose draft the seated frame
+        cannot simply hold, as `_must_deepen` and `_check_flip` judge one
+        step, with `friction` the skid friction at each step: it needs
+        deeper spikes, exceeds a friction anchor, or flips the machine.
+        len(drafts) when every step holds."""
         anchor = self.anchors[seat_frame]
-        over = drafts > anchor.capacity
-        if over.any() and not anchor.by_friction:
-            over &= drafts > anchor.capacity + path.friction[k:k + len(drafts)]
-        stop = int(over.argmax()) if over.any() else len(drafts)
-        if not anchor.by_friction:
-            hold = self.weight
-            if ripping:
-                hold = hold + drafts[:stop] * math.tan(math.radians(self.spec.ripper_rake_deg))
-            flips = (drafts[:stop] * anchor.tan_beta >= hold).nonzero()[0]
-            if flips.size:
-                stop = int(flips[0])
-        return stop
+        if anchor.by_friction:
+            event = drafts > anchor.capacity
+        else:
+            hold = self.spec.hold_down(drafts, self.env.gravity, ripping)
+            event = (drafts > anchor.capacity + friction) | (drafts * anchor.tan_beta >= hold)
+        return int(event.argmax()) if event.any() else len(drafts)
 
     # ------------------------------------------------------------------
     # Linear half-cycle
@@ -774,7 +798,7 @@ class Machine:
         and the trimmed last step are taken one at a time.  The numbers
         are those of taking every step on its own.
         """
-        expand = not self._expanded
+        expand, seat_frame, cutting, ripping = self._phase(reverse)
         if stroke is None:
             stroke = self.spec.stroke_length
         if not 0.0 < stroke <= self.spec.stroke_length + 1e-12:
@@ -786,15 +810,7 @@ class Machine:
             raise ValueError("tools must be raised to drive in reverse")
 
         motion = -1.0 if reverse else 1.0
-        if expand:
-            seat_frame = ("front" if reverse else "rear")
-            move_frame = ("rear" if reverse else "front")
-        else:
-            seat_frame = ("rear" if reverse else "front")
-            move_frame = ("front" if reverse else "rear")
-
-        cutting = (not reverse) and expand and self.blade is not None
-        ripping = (not reverse) and (not expand) and self.rip_depth > 0.0
+        move_frame = "front" if seat_frame == "rear" else "rear"
         self._stroke_spill = 0.0
 
         self._release_frame(move_frame)
@@ -820,7 +836,7 @@ class Machine:
                 path = _StrokePath(self, move_frame, motion, travelled, advance_total,
                                    cutting, ripping)
             k = path.k
-            e = path.next_stop()
+            e = path.stop
             m = e - k
             # Price steps k..e on the terrain and blade load as they stand.
             corners, tx, ty, _ = path.footprint
@@ -839,7 +855,7 @@ class Machine:
                     rip = np.where(path.rip_on[k:e], self._rip_face, 0.0)
                 drafts = self._drafts(grade[:m], None if density is None else density[k:e],
                                       prism, face, rip)
-                held = self._first_hold_event(seat_frame, drafts, path, k, ripping)
+                held = self._first_hold_event(seat_frame, drafts, path.friction[k:e], ripping)
             # The pricing holds up to the first step at which a tool cuts
             # or rips.  That step, a hold event or step e is taken on its
             # own once the steps before it are taken together.
@@ -881,25 +897,16 @@ class Machine:
             else:
                 new_draft = float(drafts[s])
 
-            anchor = self.anchors[seat_frame]
-            if new_draft > anchor.capacity:
-                # The seated frame's skid friction reacts draft in
-                # parallel with the spikes, so a rise only forces deeper
-                # seating once it clears both.  Seating itself still
-                # rates the spikes for the whole measured draft.
-                if anchor.by_friction:
-                    raise VehicleStuck(
-                        f"sliding friction anchor cannot react {new_draft:.1f} N")
-                if new_draft > anchor.capacity + self._friction_capacity(
-                        self._profile_at(self.x, self.y)):
-                    extra_slip, extra_work = self._deepen_anchor(seat_frame, new_draft)
-                    anchor_work += extra_work
-                    extra_slip = min(extra_slip, advance_total - travelled)
-                    if extra_slip > 0.0:
-                        self._shift_frame(seat_frame, -motion * extra_slip)
-                        advance_total -= extra_slip
-                        slip_total += extra_slip
-                        path = None
+            # Deepening rates the spikes for the whole measured draft.
+            if self._must_deepen(seat_frame, new_draft, path.friction[k + s]):
+                extra_slip, extra_work = self._deepen_anchor(seat_frame, new_draft)
+                anchor_work += extra_work
+                extra_slip = min(extra_slip, advance_total - travelled)
+                if extra_slip > 0.0:
+                    self._shift_frame(seat_frame, -motion * extra_slip)
+                    advance_total -= extra_slip
+                    slip_total += extra_slip
+                    path = None
             draft = new_draft
             draft_peak = max(draft_peak, draft)
             self._check_flip(seat_frame, draft, ripping)
@@ -909,26 +916,31 @@ class Machine:
             if path is not None:
                 path.k += 1
 
-        extraction = self.spec.extraction_ratio * anchor_work
         self._expanded = expand
-        seat_anchor = self.anchors[seat_frame]
+        return self._log("expand" if expand else "contract", motion * travelled,
+                         (self.x - x0) * ux + (self.y - y0) * uy, draft_peak,
+                         self.anchors[seat_frame].depth, slip_total, useful,
+                         anchor_work, self._stroke_spill)
+
+    def _phase(self, reverse: bool) -> tuple[bool, str, bool, bool]:
+        """The next half-cycle's phase: whether it expands, which frame
+        seats, and whether the blade cuts and the ripper rips."""
+        expand = not self._expanded
+        seat_frame = "rear" if expand != reverse else "front"
+        cutting = not reverse and expand and self.blade is not None
+        ripping = not reverse and not expand and self.rip_depth > 0.0
+        return expand, seat_frame, cutting, ripping
+
+    def _log(self, mode: str, free_advance: float, center_advance: float,
+             draft_peak: float, seat_depth: float, slip: float, useful: float,
+             anchor_work: float, spill: float = 0.0) -> CycleRecord:
+        """Append a half-cycle's log row at the pose it ended in.  Every
+        spike it seated comes out once, so its extraction is charged here."""
         record = CycleRecord(
-            index=self._half_count,
-            mode="expand" if expand else "contract",
-            x=self.x, y=self.y, heading_deg=self.heading_deg,
-            free_advance=motion * travelled,
-            center_advance=(self.x - x0) * ux + (self.y - y0) * uy,
-            draft_peak=draft_peak,
-            seat_depth=seat_anchor.depth if seat_anchor else 0.0,
-            slip=slip_total,
-            useful_work=useful,
-            anchoring_work=anchor_work,
-            extraction_work=extraction,
-            prism_volume=self.prism,
-            spill_volume=self._stroke_spill,
-        )
+            len(self.cycles), mode, self.x, self.y, self.heading_deg,
+            free_advance, center_advance, draft_peak, seat_depth, slip, useful,
+            anchor_work, self.spec.extraction_ratio * anchor_work, self.prism, spill)
         self.cycles.append(record)
-        self._half_count += 1
         return record
 
     def _shift_frame(self, frame: str, signed_ds: float) -> None:
@@ -967,14 +979,12 @@ class Machine:
             if budget < 0:
                 raise VehicleStuck(
                     "half-cycle budget exhausted without reaching the target")
-            profile = self._profile_at(self.x, self.y)
-            expand = not self._expanded
-            cutting = (not reverse) and expand and self.blade is not None
-            ripping = (not reverse) and (not expand) and self.rip_depth > 0.0
-            # Predict the seating slip from the same zero-length draft the
-            # half-cycle itself will start from.
+            expand, seat_frame, cutting, ripping = self._phase(reverse)
+            # Predict the seating slip as the half-cycle will seat: from
+            # the same zero-length draft, in the soil at the spike point.
             draft0 = self._fresh_draft(cutting, ripping, -1.0 if reverse else 1.0)
-            slip = anchoring_slip(draft0, profile)
+            spike = self.spike_point(seat_frame, self.spec.spike_offsets[0], 0.0)
+            slip = anchoring_slip(draft0, self._profile_at(*spike))
             # A phase whose remaining ram travel cannot beat its own
             # seating slip is skipped: the interlock simply swaps which
             # frame holds and the opposite phase gets the full stroke.
@@ -1086,48 +1096,31 @@ class Machine:
         reach = self.spec.spike.reach(depth)
         pin = self.spike_point(pin_frame, side, depth)
 
-        # Axial distance from the pin to the free frame ref.
-        if expand:
-            a0 = self.separation + reach
-        else:
-            a0 = self.separation - reach
+        # The axial distance a from the pin to the free frame ref grows by
+        # sigma * delta over a ram stroke delta, and the heading changes by
+        # sigma * (psi1 - psi0), psi = atan2(side, a); negating is exact.
+        sigma = 1.0 if expand else -1.0
+        a0 = self.separation + sigma * reach
         psi0 = math.atan2(side, a0)
         r0 = math.hypot(a0, side)
-
-        if expand:
-            # heading change equals psi1 - psi0
-            psi_t = psi0 + err
-            tan_t = math.tan(psi_t)
-            a1 = side / tan_t if abs(tan_t) > 1e-12 else math.inf
-            delta = a1 - a0
-            if not 0.0 < delta <= avail or psi_t * psi0 <= 0.0:
-                delta = avail
-                a1 = a0 + delta
-            sep1 = self.separation + delta
-        else:
-            # heading change equals psi0 - psi1
-            psi_t = psi0 - err
-            tan_t = math.tan(psi_t)
-            a1 = side / tan_t if abs(tan_t) > 1e-12 else 0.0
-            delta = a0 - a1
-            if not 0.0 < delta <= avail:
-                delta = avail
-                a1 = a0 - delta
-            sep1 = self.separation - delta
+        psi_t = psi0 + sigma * err
+        tan_t = math.tan(psi_t)
+        a1 = side / tan_t if abs(tan_t) > 1e-12 else (math.inf if expand else 0.0)
+        delta = sigma * (a1 - a0)
+        # expansion cannot carry the bearing across the axis
+        if not 0.0 < delta <= avail or (expand and psi_t * psi0 <= 0.0):
+            delta = avail
+            a1 = a0 + sigma * delta
+        sep1 = self.separation + sigma * delta
         psi1 = math.atan2(side, a1)
-        dpsi = (psi1 - psi0) if expand else (psi0 - psi1)
-        heading1 = self.heading + dpsi
+        heading1 = self.heading + sigma * (psi1 - psi0)
 
         # Rebuild the pose off the pin so the anchor cannot drift.
         ux, uy = math.cos(heading1), math.sin(heading1)
         ref_x = pin[0] + reach * ux + side * uy
         ref_y = pin[1] + reach * uy - side * ux
-        if pin_frame == "rear":
-            cx = ref_x + 0.5 * sep1 * ux
-            cy = ref_y + 0.5 * sep1 * uy
-        else:
-            cx = ref_x - 0.5 * sep1 * ux
-            cy = ref_y - 0.5 * sep1 * uy
+        cx = ref_x + sigma * 0.5 * sep1 * ux
+        cy = ref_y + sigma * 0.5 * sep1 * uy
 
         r1 = math.hypot(a1, side)
         useful = f_turn * abs(r1 - r0)
@@ -1142,23 +1135,8 @@ class Machine:
         self.max_pin_drift = max(
             self.max_pin_drift, math.hypot(pin_after[0] - pin[0], pin_after[1] - pin[1]))
 
-        extraction = self.spec.extraction_ratio * anchor_work
-        record = CycleRecord(
-            index=self._half_count,
-            mode="turn-expand" if expand else "turn-contract",
-            x=self.x, y=self.y, heading_deg=self.heading_deg,
-            free_advance=abs(r1 - r0),
-            center_advance=0.0,
-            draft_peak=f_turn,
-            seat_depth=depth,
-            slip=0.0,
-            useful_work=useful,
-            anchoring_work=anchor_work,
-            extraction_work=extraction,
-            prism_volume=self.prism,
-        )
-        self.cycles.append(record)
-        self._half_count += 1
+        self._log("turn-expand" if expand else "turn-contract", abs(r1 - r0), 0.0,
+                  f_turn, depth, 0.0, useful, anchor_work)
         return True
 
     # ------------------------------------------------------------------
@@ -1170,24 +1148,17 @@ class Machine:
             self.blade = None
         else:
             self.blade = BladeSetting(float(target_elevation), mask)
-        self._last_cut_cell = None
-        self._stroke_cut.clear()
-        self._face_force = 0.0
-        self._face_run = 0.0
 
     def set_ripper(self, depth: float) -> None:
         if depth < 0.0:
             raise ValueError("ripping depth must be non-negative")
         self.rip_depth = float(depth)
-        self._last_rip_cell = None
-        self._rip_face = 0.0
 
     def dump_prism(self, relax: bool = True) -> float:
         """Deposit the carried spoil at the blade and settle it."""
         if self.prism <= 0.0:
             return 0.0
-        bx, by = self.blade_point()
-        i, j = self.terrain.cell_of(bx, by)
+        i, j = self._cell_on_map("dump point", *self.blade_point())
         volume = self.prism
         self.terrain.deposit(i, j, volume)
         self.prism = 0.0

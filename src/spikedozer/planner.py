@@ -28,7 +28,7 @@ from .errors import SimulationError
 from .locomotion import Machine, VehicleSpec, traverse_check
 from .sensing import PenetrationRecorder
 from .soils import Environment, SoilField, SoilProfile, crust_breaks
-from .traction import anchoring_slip, flip_margin
+from .traction import anchoring_slip
 
 # Pads shallower than this fail to trap engine exhaust recirculation and
 # deeper ones waste mission energy for no blast benefit.
@@ -113,7 +113,6 @@ class MissionPlan:
     n_lanes: int
     n_lifts: int
     lift_depth: float
-    center: tuple[float, float]
     shape: tuple[int, int]
     origin: tuple[float, float]
     claims: np.ndarray  # lane id per cell, -1 outside the pad
@@ -198,7 +197,6 @@ def plan_pad_mission(
     cells_half = math.ceil(half_extent / pad.cell_size)
     n_cells = 2 * cells_half
     origin = (-cells_half * pad.cell_size, -cells_half * pad.cell_size)
-    center = (0.0, 0.0)
     shape = (n_cells, n_cells)
 
     ii += cells_half - local_half
@@ -255,7 +253,7 @@ def plan_pad_mission(
     plan = MissionPlan(
         pad=pad, vehicle=vehicle,
         n_lanes=n_lanes, n_lifts=n_lifts, lift_depth=lift_depth,
-        center=center, shape=shape, origin=origin,
+        shape=shape, origin=origin,
         claims=claims, trips=trips,
         planned_bank_volume=planned_bank,
     )
@@ -279,9 +277,10 @@ def estimate_energy(
     times bank volume, the rim climb lifts machine plus load out of the
     pit, and anchoring plus its prepaid extraction are charged per
     half-cycle over the loaded span at that span's mean draft.  Return
-    legs and hub approaches run empty at near-zero draft and descents
-    recover nothing, so they cost only the lane changes, each priced as
-    pivot friction swept through a half-rotation of in-place turning.
+    legs, hub approaches and lane-entry turns are not priced; the only
+    charge off the push legs is pivot friction swept through one
+    half-rotation per lane change.  The budget therefore reads low, most
+    on small pads, where those legs are the largest share of the work.
     """
     g = env.gravity
     k = soil.anchor_work_slope
@@ -348,9 +347,7 @@ def validate_plan(
     violations: list[str] = []
 
     if soil.duricrust is not None:
-        press = vehicle.spike_press_mass * env.gravity
-        if vehicle.has_crust_actuator:
-            press += vehicle.crust_press_share * vehicle.mass * env.gravity
+        press = vehicle.crust_press(env.gravity)
         if not crust_breaks(soil.duricrust, press, vehicle.spike.tip_area):
             violations.append(
                 f"duricrust at {soil.duricrust.strength:.9g} Pa resists the "
@@ -362,8 +359,6 @@ def validate_plan(
             f"starting terrain has {start_slope:.1f} deg slopes above the "
             "loaded traverse limit")
 
-    weight = vehicle.mass * env.gravity
-    n_spikes = len(vehicle.spike_offsets)
     load_findings: dict[tuple[float, float], str | None] = {}
     for n, trip in enumerate(plan.trips):
         push = trip.deposit_r - trip.start_r
@@ -379,14 +374,13 @@ def validate_plan(
         load = (trip.target_elevation, trip.volume_loose)
         if load not in load_findings:
             draft = predict_peak_draft(plan, trip, env, soil)
-            depth = vehicle.spike.depth_for_capacity(draft / n_spikes, soil)
+            seated = vehicle.seat(draft, soil, len(vehicle.spike_offsets))
             load_findings[load] = None
-            if depth is None:
+            if seated is None:
                 load_findings[load] = (
                     f"predicted draft {draft:.9g} N exceeds spike "
                     "holding capacity at full seating depth")
-            elif flip_margin(weight, draft,
-                             vehicle.spike.thrust_angle_deg(depth)) <= 0.0:
+            elif draft * seated[2] >= vehicle.hold_down(draft, env.gravity, False):
                 load_findings[load] = (
                     f"predicted draft {draft:.9g} N lifts the machine "
                     "at the seated thrust angle; flip risk")
@@ -429,13 +423,10 @@ def execute_plan(
     if recorder is None:
         recorder = PenetrationRecorder(terrain.soil)
     machine = Machine(plan.vehicle, terrain, env,
-                      x=plan.center[0], y=plan.center[1],
-                      heading_deg=plan.lane_azimuth_deg(0),
-                      recorder=recorder)
+                      heading_deg=plan.lane_azimuth_deg(0), recorder=recorder)
     lane_margin = 0.5 * (plan.vehicle.blade_width
                          - 2.0 * math.pi * plan.pad.radius / plan.n_lanes)
 
-    cx, cy = plan.center
     current_lane = 0
     trips_run = 0
     for trip in plan.trips:
@@ -451,15 +442,14 @@ def execute_plan(
             # translates the center, so the aim is recomputed until it
             # survives its own turn, and the whole pass repeats if the
             # squaring pivot still walked the machine off the claim.
-            _move_to_r(machine, cx, cy, plan.lane_azimuth_deg(current_lane),
-                       plan.pad.hub_radius)
+            _move_to_r(machine, plan.lane_azimuth_deg(current_lane), plan.pad.hub_radius)
             r_entry = max(trip.start_r, plan.pad.hub_radius + 4.0)
             tol = math.radians(LANE_HEADING_TOL_DEG)
             guard = max(lane_margin - plan.pad.cell_size, 0.0)
             offset = 0.0
             for _ in range(3):
-                ex = cx + r_entry * dx
-                ey = cy + r_entry * dy
+                ex = r_entry * dx
+                ey = r_entry * dy
                 for _ in range(4):
                     if math.hypot(ex - machine.x, ey - machine.y) <= 1e-6:
                         break
@@ -472,16 +462,16 @@ def execute_plan(
                 if leg > 1e-6:
                     machine.advance(leg)
                 machine.turn_to(trip.azimuth_deg, tol_deg=LANE_HEADING_TOL_DEG)
-                offset = -(machine.x - cx) * dy + (machine.y - cy) * dx
+                offset = -machine.x * dy + machine.y * dx
                 if abs(offset) <= guard:
                     break
-                r_entry = (machine.x - cx) * dx + (machine.y - cy) * dy + 6.0
+                r_entry = machine.x * dx + machine.y * dy + 6.0
             else:
                 raise SimulationError(
                     f"lane {trip.lane}: lateral drift {offset:.3f} m exceeds "
                     "the claim margin")
             current_lane = trip.lane
-        _move_to_r(machine, cx, cy, trip.azimuth_deg, trip.start_r)
+        _move_to_r(machine, trip.azimuth_deg, trip.start_r)
         machine.set_blade(trip.target_elevation, mask=trip.cells)
         machine.advance(trip.deposit_r - trip.start_r)
         machine.set_blade(None)
@@ -500,13 +490,12 @@ def execute_plan(
     )
 
 
-def _move_to_r(machine: Machine, cx: float, cy: float, azimuth_deg: float,
-               r_target: float) -> None:
-    """Drive forward or back along the ray from (cx, cy) at `azimuth_deg`
-    until the machine is `r_target` out along it."""
+def _move_to_r(machine: Machine, azimuth_deg: float, r_target: float) -> None:
+    """Drive forward or back along the ray from the pad center at
+    `azimuth_deg` until the machine is `r_target` out along it."""
     az = math.radians(azimuth_deg)
     dx, dy = math.cos(az), math.sin(az)
-    r_now = (machine.x - cx) * dx + (machine.y - cy) * dy
+    r_now = machine.x * dx + machine.y * dy
     delta = r_target - r_now
     if delta > 1e-9:
         machine.advance(delta)

@@ -155,6 +155,18 @@ class TestSimulate:
         assert "crust" in err
         assert not out.exists()
 
+    def test_machine_off_the_map_exits_2(self, tmp_path):
+        # the map the planner sizes for an r = 2 m pad is too small for
+        # the legs that enter its lanes
+        path = write_scenario(tmp_path, {
+            "name": "r2", "environment": "moon", "soil": "soft",
+            "vehicle": "construction", "pad": {"radius": 2.0, "depth": 0.4}})
+        rc, err = run_cli(["simulate", "--scenario", str(path),
+                           "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert err == ("runtime failure: seating spike point (-2.99, 17.50) "
+                       "is off the map\n")
+
     def test_crust_breaker_preset_advances(self, tmp_path):
         rc = cli.main(["simulate", "--scenario",
                        str(SCENARIOS / "crust_breaker.json"),

@@ -1,5 +1,6 @@
 """Half-cycle mechanics, compound moves, turning, and the stuck/flip guards."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -8,17 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikedozer.earthworks import SWELL_FACTOR, Terrain
-from spikedozer.errors import FlipInstability, VehicleStuck
+from spikedozer.errors import FlipInstability, SimulationError, VehicleStuck
 from spikedozer.locomotion import (
     CONSTRUCTION,
     REFERENCE,
     VEHICLES,
+    AnchorState,
     Machine,
     VehicleSpec,
     _StrokePath,
     conventional_drawbar_per_mass,
     traverse_check,
 )
+from spikedozer.scenario import load_scenario, run_scenario
 from spikedozer.soils import (
     EARTH,
     HARD,
@@ -66,12 +69,33 @@ class TestVehicleSpec:
             replace(REFERENCE, heading_tolerance_deg=0.0)
         with pytest.raises(ValueError):
             replace(REFERENCE, heading_tolerance_deg=15.0)
+        with pytest.raises(ValueError):
+            replace(REFERENCE, ripper_rake_deg=90.0)
+        with pytest.raises(ValueError):
+            replace(REFERENCE, ripper_rake_deg=-1.0)
 
     def test_shared_draft_terms(self):
         assert CONSTRUCTION.gauge == 0.8 + 0.5 * 4.0
         assert CONSTRUCTION.loaded_weight(0.0, None, 9.81) == 3000.0 * 9.81
         assert CONSTRUCTION.loaded_weight(0.5, 1200.0, 9.81) == (3000.0 + 600.0) * 9.81
         assert CONSTRUCTION.prism_drag(0.5, 1200.0, 9.81) == 0.8 * 1200.0 * 0.5 * 9.81
+
+    def test_shared_hold_terms(self):
+        spike = CONSTRUCTION.spike
+        depth, capacity, tan_beta = CONSTRUCTION.seat(600.0, SOFT, 2)
+        assert depth == spike.depth_for_capacity(300.0, SOFT)
+        assert capacity == 2 * spike.holding_capacity(depth, SOFT) >= 600.0
+        assert tan_beta == math.tan(spike.thrust_angle_rad(depth))
+        assert CONSTRUCTION.seat(1e9, SOFT, 2) is None
+        weight = 3000.0 * 1.62
+        assert CONSTRUCTION.hold_down(500.0, 1.62, False) == weight
+        drafts = np.array([0.0, 500.0, 2000.0])
+        held = CONSTRUCTION.hold_down(drafts, 1.62, True)
+        assert held.tolist() == [
+            weight + d * math.tan(math.radians(35.0)) for d in drafts.tolist()]
+        press = (7.0 / 9.81) * 1.62
+        assert CONSTRUCTION.crust_press(1.62) == press + 0.5 * weight
+        assert replace(CONSTRUCTION, has_crust_actuator=False).crust_press(1.62) == press
 
 
 class TestHalfCycle:
@@ -199,6 +223,55 @@ class TestStallGuards:
         m.extra_draft = 300.0
         with pytest.raises(VehicleStuck, match="no progress"):
             m.advance(1.0)
+
+    def test_drive_along_a_patch_edge_runs_to_completion(self, tmp_path):
+        # The 1 m carry after the first cut runs south with the machine
+        # center just west of a patch whose anchoring slope is 0.12, against
+        # the base soil's 0.10, and the seating spike point inside it.  A
+        # slip predicted from the soil at the center trimmed its stroke for
+        # 0.2 m; it slipped 0.24 m and the trimmed halves after it moved 0.
+        soil = {"preset": "soft", "name": "soft_loose", "repose_angle_deg": 34.0,
+                "anchor_work_slope": 0.12}
+        boxes = [
+            (-6.572359570026437, 0.5764826872856528, -2.3063242808060824, 5.869233319604819),
+            (-1.2450970889424546, -8.03300980324179, 2.815140994087722, -0.07315057594632712),
+            (1.2949208493761155, -7.32052508958162, 8.15117794507351, -5.191917479503766),
+            (-0.3817488990994189, -5.491517309365339, 1.904225122403893, 0.26884283498986683),
+        ]
+        segments = [(-0.04377511237740604, 3.146366687225458, 79.80584602020956,
+                     0.051970257510351295, 2.447115557206606),
+                    (-0.04136478632076893, 3.6112097651418305, 94.58352271812188,
+                     0.07172099744397928, 2.031978220620746)]
+        drive = []
+        for cut, push, turn, rip, rip_run in segments:
+            drive += [
+                {"op": "blade", "target_elevation": cut},
+                {"op": "advance", "distance": push},
+                {"op": "blade", "target_elevation": None},
+                {"op": "advance", "distance": 1.0},
+                {"op": "dump"},
+                {"op": "turn_by", "delta_deg": turn},
+                {"op": "ripper", "depth": rip},
+                {"op": "advance", "distance": rip_run},
+                {"op": "ripper", "depth": 0.0},
+                {"op": "relax"},
+            ]
+        doc = {
+            "name": "patch_edge", "environment": "moon", "vehicle": "reference",
+            "soil": {"preset": "soft", "patches": [
+                dict(zip(("x_min", "y_min", "x_max", "y_max"), box), soil=soil)
+                for box in boxes]},
+            "seed": 1782639437, "sensing": {"noise_rel": 0.02},
+            "terrain": {"extent": [36.0, 36.0], "cell_size": 0.125},
+            "start": {"x": -1.0598859428248644, "y": -0.9194038486460272,
+                      "heading_deg": 264.73749633867874},
+            "drive": drive,
+        }
+        path = tmp_path / "patch_edge.json"
+        path.write_text(json.dumps(doc))
+        carry = run_scenario(load_scenario(str(path))).machine.cycles[2]
+        assert carry.slip == pytest.approx(0.24)
+        assert carry.center_advance == pytest.approx(1.0, abs=1e-9)
 
 
 class TestGradeDraft:
@@ -403,6 +476,103 @@ class TestFlipGuard:
         assert rec.draft_peak == pytest.approx(1400.0)
 
 
+class TestHoldRules:
+    """The run rule `_first_hold_event` against the single-step rule,
+    `_must_deepen` then `_check_flip`, on a rear anchor set by hand."""
+
+    @staticmethod
+    def machine(env, rake, anchor):
+        m = Machine(replace(REFERENCE, ripper_rake_deg=rake), flat(n=40), env)
+        m.anchors["rear"] = anchor
+        return m
+
+    @staticmethod
+    def anchors():
+        """A friction anchor and spike anchors seated by `VehicleSpec.seat`,
+        also with power-of-two tan(beta), so that a draft can sit exactly
+        on the flip bound; at 4 the frame flips before the spikes give."""
+        friction = Machine(REFERENCE, flat(n=40), MOON)._friction_capacity(SOFT)
+        yield AnchorState(0.0, 0.0, 0.0, friction, 0.0, by_friction=True)
+        for force in (0.0, 300.0, 1400.0):
+            depth, capacity, tan_beta = REFERENCE.seat(force, SOFT, 2)
+            for tb in (tan_beta, 0.5, 4.0):
+                yield AnchorState(0.0, 0.0, depth, capacity, 0.0, tan_beta=tb)
+
+    @staticmethod
+    def frictions(m):
+        return [m._friction_capacity(p) for p in (SOFT, CRUSTED_SLICK)]
+
+    @staticmethod
+    def bounds(m, friction, ripping):
+        """Drafts at capacity, capacity + friction and the flip bounds."""
+        anchor = m.anchors["rear"]
+        weight = m.spec.mass * m.env.gravity
+        out = [anchor.capacity, anchor.capacity + friction]
+        lift = anchor.tan_beta - (math.tan(math.radians(m.spec.ripper_rake_deg))
+                                  if ripping else 0.0)
+        if lift > 0.0:
+            out.append(weight / lift)
+        return out
+
+    @staticmethod
+    def around(bound):
+        """The bound and the two floats either side of it."""
+        out = [bound]
+        below = above = bound
+        for _ in range(2):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            out += [below, above]
+        return out
+
+    @staticmethod
+    def event(m, draft, friction, ripping):
+        """True when the single-step rule deepens, sticks or flips."""
+        try:
+            if m._must_deepen("rear", draft, friction):
+                return True
+            m._check_flip("rear", draft, ripping)
+        except (VehicleStuck, FlipInstability):
+            return True
+        return False
+
+    @pytest.mark.parametrize("env", [MOON, EARTH])
+    @pytest.mark.parametrize("rake", [0.0, 5.0, 35.0])
+    @pytest.mark.parametrize("ripping", [False, True])
+    def test_each_bound_and_its_neighbours_alike(self, env, rake, ripping):
+        for anchor in self.anchors():
+            m = self.machine(env, rake, anchor)
+            for f in self.frictions(m):
+                for bound in self.bounds(m, f, ripping):
+                    for draft in self.around(bound):
+                        held = m._first_hold_event("rear", np.array([draft]), np.array([f]),
+                                                   ripping)
+                        assert held == (0 if self.event(m, draft, f, ripping) else 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_run_rule_finds_the_first_single_step_event(self, data):
+        m = self.machine(data.draw(st.sampled_from([MOON, EARTH])),
+                         data.draw(st.sampled_from([0.0, 5.0, 35.0])),
+                         data.draw(st.sampled_from(list(self.anchors()))))
+        ripping = data.draw(st.booleans())
+        frictions = self.frictions(m)
+        top = 1.5 * max(max(self.bounds(m, f, ripping)) for f in frictions)
+        drafts, friction = [], []
+        for _ in range(data.draw(st.integers(1, 12))):
+            f = data.draw(st.sampled_from(frictions))
+            if data.draw(st.booleans()):
+                bound = data.draw(st.sampled_from(self.bounds(m, f, ripping)))
+                draft = data.draw(st.sampled_from(self.around(bound)))
+            else:
+                draft = data.draw(st.floats(0.0, top))
+            drafts.append(draft)
+            friction.append(f)
+        friction = np.array(friction)
+        expected = next((i for i, d in enumerate(drafts)
+                         if self.event(m, d, friction[i], ripping)), len(drafts))
+        assert m._first_hold_event("rear", np.array(drafts), friction, ripping) == expected
+
+
 class TestBlade:
     def test_cut_fills_the_prism_and_closes_the_books(self):
         terrain = flat()
@@ -486,6 +656,12 @@ class TestDumpAndLedger:
     def test_empty_dump_is_a_noop(self):
         m = Machine(REFERENCE, flat(), MOON)
         assert m.dump_prism() == 0.0
+
+    def test_dump_off_the_map_is_a_runtime_failure(self):
+        m = Machine(REFERENCE, flat(), MOON, x=39.5)
+        m.prism = 0.4
+        with pytest.raises(SimulationError, match=r"dump point \(40\.30, 0\.00\) is off the map"):
+            m.dump_prism()
 
     def test_energy_totals_sum_the_records(self):
         m = Machine(REFERENCE, flat(), EARTH)
