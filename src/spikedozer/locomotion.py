@@ -35,6 +35,7 @@ from .soils import Environment, SoilProfile, crust_breaks
 from .traction import SpikeGeometry, anchoring_slip, anchoring_work
 
 STEP = 0.01  # m, quasi-static integration increment
+TURN_CLOSE = 1e-9  # rad, heading error a turn closes to before it stops
 LOADED_SLOPE_LIMIT_DEG = 20.0
 UNLOADED_TILT_LIMIT_DEG = 40.0
 
@@ -784,7 +785,8 @@ class Machine:
     # ------------------------------------------------------------------
     # Linear half-cycle
 
-    def half_cycle(self, stroke: float | None = None, reverse: bool = False) -> CycleRecord:
+    def half_cycle(self, stroke: float | None = None, reverse: bool = False, *,
+                   _draft: float | None = None) -> CycleRecord:
         """Run one half-cycle and return its log row.
 
         Alternates expansion and contraction automatically.  `stroke`
@@ -797,6 +799,9 @@ class Machine:
         cuts or rips, the anchor must deepen or the machine would flip,
         and the trimmed last step are taken one at a time.  The numbers
         are those of taking every step on its own.
+
+        `_draft` is for `advance` alone: the zero-length draft it already
+        had `_fresh_draft` price for this phase at the present pose.
         """
         expand, seat_frame, cutting, ripping = self._phase(reverse)
         if stroke is None:
@@ -818,7 +823,7 @@ class Machine:
         x0, y0 = self.x, self.y
         ux, uy = self._unit()
 
-        draft = self._fresh_draft(cutting, ripping, motion)
+        draft = self._fresh_draft(cutting, ripping, motion) if _draft is None else _draft
         slip, anchor_work = self._seat_frame(seat_frame, draft, slip_allowed=True)
         slip = min(slip, stroke)
         slip_total = slip
@@ -1001,7 +1006,7 @@ class Machine:
             stroke_needed = 2.0 * remaining + 2.0 * slip
             record = self.half_cycle(
                 stroke=min(self.spec.stroke_length, stroke_needed),
-                reverse=reverse)
+                reverse=reverse, _draft=draft0)
             gained = record.center_advance * sign
             moved += gained
             # One dead half is not a stall: a mid-stroke draft rise can
@@ -1039,6 +1044,11 @@ class Machine:
         if not math.isfinite(heading_deg):
             raise ValueError(f"target heading must be finite, got {heading_deg}")
         target = math.radians(heading_deg)
+        # The heading error rounds by up to half an ulp of the target; past
+        # the closing bound the half-turns chase that rounding.
+        if 0.5 * math.ulp(target) > TURN_CLOSE:
+            raise ValueError(f"target heading {heading_deg} deg is too large "
+                             f"to resolve to {TURN_CLOSE} rad")
         tol = math.radians(tol_deg)
         err = self._wrap(target - self.heading)
         if abs(err) <= tol:
@@ -1051,7 +1061,7 @@ class Machine:
         halves = 0
         for _ in range(64):
             err = self._wrap(target - self.heading)
-            if abs(err) <= 1e-9:
+            if abs(err) <= TURN_CLOSE:
                 break
             if self._turn_half(side, err):
                 halves += 1

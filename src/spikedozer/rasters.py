@@ -6,6 +6,11 @@ with one metadata comment line; NaN marks no-data cells.  A raster row is
 formatted by one `%` call on its Python floats: `"%.9g" % x` and
 `fmt`'s `f"{x:.9g}"` go through the same float formatter, so the text is
 that of formatting value by value.
+
+Untouched ground leaves whole bands of equal rows, so a row whose bytes
+equal the previous row's reuses its text.  The test is on bytes, not
+values: 0.0 and -0.0 compare equal but print `0` and `-0`, and a NaN row
+compares unequal to itself.
 """
 
 from __future__ import annotations
@@ -50,8 +55,12 @@ def write_raster(
     lines = [f"# {rows} {cols} {fmt(float(cell_size))} "
              f"{fmt(float(origin[0]))} {fmt(float(origin[1]))}"]
     template = ",".join(["%.9g"] * cols)
-    for i in range(rows):  # row by row: a whole-grid tolist() costs memory
-        lines.append(template % tuple(grid[i].tolist()))
+    prev_bytes, text = None, ""
+    for row in grid:  # row by row: a whole-grid tolist() costs memory
+        row_bytes = row.tobytes()
+        if row_bytes != prev_bytes:
+            prev_bytes, text = row_bytes, template % tuple(row.tolist())
+        lines.append(text)
     _write_text(path, "\n".join(lines) + "\n")
 
 

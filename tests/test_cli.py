@@ -257,8 +257,9 @@ class TestSimulate:
             "drive": [{"op": "turn_to", "heading_deg": 1e300}]})
         rc, err = run_cli(["simulate", "--scenario", str(path),
                            "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "turn failed to converge" in err
+        assert rc == 1
+        assert err == ("error: target heading 1e+300 deg is too large "
+                       "to resolve to 1e-09 rad\n")
 
     def test_misspelt_drive_key_exits_1(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {

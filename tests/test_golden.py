@@ -2,12 +2,14 @@
 
 The artifacts of a fixed scenario and seed stay byte for byte the same
 across refactors.  These sha256 digests pin the `simulate` artifacts of
-three presets, the `plan` listing of the pad mission and the stuck
-preset's failure.  A change meant to alter an output updates its digest
-here and says why in CHANGES.md.
+three presets and of a drive on a large patch-soil map, the `plan`
+listing of the pad mission and the stuck preset's failure.  A change
+meant to alter an output updates its digest here and says why in
+CHANGES.md.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -43,6 +45,52 @@ SIMULATE = {
         "trajectory.csv": "cd97e8e91b70a6a7242f31bedc324195c2c10e9fe756b04efe08f366cdcc9cf7",
     },
 }
+# A drive_sweep script: two cut, carry, dump, turn and rip segments on a
+# 288 x 288 map with two soft-soil patches.  Its rasters hold long runs of
+# untouched equal rows between rows the drive changed.
+LOOSE = {"preset": "soft", "name": "soft_loose", "repose_angle_deg": 34.0}
+LARGE_MAP_DRIVE = {
+    "name": "drive_00", "environment": "moon", "vehicle": "reference",
+    "soil": {"preset": "soft", "patches": [
+        {"x_min": -3.097839169342823, "y_min": 2.8646112430904225,
+         "x_max": -0.43682145490436763, "y_max": 7.141258494157049, "soil": LOOSE},
+        {"x_min": -9.574379668785314, "y_min": 0.39321458972105283,
+         "x_max": -2.058534179266527, "y_max": 4.861828319524546, "soil": LOOSE}]},
+    "seed": 1220192092, "sensing": {"noise_rel": 0.02},
+    "terrain": {"extent": [36.0, 36.0], "cell_size": 0.125},
+    "start": {"x": -0.1627409453699591, "y": -1.4375738674928802,
+              "heading_deg": 130.31299711481745},
+    "drive": [
+        {"op": "blade", "target_elevation": -0.048647650310826435},
+        {"op": "advance", "distance": 3.3651864212125666},
+        {"op": "blade", "target_elevation": None},
+        {"op": "advance", "distance": 1.0},
+        {"op": "dump"},
+        {"op": "turn_by", "delta_deg": 81.12568040774696},
+        {"op": "ripper", "depth": 0.05265802874396971},
+        {"op": "advance", "distance": 2.988794837026634},
+        {"op": "ripper", "depth": 0.0},
+        {"op": "relax"},
+        {"op": "blade", "target_elevation": -0.049885134782591545},
+        {"op": "advance", "distance": 3.0776911260342814},
+        {"op": "blade", "target_elevation": None},
+        {"op": "advance", "distance": 1.0},
+        {"op": "dump"},
+        {"op": "turn_by", "delta_deg": 98.63426814611242},
+        {"op": "ripper", "depth": 0.07138927104570608},
+        {"op": "advance", "distance": 2.6902121371715353},
+        {"op": "ripper", "depth": 0.0},
+        {"op": "relax"},
+    ],
+}
+LARGE_MAP = {
+    "bank.csv": "b4e5e0c2ab6f01b83a85b510283878033c7c5b6c7669b1404108ef71fa65a85f",
+    "energy.csv": "964d796baeaf8a44faf25726391597539880965997e5b2b736881d855a9b3124",
+    "events.csv": "f5fdd9f60633989465e8f71808d2b6a6935481ad0e882bb1b9c9f0d3611e9e35",
+    "loose.csv": "a10568c8f7048a97c91c136aed6619fb966eb370ba9fec0ab94ce3a7abace014",
+    "surface.csv": "3ea6a90bc1f4438420ddb34acee27dac765b3e8915b190779ef9085b9517dedc",
+    "trajectory.csv": "fa5d130b147a07a9a09e414cac3dd03f609cd9db78f749547a554d08e764c82f",
+}
 PLAN = "c0e82c3c84fadeaa01dde8ccf9c08121cd41a02514a19d04ef44195d0df89776"
 STUCK = ("runtime failure: crust resists the spike press and sliding "
          "friction cannot react 600.0 N\n")
@@ -59,6 +107,14 @@ def test_simulate_artifacts(name, tmp_path):
                    "--out", str(tmp_path)])
     assert rc == 0
     assert digests(tmp_path) == SIMULATE[name]
+
+
+def test_drive_on_a_large_patch_map(tmp_path):
+    path = tmp_path / "drive.json"
+    path.write_text(json.dumps(LARGE_MAP_DRIVE))
+    rc = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert digests(tmp_path / "out") == LARGE_MAP
 
 
 def test_pad_mission_plan(tmp_path):

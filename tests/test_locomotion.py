@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -197,6 +198,22 @@ class TestAdvance:
         moved = m.advance(1.0)
         assert moved == pytest.approx(1.0, abs=1e-9)
         assert m.cycles[0].mode == "contract"
+
+    @pytest.mark.parametrize("parked, skipped", [(False, 0), (True, 1)])
+    def test_prices_each_zero_length_draft_once(self, parked, skipped):
+        # advance prices a phase's zero-length draft to predict its slip
+        # and hands it to the half-cycle; a skipped phase prices its own
+        m = Machine(REFERENCE, flat(), EARTH)
+        if parked:
+            m.separation = REFERENCE.base_separation + REFERENCE.stroke_length
+        m.set_blade(-0.02)
+        fresh_draft, calls = m._fresh_draft, []
+        m._fresh_draft = lambda *args: calls.append(args) or fresh_draft(*args)
+        m.advance(3.0)
+        assert len(calls) == len(m.cycles) + skipped
+        m.set_blade(None)
+        m.half_cycle()
+        assert len(calls) == len(m.cycles) + skipped
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.05, max_value=9.0))
@@ -412,6 +429,22 @@ class TestTurning:
             m.turn_to(heading)
         with pytest.raises(ValueError, match="finite"):
             m.turn_by(heading)
+        assert m.cycles == []
+
+    @pytest.mark.parametrize("heading", [-9.5e8, 9.5e8])
+    def test_largest_resolvable_headings_turn(self, heading):
+        # just under 2**24 rad, where half an ulp of the target is 1e-9 rad
+        m = Machine(REFERENCE, flat(soil=MEDIUM), MOON)
+        assert m.turn_to(heading) <= 4
+        assert abs(Machine._wrap(math.radians(heading) - m.heading)) <= 1e-9
+
+    @pytest.mark.parametrize("heading", [-9.7e8, 9.7e8, 1e9, 1e15, 1e300])
+    def test_heading_too_large_to_resolve_is_rejected(self, heading):
+        # from 1e9 degrees the half-turns chase rounding and fail
+        m = Machine(REFERENCE, flat(soil=MEDIUM), MOON)
+        message = f"target heading {heading} deg is too large"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            m.turn_to(heading)
         assert m.cycles == []
 
     @given(st.floats(min_value=-3.0 * math.pi, max_value=3.0 * math.pi,

@@ -56,6 +56,16 @@ class TestWriteRaster:
     @example(grid=np.array([[np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e-300]]))
     @example(grid=np.array([[True, False]]))
     @example(grid=np.array([[2**63 - 1, -2**63]], dtype=np.int64))
+    # runs of repeated rows, whose text the writer reuses
+    @example(grid=np.array([[0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]]))
+    @example(grid=np.full((2, 3), np.nan))
+    @example(grid=np.vstack([np.ones((3, 3)), [[1.0, 1.0, 1.5]]]))
+    @example(grid=np.array([[0.0, -0.0, 5.0]] * 3).T)
+    @example(grid=np.array([[0.5, 9.0, 0.0], [0.5, 9.0, -0.0]] * 2)[:, ::2])
+    @example(grid=np.array([[1.0, 2.0], [3.0, 4.0]] * 3)[::2])
+    @example(grid=np.full((3, 2), 0.1, dtype=np.float32))
+    @example(grid=np.full((3, 2), -2**63, dtype=np.int64))
+    @example(grid=np.array([[True, False]] * 3 + [[False, False]]))
     def test_same_bytes_as_formatting_each_value(self, grid):
         expected = reference_raster_text(grid, 0.25, (-1.5, 2.0)).encode("utf-8")
         assert written_bytes(grid) == expected
