@@ -124,6 +124,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_plan(args) -> int:
     started = time.perf_counter()
+    if len(args.scenario) > 1:
+        raise ValueError(f"the plan subcommand plans one scenario; got "
+                         f"{len(args.scenario)} --scenario files")
     scn = load_scenario(args.scenario[0], seed_override=args.seed,
                         force_depth_override=args.force_depth_override)
     if scn.pad is None:
@@ -140,10 +143,13 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    cell = args.cell_size
+    if not (math.isfinite(cell) and cell > 0.0):
+        raise ValueError(f"--cell-size must be a positive finite number, "
+                         f"got {cell!r}")
     events = load_events(args.events)
     if not events:
         raise ValueError(f"{args.events} holds no events to map")
-    cell = args.cell_size
     xs = [ev.x for ev in events]
     ys = [ev.y for ev in events]
     ox = math.floor(min(xs) / cell) * cell

@@ -141,22 +141,58 @@ def _claim_lanes(local_half: int, cell_size: float, radius: float,
     """Assign every pad cell to a lane in one pass over the pad window,
     the `2*local_half` square of cells around the center: the first lane
     whose wedge holds the cell center wins, so claims partition the pad
-    exactly.  Returns the window row, column and lane of each pad cell."""
+    exactly.  Returns the window row, column and lane of each pad cell.
+
+    A wedge is the half-strip of half-width h = lane_width / 2 along the
+    lane's azimuth, so it holds a cell at radius r > h only if that
+    azimuth lies within asin(h / r) of the cell's bearing.  A cell with
+    r > 2h, where that arc is under 30 degrees wide on each side, is
+    tested against the lanes in the arc only, widened by one whole lane
+    on each side so that no rounding of the bearing decides which lanes
+    are tested.  Every lane that holds the cell is among them, so the
+    lowest one that passes is the first lane overall.  The few cells
+    with r <= 2h are tested against every lane."""
     coord = -local_half * cell_size \
         + (np.arange(2 * local_half) + 0.5) * cell_size
-    ii, jj = np.nonzero(np.hypot(coord[np.newaxis, :],
-                                 coord[:, np.newaxis]) <= radius)
-    X, Y = coord[jj], coord[ii]
-    lanes = np.full(len(ii), -1, dtype=np.intp)
-    for lane in range(n_lanes):
-        az = 2.0 * math.pi * lane / n_lanes
-        dx, dy = math.cos(az), math.sin(az)
-        along = X * dx + Y * dy
-        perp = -X * dy + Y * dx
-        wedge = (lanes < 0) & (along >= 0.0) \
-            & (np.abs(perp) <= 0.5 * lane_width)
-        lanes[wedge] = lane
-    if np.any(lanes < 0):
+    R = np.hypot(coord[np.newaxis, :], coord[:, np.newaxis])
+    ii, jj = np.nonzero(R <= radius)
+    X, Y, R = coord[jj], coord[ii], R[ii, jj]
+    # The scalar math.cos and math.sin the claims have always used; numpy's
+    # vectorised versions are not bound to round the same way.
+    azimuths = [2.0 * math.pi * lane / n_lanes for lane in range(n_lanes)]
+    DX = np.array([math.cos(az) for az in azimuths])
+    DY = np.array([math.sin(az) for az in azimuths])
+
+    def wedge(x, y, dx, dy):
+        along = x * dx + y * dy
+        perp = -x * dy + y * dx
+        return (along >= 0.0) & (np.abs(perp) <= 0.5 * lane_width)
+
+    lanes = np.full(len(ii), n_lanes, dtype=np.intp)
+    near = np.flatnonzero(R <= lane_width)
+    held = wedge(X[near, np.newaxis], Y[near, np.newaxis], DX, DY)
+    lanes[near] = np.where(held.any(axis=1), held.argmax(axis=1), n_lanes)
+
+    far = np.flatnonzero(R > lane_width)
+    per_radian = n_lanes / (2.0 * math.pi)
+    bearing = np.arctan2(Y[far], X[far]) * per_radian
+    spread = np.arcsin(0.5 * lane_width / R[far]) * per_radian
+    first = np.ceil(bearing - spread).astype(np.intp) - 1
+    count = np.floor(bearing + spread).astype(np.intp) + 2 - first
+    # Sorted by candidate count, the cells that have a k-th candidate
+    # are a tail of the arrays.  Lane numbers wrap past n_lanes - 1, and
+    # the lowest lane that holds a cell wins.
+    order = np.argsort(count)
+    far, first, count = far[order], first[order], count[order]
+    x, y = X[far], Y[far]
+    best = np.full(len(far), n_lanes, dtype=np.intp)
+    for k in range(int(count.max(initial=0))):
+        tail = slice(np.searchsorted(count, k, side="right"), None)
+        lane = (first[tail] + k) % n_lanes
+        held = wedge(x[tail], y[tail], DX[lane], DY[lane])
+        np.minimum(best[tail], np.where(held, lane, n_lanes), out=best[tail])
+    lanes[far] = best
+    if np.any(lanes == n_lanes):
         raise SimulationError("lane claiming left pad cells unowned")
     return ii, jj, lanes
 
@@ -206,8 +242,9 @@ def plan_pad_mission(
     # Radii from the full grid's own cell-center expression.
     R = np.hypot(origin[0] + (jj + 0.5) * pad.cell_size,
                  origin[1] + (ii + 0.5) * pad.cell_size)
-    # Each lane's cells outermost first, ties by row then column.
-    order = np.lexsort((jj, ii, -R, lanes))
+    # Each lane's cells outermost first; the sort is stable and the cells
+    # come in row-major order, so ties go by row then column.
+    order = np.lexsort((-R, lanes))
     cells = list(zip(ii[order].tolist(), jj[order].tolist()))
     radii = R[order].tolist()
 

@@ -443,6 +443,19 @@ class TestPlan:
         assert rc == 0
         assert (tmp_path / "b" / "plan.txt").is_file()
 
+    def test_rejects_more_than_one_scenario(self, tmp_path, capsys):
+        # the second file has no pad, so planning only the first would
+        # drop it without a word
+        rc = cli.main(["plan",
+                       "--scenario", str(SCENARIOS / "pad_quick.json"),
+                       "--scenario", str(SCENARIOS / "strip_cut.json"),
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: the plan subcommand plans one scenario; "
+            "got 2 --scenario files\n")
+        assert not (tmp_path / "plan.txt").exists()
+
 
 class TestMap:
     def test_rasters_from_run_events(self, strip_run, tmp_path):
@@ -465,6 +478,16 @@ class TestMap:
                        "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "no events" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell_size", ["0", "-0.25", "nan", "inf"])
+    def test_bad_cell_size_exits_1(self, strip_run, tmp_path, cell_size):
+        rc, err = run_cli(["map", "--events", str(strip_run / "events.csv"),
+                           "--cell-size", cell_size,
+                           "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "--cell-size must be a positive finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_wrong_columns_exit_1(self, tmp_path, capsys):
         path = tmp_path / "events.csv"

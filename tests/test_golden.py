@@ -3,9 +3,9 @@
 The artifacts of a fixed scenario and seed stay byte for byte the same
 across refactors.  These sha256 digests pin the `simulate` artifacts of
 three presets and of a drive on a large patch-soil map, the `plan`
-listing of the pad mission and the stuck preset's failure.  A change
-meant to alter an output updates its digest here and says why in
-CHANGES.md.
+listings of the pad mission and of two more pad layouts, and the stuck
+preset's failure.  A change meant to alter an output updates its digest
+here and says why in CHANGES.md.
 """
 
 import hashlib
@@ -92,6 +92,15 @@ LARGE_MAP = {
     "trajectory.csv": "fa5d130b147a07a9a09e414cac3dd03f609cd9db78f749547a554d08e764c82f",
 }
 PLAN = "c0e82c3c84fadeaa01dde8ccf9c08121cd41a02514a19d04ef44195d0df89776"
+# `plan` listings of two soft lunar pads, keyed by (radius, cell size):
+# the widest benchmark pad, with 77 lanes, and a pad whose 0.2 m cells are
+# not exact in binary, so more cell centres fall within an ulp of a lane's
+# strip edge.
+PAD_PLANS = {
+    (24.5, 0.25): "1a6d08d07d99358c8e6310915339a7ca358d474295ddd9b440fd610265c41d85",
+    (9.979845551933689, 0.2):
+        "94dd26d347958c6749a4e448dd8bd88b0f70807c4c67ade8fcba0ee33bc0a68c",
+}
 STUCK = ("runtime failure: crust resists the spike press and sliding "
          "friction cannot react 600.0 N\n")
 
@@ -122,6 +131,18 @@ def test_pad_mission_plan(tmp_path):
                    "--out", str(tmp_path)])
     assert rc == 0
     assert digests(tmp_path) == {"plan.txt": PLAN}
+
+
+@pytest.mark.parametrize("radius, cell_size", sorted(PAD_PLANS))
+def test_pad_layout_plan(radius, cell_size, tmp_path):
+    path = tmp_path / "pad.json"
+    path.write_text(json.dumps({
+        "name": "pad", "environment": "moon", "soil": "soft",
+        "vehicle": "construction", "seed": 0,
+        "pad": {"radius": radius, "depth": 0.40, "cell_size": cell_size}}))
+    rc = cli.main(["plan", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert digests(tmp_path / "out") == {"plan.txt": PAD_PLANS[radius, cell_size]}
 
 
 def test_crust_stuck_failure(tmp_path, capsys):

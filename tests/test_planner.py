@@ -13,6 +13,7 @@ from spikedozer.planner import (
     LANE_ALIGNMENT_MARGIN,
     PadSpec,
     Trip,
+    _claim_lanes,
     describe_plan,
     estimate_energy,
     execute_plan,
@@ -236,6 +237,66 @@ class TestLayoutOracle:
                 groups = [t.cells for t in trips if t.lift == lift]
                 assert sum(len(g) for g in groups) == len(claimed)
                 assert set().union(*groups) == claimed
+
+
+def claim_per_lane(local_half, cell_size, radius, n_lanes, lane_width):
+    """The claim pass done the slow way: every pad cell of the window is
+    tested against every lane in lane order, and the first lane whose
+    wedge holds it keeps it."""
+    coord = -local_half * cell_size \
+        + (np.arange(2 * local_half) + 0.5) * cell_size
+    ii, jj = np.nonzero(np.hypot(coord[np.newaxis, :],
+                                 coord[:, np.newaxis]) <= radius)
+    X, Y = coord[jj], coord[ii]
+    lanes = np.full(len(ii), -1, dtype=np.intp)
+    for lane in range(n_lanes):
+        az = 2.0 * math.pi * lane / n_lanes
+        dx, dy = math.cos(az), math.sin(az)
+        along = X * dx + Y * dy
+        perp = -X * dy + Y * dx
+        wedge = (lanes < 0) & (along >= 0.0) \
+            & (np.abs(perp) <= 0.5 * lane_width)
+        lanes[wedge] = lane
+    assert np.all(lanes >= 0)
+    return ii, jj, lanes
+
+
+def assert_claims_match_per_lane(radius, cell_size, n_lanes, lane_width):
+    args = (math.ceil((radius + cell_size) / cell_size), cell_size, radius,
+            n_lanes, lane_width)
+    got, want = _claim_lanes(*args), claim_per_lane(*args)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@st.composite
+def pad_lanes(draw):
+    """A pad radius and cell size, and the lane count and width the planner
+    gives that radius at a drawn lane pitch."""
+    radius = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5),
+                            st.floats(0.0, 24.5)))
+    cell_size = draw(st.sampled_from([0.1, 0.125, 0.2, 0.25, 0.3, 0.35, 0.5]))
+    n_lanes = max(4, math.ceil(2.0 * math.pi * radius
+                               / draw(st.floats(0.5, 6.0))))
+    return radius, cell_size, n_lanes, 2.0 * math.pi * radius / n_lanes
+
+
+class TestClaimLanes:
+    @given(case=pad_lanes())
+    @settings(deadline=None, max_examples=150)
+    def test_claims_match_the_per_lane_reference(self, case):
+        assert_claims_match_per_lane(*case)
+
+    # Half a lane width is an odd number of half cells, so rows and
+    # columns of cell centres lie exactly on the strip edges of the lanes
+    # along the axes, with the lane count whole at that width.
+    @pytest.mark.parametrize("n_lanes, lane_width, cell_size", [
+        (16, 2.25, 0.25), (40, 2.25, 0.25), (68, 2.25, 0.25),
+        (20, 2.5, 0.5), (100, 0.75, 0.25), (200, 0.3, 0.1)])
+    def test_cell_centres_on_strip_edges(self, n_lanes, lane_width,
+                                         cell_size):
+        radius = n_lanes * lane_width / (2.0 * math.pi)
+        assert_claims_match_per_lane(radius, cell_size, n_lanes, lane_width)
 
 
 class TestEnergyBudget:
