@@ -98,6 +98,8 @@ def _run_one(path: str, out_dir: str, seed: int | None,
 
 
 def _cmd_simulate(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     paths = args.scenario
     if len(paths) == 1:
         targets = [(paths[0], args.out)]

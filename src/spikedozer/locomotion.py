@@ -269,7 +269,10 @@ RECORD_FIELDS = (
 @dataclass
 class BladeSetting:
     """Grading mode: cut whatever stands above `target_elevation`, up to
-    the per-pass limit, in the `mask` cells (anywhere when None)."""
+    the per-pass limit, in the `mask` cells (anywhere when None).
+
+    `mask` is a frozenset of (i, j) grid cells, looked up once for every
+    cell the blade enters; a planned trip passes `TripCells.frozen()`."""
 
     target_elevation: float
     mask: frozenset[tuple[int, int]] | None = None

@@ -14,6 +14,12 @@ lifts sized to the blade's single-pass cut.
 The full depth is reached in lifts, every trip is packed to the blade's
 carry capacity from the claim map, and the machine turns in place at a
 hub near the pad center between lanes.
+
+A trip's cells are a `TripCells`: views into the planner's sorted cell
+arrays, shared by the trips of one lane group in every lift.  Listing,
+pricing and validating a plan read only their count; the set of (i, j)
+cells is built the first time a caller iterates it or tests membership,
+as executing the plan does.
 """
 
 from __future__ import annotations
@@ -85,9 +91,52 @@ class PadSpec:
                 "at sane cost; set force_depth_override to plan it anyway")
 
 
+class TripCells:
+    """The claim-map cells one trip cuts, as row and column arrays.
+
+    `len` reads the arrays.  Iteration, membership, equality and hashing
+    go through the frozenset of (i, j) cells, built in array order on
+    first use and kept, so a `TripCells` compares and hashes as that
+    frozenset does.
+    """
+
+    __slots__ = ("rows", "cols", "_frozen")
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray):
+        self.rows = rows
+        self.cols = cols
+        self._frozen: frozenset[tuple[int, int]] | None = None
+
+    def frozen(self) -> frozenset[tuple[int, int]]:
+        """The cells as a frozenset of (i, j), built once."""
+        if self._frozen is None:
+            self._frozen = frozenset(zip(self.rows.tolist(),
+                                         self.cols.tolist()))
+        return self._frozen
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self.frozen())
+
+    def __contains__(self, cell) -> bool:
+        return cell in self.frozen()
+
+    def __eq__(self, other) -> bool:
+        return self.frozen() == other
+
+    def __hash__(self) -> int:
+        return hash(self.frozen())
+
+
 @dataclass(frozen=True)
 class Trip:
-    """One cut-carry-dump pass along a lane."""
+    """One cut-carry-dump pass along a lane.
+
+    The planner gives the trips that cut the same cells in successive
+    lifts one shared `cells` object.
+    """
 
     lane: int
     lift: int
@@ -96,7 +145,7 @@ class Trip:
     start_r: float
     deposit_r: float
     target_elevation: float
-    cells: frozenset[tuple[int, int]]
+    cells: TripCells
     volume_loose: float  # m^3 the blade will carry
     r_in: float  # radius of the innermost cell center
     r_out: float  # radius of the outermost cell center
@@ -217,6 +266,24 @@ def plan_pad_mission(
     vol_per_cell = cell_area * lift_depth * SWELL_FACTOR  # loose
     cells_per_trip = max(1, math.floor(vehicle.blade_capacity / vol_per_cell))
 
+    max_blade_reach = 0.5 * (vehicle.base_separation + vehicle.stroke_length) \
+        + vehicle.blade_lead
+
+    def start_r_of(r_in: float) -> float:
+        """Where a trip whose innermost cell center is at `r_in` starts."""
+        return r_in - pad.cell_size - max_blade_reach - 0.3
+
+    # The cell nearest the center lies under one cell from it, so the
+    # trip that cuts it starts behind start_r_of(cell_size) and dumps at
+    # the berm setback or beyond.  A cap that push meets binds before
+    # the claim pass is paid for.
+    least_push = pad.radius + pad.berm_setback - start_r_of(pad.cell_size)
+    if pad.radius >= pad.cell_size and least_push >= pad.max_push_distance:
+        raise ValueError(
+            f"the trip nearest the pad center needs over a {least_push:.1f} m "
+            f"push; the {pad.max_push_distance:.9g} m push cap binds at this "
+            "pad radius and berm layout")
+
     # One claim pass over the pad window gives the per-lane cell loads,
     # which size the grid, and then the claims on that grid.
     local_half = math.ceil((pad.radius + pad.cell_size) / pad.cell_size)
@@ -225,8 +292,6 @@ def plan_pad_mission(
     lane_cells = np.bincount(lanes, minlength=n_lanes).tolist()
     lane_trips = [n_lifts * math.ceil(n / cells_per_trip) for n in lane_cells]
 
-    max_blade_reach = 0.5 * (vehicle.base_separation + vehicle.stroke_length) \
-        + vehicle.blade_lead
     deposit_r_max = pad.radius + pad.berm_setback \
         + pad.berm_ring_spacing * max(0, max(lane_trips, default=1) - 1)
     half_extent = deposit_r_max + max_blade_reach + 6.0
@@ -245,22 +310,26 @@ def plan_pad_mission(
     # Each lane's cells outermost first; the sort is stable and the cells
     # come in row-major order, so ties go by row then column.
     order = np.lexsort((-R, lanes))
-    cells = list(zip(ii[order].tolist(), jj[order].tolist()))
-    radii = R[order].tolist()
+    rows, cols, radii = ii[order], jj[order], R[order]
 
     trips: list[Trip] = []
     lane_end = 0
     for lane, n_claimed in enumerate(lane_cells):
         lane_start, lane_end = lane_end, lane_end + n_claimed
-        starts = range(lane_start, lane_end, cells_per_trip)
-        ends = [min(s + cells_per_trip, lane_end) for s in starts]
-        groups = [frozenset(cells[s:e]) for s, e in zip(starts, ends)]
+        # The lane's cell groups, one per trip of a lift and shared by
+        # every lift, with their loads, innermost and outermost radii and
+        # start points.
+        groups = []
+        for s in range(lane_start, lane_end, cells_per_trip):
+            e = min(s + cells_per_trip, lane_end)
+            r_in = float(radii[e - 1])
+            groups.append((TripCells(rows[s:e], cols[s:e]),
+                           (e - s) * vol_per_cell,
+                           r_in, float(radii[s]), start_r_of(r_in)))
         seq = 0
         for lift in range(n_lifts):
             target = -lift_depth * (lift + 1)
-            for s, e, group in zip(starts, ends, groups):
-                r_in = radii[e - 1]
-                start_r = r_in - pad.cell_size - max_blade_reach - 0.3
+            for group, volume, r_in, r_out, start_r in groups:
                 # retreating dump line: later trips stop short of all
                 # earlier piles on this lane
                 deposit_r = pad.radius + pad.berm_setback \
@@ -272,9 +341,9 @@ def plan_pad_mission(
                     deposit_r=deposit_r,
                     target_elevation=target,
                     cells=group,
-                    volume_loose=(e - s) * vol_per_cell,
+                    volume_loose=volume,
                     r_in=r_in,
-                    r_out=radii[s],
+                    r_out=r_out,
                 ))
                 seq += 1
 
@@ -509,7 +578,7 @@ def execute_plan(
                     "the claim margin")
             current_lane = trip.lane
         _move_to_r(machine, trip.azimuth_deg, trip.start_r)
-        machine.set_blade(trip.target_elevation, mask=trip.cells)
+        machine.set_blade(trip.target_elevation, mask=trip.cells.frozen())
         machine.advance(trip.deposit_r - trip.start_r)
         machine.set_blade(None)
         machine.dump_prism()

@@ -9,6 +9,7 @@ hang run the CLI in a child process, under a timeout.
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -30,15 +31,22 @@ DRIVE_ARTIFACTS = {"trajectory.csv", "energy.csv", "events.csv",
                    "surface.csv", "bank.csv", "loose.csv"}
 
 
-def run_cli(argv, timeout=60.0):
+def run_cli(argv, timeout=60.0, max_memory=None):
     """Run the CLI in a child process, so a hang fails the test instead
-    of stalling the suite; returns (exit code, stderr)."""
+    of stalling the suite; returns (exit code, stderr).  `max_memory`
+    caps the child's address space in bytes, so a run that would take
+    too much memory fails on its first large allocation."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (max_memory, max_memory))
+
     proc = subprocess.run([sys.executable, "-m", "spikedozer.cli", *argv],
                           capture_output=True, text=True, env=env,
-                          timeout=timeout)
+                          timeout=timeout,
+                          preexec_fn=cap_memory if max_memory else None)
     return proc.returncode, proc.stderr
 
 
@@ -135,6 +143,16 @@ class TestSimulate:
         assert rc == 0
         assert (tmp_path / "strip_cut" / "trajectory.csv").is_file()
         assert (tmp_path / "crust_breaker" / "trajectory.csv").is_file()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_1(self, tmp_path, jobs):
+        rc, err = run_cli(["simulate",
+                           "--scenario", str(SCENARIOS / "strip_cut.json"),
+                           "--scenario", str(SCENARIOS / "crust_breaker.json"),
+                           "--out", str(tmp_path / "out"), "--jobs", jobs])
+        assert rc == 1
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_duplicate_scenario_names_rejected(self, tmp_path, capsys):
         rc = cli.main(["simulate",
@@ -442,6 +460,20 @@ class TestPlan:
                        "--force-depth-override"])
         assert rc == 0
         assert (tmp_path / "b" / "plan.txt").is_file()
+
+    def test_binding_push_cap_exits_1_before_claiming(self, tmp_path):
+        # Claiming a 1 km pad would take gigabytes; under a 512 MB cap
+        # only a refusal made before the claim pass ends cleanly.
+        doc = {"name": "wide", "environment": "moon", "soil": "soft",
+               "vehicle": "construction", "pad": {"radius": 1000.0}}
+        rc, err = run_cli(["plan", "--scenario",
+                           str(write_scenario(tmp_path, doc)),
+                           "--out", str(tmp_path / "out")],
+                          max_memory=512 * 2**20)
+        assert rc == 1
+        assert "push cap binds" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_rejects_more_than_one_scenario(self, tmp_path, capsys):
         # the second file has no pad, so planning only the first would

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikedozer.earthworks import SWELL_FACTOR, Terrain
+from spikedozer import planner
 from spikedozer.locomotion import CONSTRUCTION, REFERENCE, Machine
 from spikedozer.planner import (
     LANE_ALIGNMENT_MARGIN,
     PadSpec,
     Trip,
+    TripCells,
     _claim_lanes,
     describe_plan,
     estimate_energy,
@@ -117,6 +119,39 @@ class TestPlanLayout:
         with pytest.raises(ValueError, match="push cap"):
             plan_pad_mission(PadSpec(max_push_distance=25.0),
                              CONSTRUCTION, MOON, SOFT)
+
+    @given(radius=st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 14.0)),
+           cap=st.floats(3.0, 10.0),
+           cell_size=st.sampled_from([0.125, 0.25, 0.5]),
+           depth=st.sampled_from([0.25, 0.4]))
+    @settings(deadline=None, max_examples=80)
+    def test_early_push_cap_rejection_is_sound(self, radius, cap, cell_size,
+                                               depth):
+        # The cap is checked twice: from the pad geometry before the claim
+        # pass, and on every planned trip.  Either way a plan is refused
+        # exactly when one of its trips pushes farther than the cap.  In
+        # one lift the innermost trip's push is close to the longest.
+        pad = PadSpec(radius=radius, cell_size=cell_size, depth=depth,
+                      max_push_distance=cap, force_depth_override=True)
+        lifted = plan_pad_mission(replace(pad, max_push_distance=1000.0),
+                                  CONSTRUCTION, MOON, SOFT)
+        longest = max((t.deposit_r - t.start_r for t in lifted.trips),
+                      default=0.0)
+        try:
+            plan_pad_mission(pad, CONSTRUCTION, MOON, SOFT)
+        except ValueError as err:
+            assert "push cap binds" in str(err)
+            assert longest > cap
+        else:
+            assert longest <= cap
+
+    def test_push_cap_binds_before_the_claim_pass(self, monkeypatch):
+        # The claim window of a 1 km pad at 0.25 m cells is 8002 x 8002.
+        def claim(*args):
+            raise AssertionError("the claim pass ran")
+        monkeypatch.setattr(planner, "_claim_lanes", claim)
+        with pytest.raises(ValueError, match="nearest the pad center"):
+            plan_pad_mission(PadSpec(radius=1000.0), CONSTRUCTION, MOON, SOFT)
 
     def test_describe_is_a_full_listing(self, plan):
         text = describe_plan(plan)
@@ -297,6 +332,49 @@ class TestClaimLanes:
                                          cell_size):
         radius = n_lanes * lane_width / (2.0 * math.pi)
         assert_claims_match_per_lane(radius, cell_size, n_lanes, lane_width)
+
+
+class TestTripCells:
+    @pytest.fixture
+    def fresh_plan(self):
+        return plan_pad_mission(PadSpec(radius=8.0), CONSTRUCTION, MOON, SOFT)
+
+    def test_listing_pricing_and_validating_build_no_cell_set(self,
+                                                              fresh_plan):
+        # plan_pad_mission prices the plan itself.
+        validate_plan(fresh_plan, MOON, SOFT)
+        describe_plan(fresh_plan)
+        assert all(t.cells._frozen is None for t in fresh_plan.trips)
+
+    def test_lifts_share_one_cell_group(self, fresh_plan):
+        trips = fresh_plan.trips
+        assert fresh_plan.n_lifts == 2
+        for lane in range(fresh_plan.n_lanes):
+            lifts = [[t for t in trips if t.lane == lane and t.lift == lift]
+                     for lift in range(2)]
+            assert len(lifts[0]) == len(lifts[1]) > 0
+            for first, second in zip(*lifts):
+                assert first.cells is second.cells
+        assert len({id(t.cells) for t in trips}) == len(trips) // 2
+
+    def test_behaves_as_its_frozenset(self, fresh_plan):
+        for trip in fresh_plan.trips[::7]:
+            cells = trip.cells
+            rows, cols = cells.rows.tolist(), cells.cols.tolist()
+            same = frozenset(zip(rows, cols))
+            assert len(cells) == len(same) == len(rows)
+            assert cells == same and same == cells
+            assert not cells != same and not same != cells
+            assert hash(cells) == hash(same)
+            assert list(cells) == list(same)
+            assert all(c in cells for c in same)
+            assert (-1, -1) not in cells
+            assert cells.frozen() is cells.frozen()
+            fewer = frozenset(list(same)[1:])
+            assert cells != fewer and fewer != cells
+            assert cells != TripCells(cells.rows[1:], cells.cols[1:])
+            assert replace(trip, cells=same) == trip
+            assert hash(replace(trip, cells=same)) == hash(trip)
 
 
 class TestEnergyBudget:
