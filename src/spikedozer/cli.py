@@ -137,7 +137,7 @@ def _cmd_plan(args) -> int:
                             scn.base_profile)
     violations = validate_plan(plan, scn.environment, scn.base_profile)
     _write_plan_file(os.path.join(args.out, "plan.txt"), plan, violations)
-    print(f"{scn.name}: {len(plan.trips)} trips over {plan.n_lanes} lanes, "
+    print(f"{scn.name}: {len(plan.lane)} trips over {plan.n_lanes} lanes, "
           f"budget {plan.energy_budget:.9g} J, "
           f"{len(violations)} findings, "
           f"{time.perf_counter() - started:.1f} s -> {args.out}")

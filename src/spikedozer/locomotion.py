@@ -45,6 +45,13 @@ UNLOADED_TILT_LIMIT_DEG = 40.0
 CONVENTIONAL_PULL_RATIO = {"earth": 0.4, "moon": 0.21}
 
 
+def ordered_sum(values) -> float:
+    """Sum `values` left to right from 0.0, as the builtin `sum` did
+    before Python 3.12 made it compensated, so artifacts keep their bits
+    on every supported Python."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
 def conventional_drawbar_per_mass(env: Environment) -> float:
     """Drawbar pull per kilogram for a tracked comparison vehicle (N/kg)."""
     try:
@@ -272,7 +279,7 @@ class BladeSetting:
     the per-pass limit, in the `mask` cells (anywhere when None).
 
     `mask` is a frozenset of (i, j) grid cells, looked up once for every
-    cell the blade enters; a planned trip passes `TripCells.frozen()`."""
+    cell the blade enters; a planned trip passes its `cells`."""
 
     target_elevation: float
     mask: frozenset[tuple[int, int]] | None = None
@@ -1184,9 +1191,9 @@ class Machine:
     # Ledger
 
     def energy_totals(self) -> dict[str, float]:
-        useful = sum(c.useful_work for c in self.cycles)
-        anchoring = sum(c.anchoring_work for c in self.cycles)
-        extraction = sum(c.extraction_work for c in self.cycles)
+        useful = ordered_sum([c.useful_work for c in self.cycles])
+        anchoring = ordered_sum([c.anchoring_work for c in self.cycles])
+        extraction = ordered_sum([c.extraction_work for c in self.cycles])
         total = useful + anchoring + extraction
         return {
             "useful": useful,

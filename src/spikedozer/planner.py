@@ -15,23 +15,25 @@ The full depth is reached in lifts, every trip is packed to the blade's
 carry capacity from the claim map, and the machine turns in place at a
 hub near the pad center between lanes.
 
-A trip's cells are a `TripCells`: views into the planner's sorted cell
-arrays, shared by the trips of one lane group in every lift.  Listing,
-pricing and validating a plan read only their count; the set of (i, j)
-cells is built the first time a caller iterates it or tests membership,
-as executing the plan does.
+A plan keeps its trips as numpy columns, one entry per trip, and each
+trip's cells as a range of the planner's lane-sorted cell arrays; the
+trips of one lane group share that range in every lift.  Listing,
+pricing and validating a plan read only the columns.  The `Trip` rows,
+with one frozenset of (i, j) cells per group, are built the first time
+a caller reads `MissionPlan.trips`, as executing the plan does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .earthworks import SWELL_FACTOR, Terrain
 from .errors import SimulationError
-from .locomotion import Machine, VehicleSpec, traverse_check
+from .locomotion import Machine, VehicleSpec, ordered_sum
 from .sensing import PenetrationRecorder
 from .soils import Environment, SoilField, SoilProfile, crust_breaks
 from .traction import anchoring_slip
@@ -45,6 +47,10 @@ MAX_PAD_DEPTH = 0.50
 # never lets a lane edge escape the blade.
 LANE_ALIGNMENT_MARGIN = 1.0
 LANE_HEADING_TOL_DEG = 0.02
+
+# Most cells a pad's claim window or grid may hold, a 2048-cell square:
+# planning a pad whose grid nears it peaks at about 500 MB.
+MAX_GRID_CELLS = 2048 * 2048
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,6 @@ class PadSpec:
     berm_ring_spacing: float = 2.0
     hub_radius: float = 2.0
     max_push_distance: float = 60.0
-    max_loaded_slope_deg: float = 20.0
     force_depth_override: bool = False
 
     def __post_init__(self) -> None:
@@ -81,8 +86,6 @@ class PadSpec:
             raise ValueError("berm ring spacing must be positive")
         if self.max_push_distance <= 0.0:
             raise ValueError("push distance cap must be positive")
-        if not 0.0 < self.max_loaded_slope_deg < 90.0:
-            raise ValueError("loaded slope cap must be in (0, 90) degrees")
         if not (MIN_PAD_DEPTH <= self.depth <= MAX_PAD_DEPTH
                 or self.force_depth_override):
             raise ValueError(
@@ -91,51 +94,12 @@ class PadSpec:
                 "at sane cost; set force_depth_override to plan it anyway")
 
 
-class TripCells:
-    """The claim-map cells one trip cuts, as row and column arrays.
-
-    `len` reads the arrays.  Iteration, membership, equality and hashing
-    go through the frozenset of (i, j) cells, built in array order on
-    first use and kept, so a `TripCells` compares and hashes as that
-    frozenset does.
-    """
-
-    __slots__ = ("rows", "cols", "_frozen")
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray):
-        self.rows = rows
-        self.cols = cols
-        self._frozen: frozenset[tuple[int, int]] | None = None
-
-    def frozen(self) -> frozenset[tuple[int, int]]:
-        """The cells as a frozenset of (i, j), built once."""
-        if self._frozen is None:
-            self._frozen = frozenset(zip(self.rows.tolist(),
-                                         self.cols.tolist()))
-        return self._frozen
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.frozen())
-
-    def __contains__(self, cell) -> bool:
-        return cell in self.frozen()
-
-    def __eq__(self, other) -> bool:
-        return self.frozen() == other
-
-    def __hash__(self) -> int:
-        return hash(self.frozen())
-
-
 @dataclass(frozen=True)
 class Trip:
     """One cut-carry-dump pass along a lane.
 
-    The planner gives the trips that cut the same cells in successive
-    lifts one shared `cells` object.
+    The trips that cut the same cells in successive lifts share one
+    `cells` frozenset of (i, j) grid cells.
     """
 
     lane: int
@@ -145,7 +109,7 @@ class Trip:
     start_r: float
     deposit_r: float
     target_elevation: float
-    cells: TripCells
+    cells: frozenset[tuple[int, int]]
     volume_loose: float  # m^3 the blade will carry
     r_in: float  # radius of the innermost cell center
     r_out: float  # radius of the outermost cell center
@@ -157,6 +121,13 @@ class Trip:
 
 @dataclass
 class MissionPlan:
+    """A laid-out pad mission.
+
+    The trips are columns named as `Trip` fields, one entry per trip in
+    run order: by lane, then lift, then cell group.  Trip n cuts the
+    cells `rows[k]`, `cols[k]` for k in `cell_start[n]:cell_stop[n]`.
+    """
+
     pad: PadSpec
     vehicle: VehicleSpec
     n_lanes: int
@@ -165,12 +136,42 @@ class MissionPlan:
     shape: tuple[int, int]
     origin: tuple[float, float]
     claims: np.ndarray  # lane id per cell, -1 outside the pad
-    trips: list[Trip]
+    rows: np.ndarray  # claimed cells by lane, each lane's outermost first
+    cols: np.ndarray
+    lane: np.ndarray
+    lift: np.ndarray
+    seq: np.ndarray
+    start_r: np.ndarray
+    deposit_r: np.ndarray
+    target_elevation: np.ndarray
+    volume_loose: np.ndarray
+    r_in: np.ndarray
+    r_out: np.ndarray
+    cell_start: np.ndarray
+    cell_stop: np.ndarray
     planned_bank_volume: float
     energy_budget: float = 0.0
 
     def lane_azimuth_deg(self, lane: int) -> float:
         return 360.0 * lane / self.n_lanes
+
+    @cached_property
+    def trips(self) -> list[Trip]:
+        """The trips as `Trip` rows, built from the columns on first read."""
+        rows, cols = self.rows.tolist(), self.cols.tolist()
+        groups: dict[int, frozenset[tuple[int, int]]] = {}
+        trips = []
+        for (lane, lift, seq, start_r, deposit_r, target, volume, r_in, r_out,
+             s, e) in zip(*(column.tolist() for column in (
+                 self.lane, self.lift, self.seq, self.start_r, self.deposit_r,
+                 self.target_elevation, self.volume_loose, self.r_in,
+                 self.r_out, self.cell_start, self.cell_stop))):
+            if s not in groups:
+                groups[s] = frozenset(zip(rows[s:e], cols[s:e]))
+            trips.append(Trip(lane, lift, seq, self.lane_azimuth_deg(lane),
+                              start_r, deposit_r, target, groups[s], volume,
+                              r_in, r_out))
+        return trips
 
 
 @dataclass
@@ -246,6 +247,15 @@ def _claim_lanes(local_half: int, cell_size: float, radius: float,
     return ii, jj, lanes
 
 
+def _check_grid_size(pad: PadSpec, what: str, n: int) -> None:
+    """Refuse an `n` x `n` cell `what` over `MAX_GRID_CELLS`, before it
+    is allocated."""
+    if n * n > MAX_GRID_CELLS:
+        raise ValueError(
+            f"a {pad.radius:.9g} m pad at {pad.cell_size:.9g} m cells needs "
+            f"a {n} x {n} cell {what}, over the {MAX_GRID_CELLS} cell limit")
+
+
 def plan_pad_mission(
     pad: PadSpec,
     vehicle: VehicleSpec,
@@ -287,16 +297,19 @@ def plan_pad_mission(
     # One claim pass over the pad window gives the per-lane cell loads,
     # which size the grid, and then the claims on that grid.
     local_half = math.ceil((pad.radius + pad.cell_size) / pad.cell_size)
+    _check_grid_size(pad, "claim window", 2 * local_half)
     ii, jj, lanes = _claim_lanes(local_half, pad.cell_size, pad.radius,
                                  n_lanes, lane_width)
-    lane_cells = np.bincount(lanes, minlength=n_lanes).tolist()
-    lane_trips = [n_lifts * math.ceil(n / cells_per_trip) for n in lane_cells]
+    lane_cells = np.bincount(lanes, minlength=n_lanes)
+    lane_groups = -(-lane_cells // cells_per_trip)
+    lane_trips = n_lifts * lane_groups
 
     deposit_r_max = pad.radius + pad.berm_setback \
-        + pad.berm_ring_spacing * max(0, max(lane_trips, default=1) - 1)
+        + pad.berm_ring_spacing * max(0, int(lane_trips.max()) - 1)
     half_extent = deposit_r_max + max_blade_reach + 6.0
     cells_half = math.ceil(half_extent / pad.cell_size)
     n_cells = 2 * cells_half
+    _check_grid_size(pad, "grid", n_cells)
     origin = (-cells_half * pad.cell_size, -cells_half * pad.cell_size)
     shape = (n_cells, n_cells)
 
@@ -312,56 +325,40 @@ def plan_pad_mission(
     order = np.lexsort((-R, lanes))
     rows, cols, radii = ii[order], jj[order], R[order]
 
-    trips: list[Trip] = []
-    lane_end = 0
-    for lane, n_claimed in enumerate(lane_cells):
-        lane_start, lane_end = lane_end, lane_end + n_claimed
-        # The lane's cell groups, one per trip of a lift and shared by
-        # every lift, with their loads, innermost and outermost radii and
-        # start points.
-        groups = []
-        for s in range(lane_start, lane_end, cells_per_trip):
-            e = min(s + cells_per_trip, lane_end)
-            r_in = float(radii[e - 1])
-            groups.append((TripCells(rows[s:e], cols[s:e]),
-                           (e - s) * vol_per_cell,
-                           r_in, float(radii[s]), start_r_of(r_in)))
-        seq = 0
-        for lift in range(n_lifts):
-            target = -lift_depth * (lift + 1)
-            for group, volume, r_in, r_out, start_r in groups:
-                # retreating dump line: later trips stop short of all
-                # earlier piles on this lane
-                deposit_r = pad.radius + pad.berm_setback \
-                    + pad.berm_ring_spacing * (lane_trips[lane] - 1 - seq)
-                trips.append(Trip(
-                    lane=lane, lift=lift, seq=seq,
-                    azimuth_deg=360.0 * lane / n_lanes,
-                    start_r=start_r,
-                    deposit_r=deposit_r,
-                    target_elevation=target,
-                    cells=group,
-                    volume_loose=volume,
-                    r_in=r_in,
-                    r_out=r_out,
-                ))
-                seq += 1
+    # A lane's cells are cut in groups of cells_per_trip, the same groups
+    # in every lift; its trips run lift by lift and group by group.
+    lane = np.repeat(np.arange(n_lanes), lane_trips)
+    seq = np.arange(len(lane)) - (np.cumsum(lane_trips) - lane_trips)[lane]
+    lift, group = np.divmod(seq, lane_groups[lane])
+    lane_end = np.cumsum(lane_cells)
+    cell_start = (lane_end - lane_cells)[lane] + group * cells_per_trip
+    cell_stop = np.minimum(cell_start + cells_per_trip, lane_end[lane])
+    r_in = radii[cell_stop - 1]
+    start_r = start_r_of(r_in)
+    # retreating dump line: later trips stop short of all earlier piles
+    # on their lane
+    deposit_r = pad.radius + pad.berm_setback \
+        + pad.berm_ring_spacing * (lane_trips[lane] - 1 - seq)
+    volume = (cell_stop - cell_start) * vol_per_cell
 
-    for trip in trips:
-        push = trip.deposit_r - trip.start_r
-        if push > pad.max_push_distance:
-            raise ValueError(
-                f"lane {trip.lane} lift {trip.lift} needs a {push:.1f} m push; "
-                f"the {pad.max_push_distance:.9g} m push cap binds at this "
-                "pad radius and berm layout")
+    push = deposit_r - start_r
+    over = np.flatnonzero(push > pad.max_push_distance)
+    if len(over):
+        n = over[0]
+        raise ValueError(
+            f"lane {lane[n]} lift {lift[n]} needs a {push[n]:.1f} m push; "
+            f"the {pad.max_push_distance:.9g} m push cap binds at this "
+            "pad radius and berm layout")
 
-    planned_bank = sum(t.volume_bank for t in trips)
     plan = MissionPlan(
         pad=pad, vehicle=vehicle,
         n_lanes=n_lanes, n_lifts=n_lifts, lift_depth=lift_depth,
-        shape=shape, origin=origin,
-        claims=claims, trips=trips,
-        planned_bank_volume=planned_bank,
+        shape=shape, origin=origin, claims=claims, rows=rows, cols=cols,
+        lane=lane, lift=lift, seq=seq, start_r=start_r, deposit_r=deposit_r,
+        target_elevation=-lift_depth * (lift + 1), volume_loose=volume,
+        r_in=r_in, r_out=radii[cell_start],
+        cell_start=cell_start, cell_stop=cell_stop,
+        planned_bank_volume=ordered_sum(volume / SWELL_FACTOR),
     )
     plan.energy_budget = estimate_energy(plan, vehicle, env, soil)
     return plan
@@ -389,50 +386,49 @@ def estimate_energy(
     on small pads, where those legs are the largest share of the work.
     """
     g = env.gravity
-    k = soil.anchor_work_slope
     cell = plan.pad.cell_size
-    total = 0.0
-    lane_changes = 0
-    last_lane = -1
-    for trip in plan.trips:
-        if trip.lane != last_lane:
-            lane_changes += 1
-            last_lane = trip.lane
-        r_lo = trip.r_in - 0.5 * cell
-        r_hi = trip.r_out + 0.5 * cell
-        depth = -trip.target_elevation
-        face_work = vehicle.blade_cut_coeff * soil.resistance_at(depth) \
-            * trip.volume_bank
-        drag_full = vehicle.prism_drag(trip.volume_loose, soil.loose_density, g)
-        drag_work = drag_full * (0.5 * (r_hi - r_lo)
-                                 + max(0.0, trip.deposit_r - r_hi))
-        climb = vehicle.loaded_weight(trip.volume_loose, soil.loose_density, g) * depth
-        useful = face_work + drag_work + climb
-        loaded_span = max(trip.deposit_r - r_lo, cell)
-        mean_draft = useful / loaded_span
-        stroke_gain = max(
-            vehicle.stroke_length - 2.0 * anchoring_slip(mean_draft, soil), 1e-6)
-        halves = math.ceil(2.0 * loaded_span / stroke_gain)
-        anchoring = halves * k * mean_draft
-        total += useful + anchoring * (1.0 + vehicle.extraction_ratio)
+    r_lo = plan.r_in - 0.5 * cell
+    r_hi = plan.r_out + 0.5 * cell
+    depth = -plan.target_elevation
+    # resistance is read once per lift depth
+    depths, depth_of = np.unique(depth, return_inverse=True)
+    resistance = np.array([soil.resistance_at(d) for d in depths.tolist()])
+    face_work = vehicle.blade_cut_coeff * resistance[depth_of] \
+        * (plan.volume_loose / SWELL_FACTOR)
+    drag_full = vehicle.prism_drag(plan.volume_loose, soil.loose_density, g)
+    drag_work = drag_full * (0.5 * (r_hi - r_lo)
+                             + np.maximum(0.0, plan.deposit_r - r_hi))
+    volumes, volume_of = np.unique(plan.volume_loose, return_inverse=True)
+    weight = np.array([vehicle.loaded_weight(v, soil.loose_density, g)
+                       for v in volumes.tolist()])
+    climb = weight[volume_of] * depth
+    useful = face_work + drag_work + climb
+    loaded_span = np.maximum(plan.deposit_r - r_lo, cell)
+    mean_draft = useful / loaded_span
+    slip = np.array([anchoring_slip(f, soil) for f in mean_draft.tolist()])
+    stroke_gain = np.maximum(vehicle.stroke_length - 2.0 * slip, 1e-6)
+    halves = np.ceil(2.0 * loaded_span / stroke_gain)
+    anchoring = halves * soil.anchor_work_slope * mean_draft
+    total = ordered_sum(useful + anchoring * (1.0 + vehicle.extraction_ratio))
+    lane_changes = int(np.count_nonzero(np.diff(plan.lane, prepend=-1)))
     pivot_friction = soil.surface_friction * 0.5 * vehicle.mass * g
-    total += lane_changes * pivot_friction * math.pi * vehicle.gauge
-    return total
+    return total + lane_changes * pivot_friction * math.pi * vehicle.gauge
 
 
-def predict_peak_draft(plan: MissionPlan, trip: Trip, env: Environment,
+def predict_peak_draft(vehicle: VehicleSpec, target_elevation: float,
+                       volume_loose: float, env: Environment,
                        soil: SoilProfile) -> float:
-    """Worst draft a trip should see: a full-width cut at the per-pass
+    """Worst draft a trip carrying `volume_loose` m^3 down to
+    `target_elevation` should see: a full-width cut at the per-pass
     thickness limit, full prism drag, and the climb over the pit rim
     averaged across the machine's own support footprint."""
-    vehicle = plan.vehicle
     g = env.gravity
-    depth = -trip.target_elevation
+    depth = -target_elevation
     face = vehicle.blade_cut_coeff * vehicle.blade_width \
         * vehicle.blade_max_cut * soil.resistance_at(depth)
-    drag = vehicle.prism_drag(trip.volume_loose, soil.loose_density, g)
+    drag = vehicle.prism_drag(volume_loose, soil.loose_density, g)
     rim_sin = depth / math.hypot(depth, vehicle.gauge)
-    climb = vehicle.loaded_weight(trip.volume_loose, soil.loose_density, g) * rim_sin
+    climb = vehicle.loaded_weight(volume_loose, soil.loose_density, g) * rim_sin
     return face + drag + climb
 
 
@@ -440,14 +436,13 @@ def validate_plan(
     plan: MissionPlan,
     env: Environment,
     soil: SoilProfile,
-    terrain: Terrain | None = None,
 ) -> list[str]:
     """Feasibility findings for a plan; empty means clear to execute.
 
     Checks every trip against the push-distance cap, blade capacity,
-    anchoring capacity and flip stability at the predicted peak draft,
-    the loaded-slope doctrine on the starting terrain, and crust
-    penetrability.  Findings are data for the operator, not errors.
+    and anchoring capacity and flip stability at the predicted peak
+    draft, and the crust against the spike press.  Findings are data
+    for the operator, not errors.
     """
     vehicle = plan.vehicle
     violations: list[str] = []
@@ -459,39 +454,35 @@ def validate_plan(
                 f"duricrust at {soil.duricrust.strength:.9g} Pa resists the "
                 f"{press:.9g} N spike press; spikes cannot seat")
 
-    start_slope = terrain.max_surface_slope_deg() if terrain is not None else 0.0
-    if not traverse_check(min(start_slope, 89.9), True, soil.repose_angle_deg):
-        violations.append(
-            f"starting terrain has {start_slope:.1f} deg slopes above the "
-            "loaded traverse limit")
-
-    load_findings: dict[tuple[float, float], str | None] = {}
-    for n, trip in enumerate(plan.trips):
-        push = trip.deposit_r - trip.start_r
-        if push > plan.pad.max_push_distance + 1e-9:
+    cap = plan.pad.max_push_distance
+    push = plan.deposit_r - plan.start_r
+    long_push = push > cap + 1e-9
+    heaped = plan.volume_loose > vehicle.blade_capacity + 1e-9
+    # The peak draft depends only on the lift and the load: one complex
+    # key, target + 1j * volume, per distinct load.
+    loads, load_of = np.unique(plan.target_elevation + 1j * plan.volume_loose,
+                               return_inverse=True)
+    load_findings: dict[int, str] = {}
+    for k, load in enumerate(loads.tolist()):
+        draft = predict_peak_draft(vehicle, load.real, load.imag, env, soil)
+        seated = vehicle.seat(draft, soil, len(vehicle.spike_offsets))
+        if seated is None:
+            load_findings[k] = (f"predicted draft {draft:.9g} N exceeds spike "
+                                "holding capacity at full seating depth")
+        elif draft * seated[2] >= vehicle.hold_down(draft, env.gravity, False):
+            load_findings[k] = (f"predicted draft {draft:.9g} N lifts the "
+                                "machine at the seated thrust angle; flip risk")
+    flagged = long_push | heaped | np.isin(load_of, list(load_findings))
+    for n in np.flatnonzero(flagged).tolist():
+        if long_push[n]:
+            violations.append(f"trip {n}: push distance {push[n]:.9g} m "
+                              f"exceeds the {cap:.9g} m cap")
+        if heaped[n]:
             violations.append(
-                f"trip {n}: push distance {push:.9g} m exceeds the "
-                f"{plan.pad.max_push_distance:.9g} m cap")
-        if trip.volume_loose > vehicle.blade_capacity + 1e-9:
-            violations.append(
-                f"trip {n}: planned prism {trip.volume_loose:.9g} m3 exceeds "
-                f"blade capacity {vehicle.blade_capacity:.9g} m3")
-        # the peak draft depends only on the lift and the load
-        load = (trip.target_elevation, trip.volume_loose)
-        if load not in load_findings:
-            draft = predict_peak_draft(plan, trip, env, soil)
-            seated = vehicle.seat(draft, soil, len(vehicle.spike_offsets))
-            load_findings[load] = None
-            if seated is None:
-                load_findings[load] = (
-                    f"predicted draft {draft:.9g} N exceeds spike "
-                    "holding capacity at full seating depth")
-            elif draft * seated[2] >= vehicle.hold_down(draft, env.gravity, False):
-                load_findings[load] = (
-                    f"predicted draft {draft:.9g} N lifts the machine "
-                    "at the seated thrust angle; flip risk")
-        if load_findings[load] is not None:
-            violations.append(f"trip {n}: {load_findings[load]}")
+                f"trip {n}: planned prism {plan.volume_loose[n]:.9g} m3 "
+                f"exceeds blade capacity {vehicle.blade_capacity:.9g} m3")
+        if load_of[n] in load_findings:
+            violations.append(f"trip {n}: {load_findings[load_of[n]]}")
     return violations
 
 
@@ -503,17 +494,17 @@ def describe_plan(plan: MissionPlan) -> str:
         f"radius {pad.radius:.9g} m, depth {pad.depth:.9g} m, "
         f"cell {pad.cell_size:.9g} m",
         f"lanes {plan.n_lanes}, lifts {plan.n_lifts} of "
-        f"{plan.lift_depth:.9g} m, trips {len(plan.trips)}",
+        f"{plan.lift_depth:.9g} m, trips {len(plan.lane)}",
         f"planned bank volume {plan.planned_bank_volume:.9g} m3",
         f"energy budget {plan.energy_budget:.9g} J",
         "",
         "trip,lane,lift,azimuth_deg,start_r,deposit_r,target_z,cells,volume_loose",
     ]
-    for n, t in enumerate(plan.trips):
-        lines.append(
-            f"{n},{t.lane},{t.lift},{t.azimuth_deg:.9g},{t.start_r:.9g},"
-            f"{t.deposit_r:.9g},{t.target_elevation:.9g},{len(t.cells)},"
-            f"{t.volume_loose:.9g}")
+    columns = (plan.lane, plan.lift, plan.lane_azimuth_deg(plan.lane),
+               plan.start_r, plan.deposit_r, plan.target_elevation,
+               plan.cell_stop - plan.cell_start, plan.volume_loose)
+    lines.extend("%d,%d,%d,%.9g,%.9g,%.9g,%.9g,%d,%.9g" % row for row in zip(
+        range(len(plan.lane)), *(column.tolist() for column in columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -578,7 +569,7 @@ def execute_plan(
                     "the claim margin")
             current_lane = trip.lane
         _move_to_r(machine, trip.azimuth_deg, trip.start_r)
-        machine.set_blade(trip.target_elevation, mask=trip.cells.frozen())
+        machine.set_blade(trip.target_elevation, mask=trip.cells)
         machine.advance(trip.deposit_r - trip.start_r)
         machine.set_blade(None)
         machine.dump_prism()

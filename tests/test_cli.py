@@ -475,6 +475,28 @@ class TestPlan:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("pad, refusal", [
+        ({"radius": 1000.0, "max_push_distance": 5000.0},
+         "a 1000 m pad at 0.25 m cells needs a 8002 x 8002 cell claim "
+         "window, over the 4194304 cell limit"),
+        ({"radius": 2.0, "berm_ring_spacing": 1000.0,
+          "max_push_distance": 1e6},
+         "a 2 m pad at 0.25 m cells needs a 8120 x 8120 cell grid, over "
+         "the 4194304 cell limit")], ids=["claim_window", "grid"])
+    def test_pad_too_large_to_grid_exits_1(self, tmp_path, pad, refusal):
+        # With the push cap lifted, only the cell bound keeps these pads
+        # from allocating gigabytes; under a 1 GiB cap a refusal made
+        # before each allocation is the only clean end.
+        doc = {"name": "wide", "environment": "moon", "soil": "soft",
+               "vehicle": "construction", "pad": pad}
+        rc, err = run_cli(["plan", "--scenario",
+                           str(write_scenario(tmp_path, doc)),
+                           "--out", str(tmp_path / "out")],
+                          max_memory=2**30)
+        assert rc == 1
+        assert err == f"error: {refusal}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_rejects_more_than_one_scenario(self, tmp_path, capsys):
         # the second file has no pad, so planning only the first would
         # drop it without a word

@@ -3,8 +3,8 @@
 The artifacts of a fixed scenario and seed stay byte for byte the same
 across refactors.  These sha256 digests pin the `simulate` artifacts of
 three presets and of a drive on a large patch-soil map, the `plan`
-listings of the pad mission and of two more pad layouts, and the stuck
-preset's failure.  A change meant to alter an output updates its digest
+listings of the pad mission, of two more pad layouts and of a pad with
+findings, and the stuck preset's failure.  A change meant to alter an output updates its digest
 here and says why in CHANGES.md.
 """
 
@@ -101,6 +101,10 @@ PAD_PLANS = {
     (9.979845551933689, 0.2):
         "94dd26d347958c6749a4e448dd8bd88b0f70807c4c67ade8fcba0ee33bc0a68c",
 }
+# The `plan` listing of a medium-soil Mars pad, r = 10 m and d = 0.30 m,
+# whose fuller prisms lift the machine: 76 findings over its 128 trips
+# pin the findings' text and order.
+MARS_PLAN = "8ce9d5f0a35980e2ba61b3ee30b05115021d73043da645a6f383032538a2d4ea"
 STUCK = ("runtime failure: crust resists the spike press and sliding "
          "friction cannot react 600.0 N\n")
 
@@ -143,6 +147,17 @@ def test_pad_layout_plan(radius, cell_size, tmp_path):
     rc = cli.main(["plan", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert rc == 0
     assert digests(tmp_path / "out") == {"plan.txt": PAD_PLANS[radius, cell_size]}
+
+
+def test_pad_plan_with_findings(tmp_path):
+    path = tmp_path / "pad.json"
+    path.write_text(json.dumps({
+        "name": "pad", "environment": "mars", "soil": "medium",
+        "vehicle": "construction", "seed": 0,
+        "pad": {"radius": 10.0, "depth": 0.30, "cell_size": 0.25}}))
+    rc = cli.main(["plan", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert digests(tmp_path / "out") == {"plan.txt": MARS_PLAN}
 
 
 def test_crust_stuck_failure(tmp_path, capsys):

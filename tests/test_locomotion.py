@@ -707,6 +707,21 @@ class TestDumpAndLedger:
             totals["useful"] + totals["anchoring"] + totals["extraction"])
         assert 0.0 < totals["efficiency"] <= 1.0
 
+    def test_energy_totals_add_in_record_order(self):
+        # Since Python 3.12 the builtin sum compensates: ten 0.1 J cycles
+        # give 1.0 there and 0.9999999999999999 added in order.
+        m = Machine(REFERENCE, flat(), EARTH)
+        m.advance(1.0)
+        m.cycles = [replace(m.cycles[0], useful_work=0.1, anchoring_work=0.1,
+                            extraction_work=0.1)] * 10
+        in_order = 0.0
+        for _ in m.cycles:
+            in_order += 0.1
+        totals = m.energy_totals()
+        assert totals["useful"] == totals["anchoring"] \
+            == totals["extraction"] == in_order
+        assert totals["total"] == 3.0 * in_order
+
     def test_fresh_machine_reports_unity_efficiency(self):
         m = Machine(REFERENCE, flat(), EARTH)
         totals = m.energy_totals()
