@@ -24,7 +24,7 @@ reconstructed from the pin position, so the anchor point cannot drift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .earthworks import SWELL_FACTOR, Terrain, ripper_draft
 from .errors import FlipInstability, SimulationError, VehicleStuck
 from .sensing import PenetrationRecorder
 from .soils import Environment, SoilProfile, crust_breaks
-from .traction import SpikeGeometry, anchoring_slip, anchoring_work
+from .traction import SpikeGeometry, anchoring_slip, anchoring_work, ripper_downforce
 
 STEP = 0.01  # m, quasi-static integration increment
 TURN_CLOSE = 1e-9  # rad, heading error a turn closes to before it stops
@@ -181,8 +181,14 @@ class VehicleSpec:
         draft * tan(gamma) when ripping.  `draft` is a float or an array."""
         hold = self.mass * g
         if ripping:
-            hold = hold + draft * math.tan(math.radians(self.ripper_rake_deg))
+            hold = hold + ripper_downforce(draft, self.ripper_rake_deg)
         return hold
+
+    def flips(self, draft, tan_beta: float, g: float, ripping: bool):
+        """Whether `draft` flips a frame whose spikes are seated at
+        `tan_beta`: the lift draft * tan(beta) reaches the hold-down.
+        `draft` is a float or an array."""
+        return draft * tan_beta >= self.hold_down(draft, g, ripping)
 
     def crust_press(self, g: float) -> float:
         """Normal force a spike tip presses on intact crust (N): the
@@ -265,12 +271,7 @@ class CycleRecord:
         return self.useful_work / total if total > 0.0 else 1.0
 
 
-RECORD_FIELDS = (
-    "index", "mode", "x", "y", "heading_deg", "free_advance",
-    "center_advance", "draft_peak", "seat_depth", "slip",
-    "useful_work", "anchoring_work", "extraction_work", "prism_volume",
-    "spill_volume",
-)
+RECORD_FIELDS = tuple(f.name for f in fields(CycleRecord))
 
 
 @dataclass
@@ -285,6 +286,56 @@ class BladeSetting:
     mask: frozenset[tuple[int, int]] | None = None
 
 
+def price_steps(rise, level, density, friction, face, rip, prism: float,
+                extra_draft: float, spec: VehicleSpec, g: float,
+                anchor: AnchorState | None):
+    """Price straight steps: the draft of each and whether `anchor` holds it.
+
+    Per-step inputs are arrays over a run of steps, or floats for one
+    step, which stays scalar work.  `rise` is the fore-minus-aft height
+    difference, along the travel direction, of samples half a footprint
+    either side of the center, so the rigid machine bridges single-cell
+    steps; where `level` the footprint is off the map.  `density` is the
+    loose density under the center (None when no prism can be carried)
+    and `friction` the seated frame's skid friction, which reacts draft
+    in parallel with its spikes.  `face` (plus the prism's ground drag)
+    and `rip` are the blade and tine forces, None for a raised tool;
+    `prism` is the blade load and `extra_draft` the tow load.
+
+    Returns (drafts, held, clears): the drafts (N, floored at 0); how many
+    steps the anchor holds before the first it cannot, all of them with
+    no anchor; and per step whether the draft clears the anchor's
+    capacity, so its spikes must deepen or its sliding friction gives.
+    A step the anchor cannot hold and whose draft does not clear it
+    flips the machine.
+    """
+    one = isinstance(rise, float)
+    gauge = spec.gauge
+    if one:
+        grade = 0.0 if level else rise / math.hypot(gauge, rise)
+    else:
+        hyp = np.full(rise.shape, gauge)  # hypot(gauge, 0) is gauge
+        tilted = rise.nonzero()[0]
+        hyp[tilted] = [math.hypot(gauge, d) for d in rise[tilted].tolist()]
+        grade = np.where(level, 0.0, rise / hyp)
+    total = extra_draft + spec.loaded_weight(prism, density, g) * grade
+    if face is not None:
+        total = total + (face + spec.prism_drag(prism, density, g))
+    if rip is not None:
+        total = total + rip
+    drafts = (total if total > 0.0 else 0.0) if one else np.where(total > 0.0, total, 0.0)
+    if anchor is None:
+        return drafts, 1 if one else len(drafts), False
+    if anchor.by_friction:
+        clears = event = drafts > anchor.capacity
+    else:
+        clears = drafts > anchor.capacity + friction
+        event = clears | spec.flips(drafts, anchor.tan_beta, g, rip is not None)
+    if one:
+        return drafts, int(not event), clears
+    return drafts, int(event.argmax()) if event.any() else len(drafts), clears
+
+
 class _StrokePath:
     """The full steps left in a stroke, laid out ahead of the machine.
 
@@ -293,12 +344,14 @@ class _StrokePath:
     full `STEP` follow by running sums: the same additions, in the same
     order, as moving one step at a time.  The fore and aft grade samples
     of every step are located once; their heights are read as needed.
+    So are the skid friction and loose density under the center, which
+    `price_steps` takes along with the heights.
 
     `crossings` are the steps at which the working tool enters a new
     cell, where it may change the terrain and its load.  `stop` is the
-    step always taken on its own: step `n`, the trimmed last step or the
-    end of the stroke, or an earlier step that would collide the frames
-    and so raises.  `k` is the next step to take.
+    step always priced alone: step `n`, the trimmed last step or the end
+    of the stroke, or an earlier step that would collide the frames and
+    so raises.  `k` is the next step to take.
     """
 
     def __init__(self, machine: Machine, move_frame: str, motion: float,
@@ -582,40 +635,6 @@ class Machine:
         hx, hy = half * ux, half * uy
         return x + hx, y + hy, x - hx, y - hy
 
-    def _grades(self, dh: np.ndarray, level: np.ndarray | bool, motion: float) -> np.ndarray:
-        """Pitch of the support footprint along the travel direction, from
-        the fore-minus-aft height differences `dh`.
-
-        Heights are sampled half a footprint fore and aft of the center,
-        so the rigid machine bridges single-cell steps instead of seeing
-        the raw cell-edge gradient underneath one point.  Where `level`,
-        the footprint reaches off the map and reads as level.
-        """
-        gauge = self.spec.gauge
-        hyp = np.full(dh.shape, gauge)  # hypot(gauge, 0) is gauge
-        tilted = dh.nonzero()[0]
-        hyp[tilted] = [math.hypot(gauge, d) for d in dh[tilted].tolist()]
-        return np.where(level, 0.0, motion * dh / hyp)
-
-    def _drafts(self, grade, density, prism: float, face, rip) -> np.ndarray:
-        """Draft (N, floored at 0) at each step of a run, or at one step
-        when given floats.
-
-        `grade` is the footprint pitch and `density` the loose density
-        under the machine center at each step; `density` may be None when
-        no prism can be carried.  `prism` is the blade load through the
-        run.  `face` is the blade face force when cutting and `rip` the
-        tine force when ripping, each None for a raised tool.  The blade
-        adds its prism's ground drag to the face force.
-        """
-        spec, g = self.spec, self.env.gravity
-        total = self.extra_draft + spec.loaded_weight(prism, density, g) * grade
-        if face is not None:
-            total = total + (face + spec.prism_drag(prism, density, g))
-        if rip is not None:
-            total = total + rip
-        return np.where(total > 0.0, total, 0.0)
-
     def _fresh_draft(self, cutting: bool, ripping: bool, motion: float) -> float:
         """Clear the per-stroke tool state and return the draft at the
         present pose over a zero-length step, before any face is cut."""
@@ -629,13 +648,14 @@ class Machine:
             self._rip_face = 0.0
         fx, fy, ax, ay = self._grade_samples(self.x, self.y)
         try:
-            dh, level = self.terrain.height_at(fx, fy) - self.terrain.height_at(ax, ay), False
+            rise = motion * (self.terrain.height_at(fx, fy) - self.terrain.height_at(ax, ay))
+            level = False
         except ValueError:
-            dh, level = 0.0, True
+            rise, level = 0.0, True
         density = self._profile_at(self.x, self.y).loose_density
-        grade = float(self._grades(np.array([dh]), level, motion)[0])
-        return float(self._drafts(grade, density, self.prism,
-                                  0.0 if cutting else None, 0.0 if ripping else None))
+        return price_steps(rise, level, density, None, 0.0 if cutting else None,
+                           0.0 if ripping else None, self.prism, self.extra_draft,
+                           self.spec, self.env.gravity, None)[0]
 
     def _blade_cells(self, px: np.ndarray, py: np.ndarray) -> list[list]:
         """For each blade center (px, py): the cell it is in, then the
@@ -680,14 +700,6 @@ class Machine:
         self._face_force = work / self.terrain.cell_size
         self._face_run = self.terrain.cell_size
         return True
-
-    def _blade_face(self, ds: float) -> float:
-        """Blade face force over the next increment: the force of the last
-        cut, held for one cell length of travel."""
-        if self._face_run <= 0.0:
-            self._face_force = 0.0
-        self._face_run -= ds
-        return self._face_force
 
     def _cut_cell(self, i: int, j: int) -> tuple[float, float]:
         """Take one blade pass from the cell, respecting mask and cut limit.
@@ -755,42 +767,14 @@ class Machine:
             self._rip_face = face + drag
         return self._rip_face
 
-    def _must_deepen(self, frame: str, draft: float, friction: float) -> bool:
-        """True when `draft` needs deeper spikes: it clears their capacity
-        plus `friction`, the seated frame's skid friction, which reacts
-        draft in parallel with them.  A friction anchor cannot deepen, so
-        a draft beyond its capacity raises VehicleStuck."""
-        anchor = self.anchors[frame]
-        if anchor.by_friction:
-            if draft > anchor.capacity:
-                raise VehicleStuck(f"sliding friction anchor cannot react {draft:.1f} N")
-            return False
-        return draft > anchor.capacity + friction
-
     def _check_flip(self, seat_frame: str, draft: float, ripping: bool) -> None:
-        anchor = self.anchors[seat_frame]
-        if anchor.by_friction:
-            return
-        hold = self.spec.hold_down(draft, self.env.gravity, ripping)
-        if draft * anchor.tan_beta >= hold:
+        """Raise FlipInstability when `draft` flips the seated frame."""
+        anchor, g = self.anchors[seat_frame], self.env.gravity
+        if not anchor.by_friction and self.spec.flips(draft, anchor.tan_beta, g, ripping):
             beta = self.spec.spike.thrust_angle_deg(anchor.depth)
+            hold = self.spec.hold_down(draft, g, ripping)
             raise FlipInstability(
                 f"drawbar lift at beta={beta:.1f} deg exceeds {hold:.0f} N of hold-down")
-
-    def _first_hold_event(self, seat_frame: str, drafts: np.ndarray,
-                          friction: np.ndarray, ripping: bool) -> int:
-        """Index of the first step of a run whose draft the seated frame
-        cannot simply hold, as `_must_deepen` and `_check_flip` judge one
-        step, with `friction` the skid friction at each step: it needs
-        deeper spikes, exceeds a friction anchor, or flips the machine.
-        len(drafts) when every step holds."""
-        anchor = self.anchors[seat_frame]
-        if anchor.by_friction:
-            event = drafts > anchor.capacity
-        else:
-            hold = self.spec.hold_down(drafts, self.env.gravity, ripping)
-            event = (drafts > anchor.capacity + friction) | (drafts * anchor.tan_beta >= hold)
-        return int(event.argmax()) if event.any() else len(drafts)
 
     # ------------------------------------------------------------------
     # Linear half-cycle
@@ -803,12 +787,14 @@ class Machine:
         limits the relative frame travel for a partial move; it defaults
         to the full ram stroke.
 
-        The free frame advances in `STEP` increments.  Steps that change
-        neither the terrain nor the tool loads are priced and taken
-        together, from one reading of the terrain.  A step where a tool
-        cuts or rips, the anchor must deepen or the machine would flip,
-        and the trimmed last step are taken one at a time.  The numbers
-        are those of taking every step on its own.
+        The free frame advances in `STEP` increments, all priced by
+        `price_steps`.  The steps left are priced together, from one
+        reading of the terrain, and taken together up to the first at
+        which a tool cuts or rips, the seated frame cannot simply hold
+        the draft, or the stroke ends.  That step is priced again alone
+        and taken on its own: where the frame cannot hold it, the anchor
+        deepens first, then the machine flips or the frame slides.  The
+        numbers are those of taking every step on its own.
 
         `_draft` is for `advance` alone: the zero-length draft it already
         had `_fresh_draft` price for this phase at the present pose.
@@ -845,6 +831,7 @@ class Machine:
         useful = 0.0
         draft_peak = draft
         travelled = 0.0
+        spec, g = self.spec, self.env.gravity
         path = None
         while travelled < advance_total - 1e-12:
             if path is None:
@@ -857,9 +844,10 @@ class Machine:
             corners, tx, ty, _ = path.footprint
             fore, aft = self.terrain.blend(corners[..., k:e + 1], tx[:, k:e + 1],
                                            ty[:, k:e + 1])
-            grade = self._grades(fore - aft, path.level[k:e + 1], motion)
+            rise = motion * (fore - aft)
             density = path.density
             prism = self.prism
+            anchor = self.anchors[seat_frame]
             held = 0
             if m:
                 face = rip = runs = None
@@ -868,9 +856,9 @@ class Machine:
                     face = np.where(runs[:m] > 0.0, self._face_force, 0.0)
                 if ripping:
                     rip = np.where(path.rip_on[k:e], self._rip_face, 0.0)
-                drafts = self._drafts(grade[:m], None if density is None else density[k:e],
-                                      prism, face, rip)
-                held = self._first_hold_event(seat_frame, drafts, path.friction[k:e], ripping)
+                drafts, held, _ = price_steps(
+                    rise[:m], path.level[k:e], None if density is None else density[k:e],
+                    path.friction[k:e], face, rip, prism, self.extra_draft, spec, g, anchor)
             # The pricing holds up to the first step at which a tool cuts
             # or rips.  That step, a hold event or step e is taken on its
             # own once the steps before it are taken together.
@@ -890,8 +878,6 @@ class Machine:
                 travelled = float(path.travelled[k + s])
                 if cutting and not cut:  # a cut restarts the face run
                     self._face_run = float(runs[s])
-                    if not runs[s - 1] > 0.0:
-                        self._face_force = 0.0
             path.place(self, k + s)
             path.k = k + s
             ds = STEP
@@ -903,28 +889,33 @@ class Machine:
                     bx, by = self.blade_point()
                     bx, by = bx + motion * ds * ux, by + motion * ds * uy
                     self._enter_blade_cell(self._blade_cells(np.array([bx]), np.array([by]))[0])
-            face = self._blade_face(ds) if cutting else None
-            if cut or s == m:
-                rip = self._ripper_force(ds, motion) if ripping else None
-                new_draft = float(self._drafts(
-                    float(grade[s]), None if density is None else float(density[k + s]),
-                    prism, face, rip))
-            else:
-                new_draft = float(drafts[s])
+            # Price step s alone: its grade and prism as they stood before
+            # any cut there, its face and tine forces after.
+            face = (self._face_force if self._face_run > 0.0 else 0.0) if cutting else None
+            rip = self._ripper_force(ds, motion) if ripping else None
+            draft, held, clears = price_steps(
+                float(rise[s]), bool(path.level[k + s]),
+                None if density is None else float(density[k + s]),
+                float(path.friction[k + s]), face, rip, prism, self.extra_draft,
+                spec, g, anchor)
+            if cutting:
+                self._face_run -= ds
 
-            # Deepening rates the spikes for the whole measured draft.
-            if self._must_deepen(seat_frame, new_draft, path.friction[k + s]):
-                extra_slip, extra_work = self._deepen_anchor(seat_frame, new_draft)
-                anchor_work += extra_work
-                extra_slip = min(extra_slip, advance_total - travelled)
-                if extra_slip > 0.0:
-                    self._shift_frame(seat_frame, -motion * extra_slip)
-                    advance_total -= extra_slip
-                    slip_total += extra_slip
-                    path = None
-            draft = new_draft
+            if not held:
+                if clears:
+                    if anchor.by_friction:
+                        raise VehicleStuck(f"sliding friction anchor cannot react {draft:.1f} N")
+                    # Deepening rates the spikes for the whole measured draft.
+                    extra_slip, extra_work = self._deepen_anchor(seat_frame, draft)
+                    anchor_work += extra_work
+                    extra_slip = min(extra_slip, advance_total - travelled)
+                    if extra_slip > 0.0:
+                        self._shift_frame(seat_frame, -motion * extra_slip)
+                        advance_total -= extra_slip
+                        slip_total += extra_slip
+                        path = None
+                self._check_flip(seat_frame, draft, ripping)
             draft_peak = max(draft_peak, draft)
-            self._check_flip(seat_frame, draft, ripping)
             self._shift_frame(move_frame, motion * ds)
             useful += draft * ds
             travelled += ds

@@ -405,7 +405,7 @@ def estimate_energy(
     useful = face_work + drag_work + climb
     loaded_span = np.maximum(plan.deposit_r - r_lo, cell)
     mean_draft = useful / loaded_span
-    slip = np.array([anchoring_slip(f, soil) for f in mean_draft.tolist()])
+    slip = anchoring_slip(mean_draft, soil)
     stroke_gain = np.maximum(vehicle.stroke_length - 2.0 * slip, 1e-6)
     halves = np.ceil(2.0 * loaded_span / stroke_gain)
     anchoring = halves * soil.anchor_work_slope * mean_draft
@@ -469,7 +469,7 @@ def validate_plan(
         if seated is None:
             load_findings[k] = (f"predicted draft {draft:.9g} N exceeds spike "
                                 "holding capacity at full seating depth")
-        elif draft * seated[2] >= vehicle.hold_down(draft, env.gravity, False):
+        elif vehicle.flips(draft, seated[2], env.gravity, False):
             load_findings[k] = (f"predicted draft {draft:.9g} N lifts the "
                                 "machine at the seated thrust angle; flip risk")
     flagged = long_push | heaped | np.isin(load_of, list(load_findings))

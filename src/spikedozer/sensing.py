@@ -11,6 +11,7 @@ NaN marking cells never touched.
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -52,11 +53,12 @@ class PenetrationEvent:
     temperature_K: float
 
     def as_row(self) -> tuple:
-        return (self.index, self.x, self.y, self.depth,
-                self.min_q, self.mean_q, self.temperature_K)
+        return tuple(getattr(self, name) for name in EVENT_FIELDS)
 
 
-EVENT_FIELDS = ("index", "x", "y", "depth", "min_q", "mean_q", "temperature_K")
+# column -> the type its text parses to, in field order
+_EVENT_TYPES = inspect.get_annotations(PenetrationEvent, eval_str=True)
+EVENT_FIELDS = tuple(_EVENT_TYPES)
 
 
 def penetration_trace(
@@ -132,14 +134,7 @@ def load_events(path: str) -> list[PenetrationEvent]:
             raise ValueError(f"{path} lacks event columns: {sorted(missing)}")
         for row in reader:
             events.append(PenetrationEvent(
-                index=int(row["index"]),
-                x=float(row["x"]),
-                y=float(row["y"]),
-                depth=float(row["depth"]),
-                min_q=float(row["min_q"]),
-                mean_q=float(row["mean_q"]),
-                temperature_K=float(row["temperature_K"]),
-            ))
+                **{name: kind(row[name]) for name, kind in _EVENT_TYPES.items()}))
     return events
 
 

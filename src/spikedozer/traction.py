@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .soils import SoilProfile
 
 DEPTH_INCREMENT = 0.01  # m, seating depth resolution
@@ -64,14 +66,19 @@ def flip_margin(weight: float, drawbar: float, thrust_angle_deg: float) -> float
     return weight - lift_force(drawbar, thrust_angle_deg)
 
 
-def ripper_downforce(draft: float, rake_angle_deg: float) -> float:
+def _any_negative(value) -> bool:
+    """Whether a float, or any element of an array, is below zero."""
+    return bool((value < 0.0).any()) if isinstance(value, np.ndarray) else value < 0.0
+
+
+def ripper_downforce(draft, rake_angle_deg: float):
     """Extra hold-down from dragging a raked tine: F_dr * tan(gamma).
 
     The soil reaction on a tine raked at gamma from vertical has a
     downward component, so ripping transfers weight onto the machine
-    instead of lifting it.
+    instead of lifting it.  `draft` is a float or an array.
     """
-    if draft < 0.0:
+    if _any_negative(draft):
         raise ValueError("ripper draft must be non-negative")
     if not 0.0 <= rake_angle_deg < 90.0:
         raise ValueError(f"rake angle must be in [0, 90) deg, got {rake_angle_deg}")
@@ -187,20 +194,21 @@ def anchoring_work(force: float, profile: SoilProfile) -> float:
     return profile.anchor_work_slope * force
 
 
-def anchoring_slip(force: float, profile: SoilProfile) -> float:
+def anchoring_slip(force, profile: SoilProfile):
     """Stroke length lost to seating against `force`, per event (m).
 
     The frame being seated is pushed backward against a draft that ramps
     linearly from zero up to the stroke load F, so the seating energy is
     W = F * s / 2 over the slip distance s.  With W = k * F the slip is
     2k for every positive load; an unloaded frame seats without slipping
-    at all.
+    at all.  `force` is a float, giving a float, or an array.
     """
-    if force < 0.0:
+    if _any_negative(force):
         raise ValueError("anchored force must be non-negative")
-    if force == 0.0:
-        return 0.0
-    return 2.0 * profile.anchor_work_slope
+    slip = 2.0 * profile.anchor_work_slope
+    if isinstance(force, np.ndarray):
+        return np.where(force == 0.0, 0.0, slip)
+    return 0.0 if force == 0.0 else slip
 
 
 def tractive_efficiency(useful: float, anchoring: float, extraction: float = 0.0) -> float:

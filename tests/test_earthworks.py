@@ -13,7 +13,7 @@ from spikedozer.earthworks import (
     VolumeAudit,
     ripper_draft,
 )
-from spikedozer.locomotion import CONSTRUCTION, Machine
+from spikedozer.locomotion import CONSTRUCTION, price_steps
 from spikedozer.soils import (
     EARTH,
     HARD,
@@ -40,15 +40,16 @@ class TestBladeDraft:
 
     def test_face_plus_prism_drag(self):
         # k_b w (d_l q_l + d_b q_b) + mu rho V g on level ground
-        m = Machine(CONSTRUCTION, Terrain((8, 8), soil=SOFT), EARTH)
         face = 0.01 * 3.0 * (0.1 * 50e3 + 0.05 * 960e3)
         drag = 0.8 * 1200.0 * 0.5 * 9.81
-        assert float(m._drafts(0.0, 1200.0, 0.5, face, None)) \
-            == pytest.approx(face + drag)
+        draft, _, _ = price_steps(0.0, False, 1200.0, None, face, None, 0.5, 0.0,
+                                  CONSTRUCTION, EARTH.gravity, None)
+        assert draft == pytest.approx(face + drag)
 
     def test_empty_blade_off_the_ground_is_free(self):
-        m = Machine(CONSTRUCTION, Terrain((8, 8), soil=SOFT), MOON)
-        assert float(m._drafts(0.0, 1200.0, 0.0, 0.0, None)) == 0.0
+        draft, _, _ = price_steps(0.0, False, 1200.0, None, 0.0, None, 0.0, 0.0,
+                                  CONSTRUCTION, MOON.gravity, None)
+        assert draft == 0.0
 
     def test_drag_scales_with_gravity(self):
         assert CONSTRUCTION.prism_drag(1.0, 1200.0, 9.81) \

@@ -2,10 +2,11 @@
 
 The artifacts of a fixed scenario and seed stay byte for byte the same
 across refactors.  These sha256 digests pin the `simulate` artifacts of
-three presets and of a drive on a large patch-soil map, the `plan`
-listings of the pad mission, of two more pad layouts and of a pad with
-findings, and the stuck preset's failure.  A change meant to alter an output updates its digest
-here and says why in CHANGES.md.
+three presets, of a drive on a large patch-soil map and of a drive that
+takes many steps alone, the `plan` listings of the pad mission, of two
+more pad layouts and of a pad with findings, and the stuck preset's and a
+flipping tow's failures.  A change meant to alter an output updates its
+digest here and says why in CHANGES.md.
 """
 
 import hashlib
@@ -91,6 +92,63 @@ LARGE_MAP = {
     "surface.csv": "3ea6a90bc1f4438420ddb34acee27dac765b3e8915b190779ef9085b9517dedc",
     "trajectory.csv": "fa5d130b147a07a9a09e414cac3dd03f609cd9db78f749547a554d08e764c82f",
 }
+# A drive on a 1-degree slope whose steps are often taken alone: a tow
+# load plus a cut that deepens the anchor mid-stroke, a cut from an
+# unloaded seat that deepens with slip, a reverse advance, trimmed halves,
+# ripping into a loose patch and a towed leg anchored by friction on a
+# crust the bare press cannot break.
+CRUST = {"name": "crusted slick", "anchor_work_slope": 0.1,
+         "layers": [{"thickness": 10.0, "resistance": 960000.0,
+                     "friction_mu": 0.1, "density": 1500.0}],
+         "duricrust": {"strength": 150000.0, "thickness": 0.02}}
+SINGLE_STEP_DRIVE = {
+    "name": "single_steps", "environment": "moon",
+    "vehicle": {"preset": "reference", "name": "reference bare",
+                "has_crust_actuator": False},
+    "soil": {"preset": "soft", "patches": [
+        {"x_min": 5.0, "y_min": 1.0, "x_max": 9.0, "y_max": 4.0, "soil": LOOSE},
+        {"x_min": -8.0, "y_min": 4.5, "x_max": 3.5, "y_max": 7.0, "soil": CRUST}]},
+    "seed": 5, "sensing": {"noise_rel": 0.02},
+    "terrain": {"extent": [20.0, 20.0], "cell_size": 0.25, "slope_deg": 1.0,
+                "slope_azimuth_deg": 30.0},
+    "start": {"x": 0.0, "y": -3.0, "heading_deg": 0.0},
+    "drive": [
+        {"op": "tow", "force": 100.0},
+        {"op": "blade", "target_elevation": 0.0},
+        {"op": "advance", "distance": 3.0},
+        {"op": "blade", "target_elevation": None},
+        {"op": "tow", "force": 0.0},
+        {"op": "dump"},
+        {"op": "advance", "distance": 1.7, "reverse": True},
+        {"op": "advance", "halves": 3, "stroke": 1.3},
+        {"op": "blade", "target_elevation": 0.0},
+        {"op": "advance", "distance": 1.5},
+        {"op": "blade", "target_elevation": None},
+        {"op": "dump"},
+        {"op": "turn_by", "delta_deg": 90.0},
+        {"op": "ripper", "depth": 0.06},
+        {"op": "tow", "force": 100.0},
+        {"op": "advance", "distance": 6.0},
+        {"op": "ripper", "depth": 0.0},
+        {"op": "turn_by", "delta_deg": 90.0},
+        {"op": "tow", "force": 0.0},
+        {"op": "blade", "target_elevation": 0.09},
+        {"op": "advance", "distance": 2.5},
+        {"op": "blade", "target_elevation": None},
+        {"op": "dump"},
+        {"op": "tow", "force": 40.0},
+        {"op": "advance", "distance": 4.5},
+        {"op": "relax"},
+    ],
+}
+SINGLE_STEPS = {
+    "bank.csv": "d7dda68b9e5cafc9a5885d00aa3bee109f0c793d020ef616c6b4ab4e4946285e",
+    "energy.csv": "2d17be4705cbde5236e52583331652205b1995ef5a1087f238b9f6e777e22531",
+    "events.csv": "3cd9f59e89bddd2d8eaa66d7349f08c0123215eaca688ce40bda500257d8784a",
+    "loose.csv": "e42c5a41722829877d977cc4b8f42de9226087e8d36c9b839f53356406c3a800",
+    "surface.csv": "929b8ba04cb6ab54c2fbda63286d7acff2b7a862f90575173239fa7726a1214a",
+    "trajectory.csv": "73a3acdeb0f2f33f83aa1beecb3648e6e2c6f4a7de530a51232adf2b2bb55aa5",
+}
 PLAN = "c0e82c3c84fadeaa01dde8ccf9c08121cd41a02514a19d04ef44195d0df89776"
 # `plan` listings of two soft lunar pads, keyed by (radius, cell size):
 # the widest benchmark pad, with 77 lanes, and a pad whose 0.2 m cells are
@@ -107,6 +165,9 @@ PAD_PLANS = {
 MARS_PLAN = "8ce9d5f0a35980e2ba61b3ee30b05115021d73043da645a6f383032538a2d4ea"
 STUCK = ("runtime failure: crust resists the spike press and sliding "
          "friction cannot react 600.0 N\n")
+# A 1,400 N tow on the reference machine under lunar gravity.
+FLIP = ("runtime failure: drawbar lift at beta=51.4 deg exceeds 1635 N of "
+        "hold-down\n")
 
 
 def digests(out_dir):
@@ -120,6 +181,14 @@ def test_simulate_artifacts(name, tmp_path):
                    "--out", str(tmp_path)])
     assert rc == 0
     assert digests(tmp_path) == SIMULATE[name]
+
+
+def test_drive_of_single_steps(tmp_path):
+    path = tmp_path / "drive.json"
+    path.write_text(json.dumps(SINGLE_STEP_DRIVE))
+    rc = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert digests(tmp_path / "out") == SINGLE_STEPS
 
 
 def test_drive_on_a_large_patch_map(tmp_path):
@@ -165,3 +234,14 @@ def test_crust_stuck_failure(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == STUCK
+
+
+def test_tow_flip_failure(tmp_path, capsys):
+    path = tmp_path / "flip.json"
+    path.write_text(json.dumps({
+        "name": "flip", "environment": "moon", "vehicle": "reference", "soil": "soft",
+        "terrain": {"extent": [20.0, 20.0]},
+        "drive": [{"op": "tow", "force": 1400.0}, {"op": "advance", "distance": 1.0}]}))
+    rc = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == FLIP

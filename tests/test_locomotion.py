@@ -20,6 +20,7 @@ from spikedozer.locomotion import (
     VehicleSpec,
     _StrokePath,
     conventional_drawbar_per_mass,
+    price_steps,
     traverse_check,
 )
 from spikedozer.scenario import load_scenario, run_scenario
@@ -502,6 +503,22 @@ class TestFlipGuard:
         with pytest.raises(FlipInstability, match="lift"):
             m.half_cycle()
 
+    def test_a_deepened_anchor_flips_on_the_step_it_deepens(self):
+        # The cut face lifts the draft past the towed anchor mid-stroke;
+        # the spikes deepen, and their steeper arm flips the machine
+        # before it moves on.
+        class Recording(Machine):
+            def _deepen_anchor(self, frame, new_force):
+                self.deepened_at = (self.x, self.y)
+                return super()._deepen_anchor(frame, new_force)
+
+        m = Recording(REFERENCE, flat(), MOON)
+        m.extra_draft = 900.0
+        m.set_blade(-0.05)
+        with pytest.raises(FlipInstability, match="lift"):
+            m.half_cycle()
+        assert (m.x, m.y) == m.deepened_at
+
     def test_same_draft_is_stable_under_earth_weight(self):
         m = Machine(REFERENCE, flat(), EARTH)
         m.extra_draft = 1400.0
@@ -510,8 +527,8 @@ class TestFlipGuard:
 
 
 class TestHoldRules:
-    """The run rule `_first_hold_event` against the single-step rule,
-    `_must_deepen` then `_check_flip`, on a rear anchor set by hand."""
+    """The hold rule of `price_steps`, priced at one step and over a run,
+    on a rear anchor set by hand."""
 
     @staticmethod
     def machine(env, rake, anchor):
@@ -558,15 +575,38 @@ class TestHoldRules:
         return out
 
     @staticmethod
-    def event(m, draft, friction, ripping):
-        """True when the single-step rule deepens, sticks or flips."""
-        try:
-            if m._must_deepen("rear", draft, friction):
-                return True
-            m._check_flip("rear", draft, ripping)
-        except (VehicleStuck, FlipInstability):
+    def clears(m, draft, friction):
+        """True when `draft` clears the anchor's capacity: a friction
+        anchor gives, or spikes must deepen past capacity plus friction."""
+        anchor = m.anchors["rear"]
+        if anchor.by_friction:
+            return draft > anchor.capacity
+        return draft > anchor.capacity + friction
+
+    @classmethod
+    def event(cls, m, draft, friction, ripping):
+        """True when the anchor clears its capacity, or when the spikes'
+        lift draft * tan(beta) reaches the weight plus, when ripping, the
+        tine downforce draft * tan(rake)."""
+        anchor = m.anchors["rear"]
+        if cls.clears(m, draft, friction):
             return True
-        return False
+        hold = m.spec.mass * m.env.gravity
+        if ripping:
+            hold += draft * math.tan(math.radians(m.spec.ripper_rake_deg))
+        return not anchor.by_friction and draft * anchor.tan_beta >= hold
+
+    @staticmethod
+    def price(m, drafts, friction, ripping):
+        """`price_steps` on level ground with each draft as the tow load:
+        one step for a float, a run for a list."""
+        if isinstance(drafts, float):
+            zero, level = 0.0, True
+        else:
+            drafts, friction = np.array(drafts), np.array(friction)
+            zero, level = np.zeros(len(drafts)), np.ones(len(drafts), bool)
+        return price_steps(zero, level, None, friction, None, zero if ripping else None,
+                           0.0, drafts, m.spec, m.env.gravity, m.anchors["rear"])
 
     @pytest.mark.parametrize("env", [MOON, EARTH])
     @pytest.mark.parametrize("rake", [0.0, 5.0, 35.0])
@@ -576,10 +616,14 @@ class TestHoldRules:
             m = self.machine(env, rake, anchor)
             for f in self.frictions(m):
                 for bound in self.bounds(m, f, ripping):
-                    for draft in self.around(bound):
-                        held = m._first_hold_event("rear", np.array([draft]), np.array([f]),
-                                                   ripping)
-                        assert held == (0 if self.event(m, draft, f, ripping) else 1)
+                    for tow in self.around(bound):
+                        draft = max(tow, 0.0)  # drafts are floored at 0
+                        held = 0 if self.event(m, draft, f, ripping) else 1
+                        clears = self.clears(m, draft, f)
+                        assert self.price(m, tow, f, ripping) == (draft, held, clears)
+                        drafts, run_held, run_clears = self.price(m, [tow], [f], ripping)
+                        assert drafts.tolist() == [draft]
+                        assert (run_held, run_clears.tolist()) == (held, [clears])
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -600,10 +644,12 @@ class TestHoldRules:
                 draft = data.draw(st.floats(0.0, top))
             drafts.append(draft)
             friction.append(f)
-        friction = np.array(friction)
-        expected = next((i for i, d in enumerate(drafts)
-                         if self.event(m, d, friction[i], ripping)), len(drafts))
-        assert m._first_hold_event("rear", np.array(drafts), friction, ripping) == expected
+        steps = [self.price(m, d, f, ripping) for d, f in zip(drafts, friction)]
+        held = next((i for i, step in enumerate(steps) if step[1] == 0), len(drafts))
+        run, run_held, clears = self.price(m, drafts, friction, ripping)
+        assert run.tolist() == [step[0] for step in steps]
+        assert run_held == held
+        assert clears.tolist() == [step[2] for step in steps]
 
 
 class TestBlade:

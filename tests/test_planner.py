@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spikedozer.earthworks import SWELL_FACTOR, Terrain
+from spikedozer.earthworks import SWELL_FACTOR
 from spikedozer import planner
-from spikedozer.locomotion import CONSTRUCTION, REFERENCE, Machine
+from spikedozer.locomotion import CONSTRUCTION, REFERENCE, price_steps
 from spikedozer.planner import (
     LANE_ALIGNMENT_MARGIN,
     PadSpec,
@@ -393,10 +393,8 @@ class TestPeakDraft:
         plan = replace(plan, vehicle=vehicle)
         trip = plan.trips[-1]
         depth = -trip.target_elevation
-        machine = Machine(vehicle, Terrain((4, 4), soil=SOFT), env)
-        grade = float(machine._grades(np.array([depth]), False, 1.0)[0])
-        simulated = float(machine._drafts(grade, SOFT.loose_density,
-                                          trip.volume_loose, 0.0, None))
+        simulated, _, _ = price_steps(depth, False, SOFT.loose_density, None, 0.0, None,
+                                      trip.volume_loose, 0.0, vehicle, env.gravity, None)
         assert predict_peak_draft(vehicle, trip.target_elevation,
                                   trip.volume_loose, env, SOFT) == simulated
 
