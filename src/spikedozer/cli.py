@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import SimulationError
 from .locomotion import RECORD_FIELDS, VEHICLES, conventional_drawbar_per_mass
-from .planner import describe_plan, plan_pad_mission, validate_plan
-from .rasters import fmt, write_raster, write_table
+from .planner import MAX_GRID_CELLS, describe_plan, plan_pad_mission, validate_plan
+from .rasters import fmt, write_raster, write_table, write_text
 from .scenario import RunResult, load_scenario, run_scenario
 from .sensing import EVENT_FIELDS, load_events, rasterize_events
 from .soils import ENVIRONMENTS, SOILS
@@ -75,9 +75,7 @@ def _write_plan_file(path: str, plan, violations: list[str]) -> None:
         text += "\nfindings\n" + "\n".join(violations) + "\n"
     else:
         text += "\nfindings\nnone\n"
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_text(path, text)
 
 
 def _run_one(path: str, out_dir: str, seed: int | None,
@@ -144,6 +142,15 @@ def _cmd_plan(args) -> int:
     return 0
 
 
+def _survey_axis(values: list[float], cell: float) -> tuple[float, float]:
+    """Origin and cell count of one axis of a survey raster over `values`;
+    the count is inf where the float arithmetic overflows."""
+    low = min(values) / cell
+    origin = math.floor(low) * cell if math.isfinite(low) else math.nan
+    span = (max(values) - origin) / cell
+    return origin, math.floor(span) + 1 if math.isfinite(span) else math.inf
+
+
 def _cmd_map(args) -> int:
     cell = args.cell_size
     if not (math.isfinite(cell) and cell > 0.0):
@@ -152,12 +159,11 @@ def _cmd_map(args) -> int:
     events = load_events(args.events)
     if not events:
         raise ValueError(f"{args.events} holds no events to map")
-    xs = [ev.x for ev in events]
-    ys = [ev.y for ev in events]
-    ox = math.floor(min(xs) / cell) * cell
-    oy = math.floor(min(ys) / cell) * cell
-    cols = int(math.floor((max(xs) - ox) / cell)) + 1
-    rows = int(math.floor((max(ys) - oy) / cell)) + 1
+    ox, cols = _survey_axis([ev.x for ev in events], cell)
+    oy, rows = _survey_axis([ev.y for ev in events], cell)
+    if rows * cols > MAX_GRID_CELLS:
+        raise ValueError(f"the events need a {rows} x {cols} raster of "
+                         f"{cell:.9g} m cells, over the {MAX_GRID_CELLS} cell limit")
     min_q, mean_q = rasterize_events(events, (rows, cols), cell, (ox, oy))
     write_raster(os.path.join(args.out, "min_q.csv"), min_q, cell, (ox, oy))
     write_raster(os.path.join(args.out, "mean_q.csv"), mean_q, cell, (ox, oy))
@@ -208,10 +214,7 @@ def _cmd_report(args) -> int:
                  "identical in any gravity")
 
     text = "\n".join(lines) + "\n"
-    out_path = os.path.join(args.out, "report.txt")
-    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_text(os.path.join(args.out, "report.txt"), text)
     print(text, end="")
     return 0
 

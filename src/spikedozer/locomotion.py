@@ -337,27 +337,33 @@ def price_steps(rise, level, density, friction, face, rip, prism: float,
 
 
 class _StrokePath:
-    """The full steps left in a stroke, laid out ahead of the machine.
+    """The steps left in a stroke, laid out ahead of the machine.
 
     Between anchor slips the heading and the per-step pose increment are
     fixed, so the center, separation and travel before each remaining
     full `STEP` follow by running sums: the same additions, in the same
-    order, as moving one step at a time.  The fore and aft grade samples
-    of every step are located once; their heights are read as needed.
-    So are the skid friction and loose density under the center, which
-    `price_steps` takes along with the heights.
+    order, as moving one step at a time.  `ds` holds the length of each
+    step to be taken: the `n` full ones, then step `n` trimmed to the
+    travel left, unless that travel is a rounding error.
+    The fore and aft grade samples of every step are located once; their
+    heights are read as needed.  So are the skid friction and loose
+    density under the center, which `price_steps` takes along with the
+    heights.
 
-    `crossings` are the steps at which the working tool enters a new
-    cell, where it may change the terrain and its load.  `stop` is the
-    step always priced alone: step `n`, the trimmed last step or the end
-    of the stroke, or an earlier step that would collide the frames and
-    so raises.  `k` is the next step to take.
+    This is the one place that finds the cells the tools enter: `cells`
+    holds the flat index of the cell the working tool's edge reaches at
+    the end of each step (-1 off the map), and `crossings` the steps at
+    which it enters a new one, where it may change the terrain and its
+    load.  `blade_cells` gives the cells under the blade span at each
+    crossing.  `stop` is the step always priced alone: step `n`, or an
+    earlier step that would collide the frames and so raises.  `k` is
+    the next step to take.
     """
 
     def __init__(self, machine: Machine, move_frame: str, motion: float,
                  travelled: float, advance_total: float,
                  cutting: bool, ripping: bool):
-        spec, terrain = machine.spec, machine.terrain
+        terrain = machine.terrain
         ux, uy = machine._unit()
         bound = int((advance_total - travelled) / STEP) + 2
         ts = np.concatenate(([travelled], np.full(bound, STEP))).cumsum()
@@ -370,31 +376,25 @@ class _StrokePath:
         self.seps = np.concatenate(([machine.separation], np.full(n, d_sep))).cumsum()
         collide = (self.seps[1:] <= 0.0).nonzero()[0]
         self.stop = int(collide[0]) if collide.size else n
+        self.ds = np.full(n + 1 if ts[n] < advance_total - 1e-12 else n, STEP)
+        self.ds[n:] = advance_total - ts[n]
         crossings = []
-        self.rip_on = None
+        self.cells = None
         if cutting or ripping:
-            # the tool's reference point at the end of each step, placed as
-            # blade_point and ripper_point place it
-            sign = 0.5 if cutting else -0.5
-            fx = self.xs[:n] + sign * self.seps[:n] * ux
-            fy = self.ys[:n] + sign * self.seps[:n] * uy
-            if cutting:
-                px, py = fx + spec.blade_lead * ux, fy + spec.blade_lead * uy
-            else:
-                px, py = fx - spec.ripper_lead * ux, fy - spec.ripper_lead * uy
-            px, py = px + signed * ux, py + signed * uy
+            # the working tool's edge at the end of each step
+            taken = len(self.ds)
+            px, py = machine._tool_point(cutting, self.xs[:taken], self.ys[:taken],
+                                         self.seps[:taken])
+            travel = motion * self.ds
+            px, py = px + travel * ux, py + travel * uy
             i, j, on = terrain.cells_of(px, py)
-            cols = terrain.shape[1]
-            last = machine._last_cut_cell if cutting else machine._last_rip_cell
-            seq = (i * cols + j)[on]
-            prev = np.concatenate(([-1 if last is None else last[0] * cols + last[1]],
-                                   seq[:-1]))
+            self.cells = np.where(on, i * terrain.shape[1] + j, -1)
+            seq = self.cells[on]
+            prev = np.concatenate(([machine._last_tool_cell], seq[:-1]))
             crossings = on.nonzero()[0][seq != prev].tolist()
             if cutting:
                 self.blade_cells = dict(zip(crossings, machine._blade_cells(
                     px[crossings], py[crossings])))
-            else:
-                self.rip_on = on
         self.crossings = crossings + [n + 1]
         fx, fy, ax, ay = machine._grade_samples(self.xs, self.ys)
         self.footprint = terrain.bilinear_weights(np.stack((fx, ax)), np.stack((fy, ay)))
@@ -457,8 +457,9 @@ class Machine:
         self._rip_face = 0.0
         self._stroke_cut: set[tuple[int, int]] = set()
         self._stroke_spill = 0.0
-        self._last_cut_cell: tuple[int, int] | None = None
-        self._last_rip_cell: tuple[int, int] | None = None
+        # flat index of the cell the working tool last entered this stroke;
+        # `_phase` never works the blade and the ripper in one half-cycle
+        self._last_tool_cell = -1
         # blade width sampled finely enough that no covered cell is missed
         half_w = 0.5 * spec.blade_width
         n_samples = max(2, int(round(spec.blade_width / (0.5 * terrain.cell_size))) + 1)
@@ -493,15 +494,19 @@ class Machine:
         reach = self.spec.spike.reach(depth)
         return (fx - reach * ux - offset * uy, fy - reach * uy + offset * ux)
 
-    def blade_point(self) -> tuple[float, float]:
-        fx, fy = self.frame_ref("front")
+    def _tool_point(self, blade: bool, x, y, separation):
+        """Working edge of the blade (`blade`) or of the ripper tines, with
+        the center at (x, y) and the frames `separation` apart: the blade
+        leads the front frame, the tines trail the rear one.  Floats or
+        arrays."""
         ux, uy = self._unit()
-        return fx + self.spec.blade_lead * ux, fy + self.spec.blade_lead * uy
+        sign, lead = (0.5, self.spec.blade_lead) if blade else (-0.5, -self.spec.ripper_lead)
+        fx = x + sign * separation * ux
+        fy = y + sign * separation * uy
+        return fx + lead * ux, fy + lead * uy
 
-    def ripper_point(self) -> tuple[float, float]:
-        rx, ry = self.frame_ref("rear")
-        ux, uy = self._unit()
-        return rx - self.spec.ripper_lead * ux, ry - self.spec.ripper_lead * uy
+    def blade_point(self) -> tuple[float, float]:
+        return self._tool_point(True, self.x, self.y, self.separation)
 
     @property
     def weight(self) -> float:
@@ -638,13 +643,12 @@ class Machine:
     def _fresh_draft(self, cutting: bool, ripping: bool, motion: float) -> float:
         """Clear the per-stroke tool state and return the draft at the
         present pose over a zero-length step, before any face is cut."""
+        self._last_tool_cell = -1
         if cutting:
-            self._last_cut_cell = None
             self._stroke_cut.clear()
             self._face_force = 0.0
             self._face_run = 0.0
         if ripping:
-            self._last_rip_cell = None
             self._rip_face = 0.0
         fx, fy, ax, ay = self._grade_samples(self.x, self.y)
         try:
@@ -658,19 +662,17 @@ class Machine:
                            self.spec, self.env.gravity, None)[0]
 
     def _blade_cells(self, px: np.ndarray, py: np.ndarray) -> list[list]:
-        """For each blade center (px, py): the cell it is in, then the
-        cells under the blade span, each (i, j) or None off the map."""
+        """For each blade center (px, py): the cells under the blade span,
+        each (i, j) or None off the map."""
         ux, uy = self._unit()
         band = self._band_offsets
-        i, j, on = self.terrain.cells_of(
-            np.concatenate((px[:, None], px[:, None] - band * uy), axis=1),
-            np.concatenate((py[:, None], py[:, None] + band * ux), axis=1))
+        i, j, on = self.terrain.cells_of(px[:, None] - band * uy, py[:, None] + band * ux)
         return [[(a, b) if o else None for a, b, o in zip(*row)]
                 for row in zip(i.tolist(), j.tolist(), on.tolist())]
 
-    def _enter_blade_cell(self, cells: list) -> bool:
-        """Cut the cells under the blade when its center enters a new cell;
-        `cells` as `_blade_cells` gives them.  True when anything was cut.
+    def _enter_blade_cell(self, cell: int, band: list) -> bool:
+        """Cut the `band` cells under the blade as its center enters the
+        new `cell`.  True when anything was cut.
 
         Every not yet visited cell under the blade span is cut in one
         pass.  The cut work, cutting resistance times material volume, is
@@ -679,12 +681,9 @@ class Machine:
 
             F = k_b * w * (d_loose * q_loose + d_bank * q_bank)
         """
-        cell = cells[0]
-        if cell is None or cell == self._last_cut_cell:
-            return False
-        self._last_cut_cell = cell
+        self._last_tool_cell = cell
         work = 0.0
-        for band_cell in cells[1:]:
+        for band_cell in band:
             if band_cell is None or band_cell in self._stroke_cut:
                 continue
             self._stroke_cut.add(band_cell)
@@ -738,20 +737,17 @@ class Machine:
             self.terrain.deposit(ci, cj, 0.5 * volume)
         self._stroke_spill += volume
 
-    def _ripper_force(self, ds: float, motion: float) -> float:
-        """Price the ripper tines over the next increment, loosening the
-        destination cell when new.
+    def _ripper_force(self, cell: int) -> float:
+        """Price the ripper tines over a step that ends with them in `cell`
+        (-1 off the map), loosening the cell when new.
 
         The force for a cell is set by its composition as the tines enter
         it and held for the whole traverse of that cell.
         """
-        rx, ry = self.ripper_point()
-        ux, uy = self._unit()
-        try:
-            i, j = self.terrain.cell_of(rx + motion * ds * ux, ry + motion * ds * uy)
-        except ValueError:
+        if cell < 0:
             return 0.0
-        if (i, j) != self._last_rip_cell:
+        if cell != self._last_tool_cell:
+            i, j = divmod(cell, self.terrain.shape[1])
             profile = self.terrain.profile_at_cell(i, j)
             loose_d = float(self.terrain.loose_depth[i, j])
             bank_d = max(0.0, self.rip_depth - loose_d)
@@ -763,7 +759,7 @@ class Machine:
                                 profile.loose_resistance,
                                 self.spec.ripper_cut_coeff) if loose_d > 0.0 else 0.0
             self.terrain.rip(i, j, self.rip_depth)
-            self._last_rip_cell = (i, j)
+            self._last_tool_cell = cell
             self._rip_face = face + drag
         return self._rip_face
 
@@ -787,14 +783,16 @@ class Machine:
         limits the relative frame travel for a partial move; it defaults
         to the full ram stroke.
 
-        The free frame advances in `STEP` increments, all priced by
-        `price_steps`.  The steps left are priced together, from one
-        reading of the terrain, and taken together up to the first at
-        which a tool cuts or rips, the seated frame cannot simply hold
-        the draft, or the stroke ends.  That step is priced again alone
-        and taken on its own: where the frame cannot hold it, the anchor
-        deepens first, then the machine flips or the frame slides.  The
-        numbers are those of taking every step on its own.
+        The free frame advances in `STEP` increments and a trimmed last
+        step, all laid out by `_StrokePath` and priced by `price_steps`.
+        The steps left are priced together, from one reading of the
+        terrain, and taken together up to the first at which a tool cuts
+        or rips, the seated frame cannot simply hold the draft, or the
+        stroke ends.  That step is priced again alone and taken on its
+        own: where the frame cannot hold it, the anchor deepens first,
+        then the machine flips or the frame slides.  The tools work the
+        cells the path found them entering.  The numbers are those of
+        taking every step on its own.
 
         `_draft` is for `advance` alone: the zero-length draft it already
         had `_fresh_draft` price for this phase at the present pose.
@@ -855,7 +853,7 @@ class Machine:
                     runs = np.concatenate(([self._face_run], np.full(m, -STEP))).cumsum()
                     face = np.where(runs[:m] > 0.0, self._face_force, 0.0)
                 if ripping:
-                    rip = np.where(path.rip_on[k:e], self._rip_face, 0.0)
+                    rip = np.where(path.cells[k:e] >= 0, self._rip_face, 0.0)
                 drafts, held, _ = price_steps(
                     rise[:m], path.level[k:e], None if density is None else density[k:e],
                     path.friction[k:e], face, rip, prism, self.extra_draft, spec, g, anchor)
@@ -864,9 +862,10 @@ class Machine:
             # own once the steps before it are taken together.
             s, cut = held, False
             c = path.next_crossing(k)
-            while c - k <= min(held, m - 1):
+            while c - k <= min(held, m):
                 path.place(self, c)
-                cut = self._enter_blade_cell(path.blade_cells[c]) if cutting else True
+                cut = (self._enter_blade_cell(int(path.cells[c]), path.blade_cells[c])
+                       if cutting else True)
                 if cut:
                     s = c - k
                     break
@@ -880,19 +879,13 @@ class Machine:
                     self._face_run = float(runs[s])
             path.place(self, k + s)
             path.k = k + s
-            ds = STEP
-            if s == m:
-                if not travelled < advance_total - 1e-12:
-                    break
-                ds = min(STEP, advance_total - travelled)
-                if cutting:
-                    bx, by = self.blade_point()
-                    bx, by = bx + motion * ds * ux, by + motion * ds * uy
-                    self._enter_blade_cell(self._blade_cells(np.array([bx]), np.array([by]))[0])
+            if k + s == len(path.ds):
+                break  # the travel left is a rounding error
+            ds = float(path.ds[k + s])
             # Price step s alone: its grade and prism as they stood before
             # any cut there, its face and tine forces after.
             face = (self._face_force if self._face_run > 0.0 else 0.0) if cutting else None
-            rip = self._ripper_force(ds, motion) if ripping else None
+            rip = self._ripper_force(int(path.cells[k + s])) if ripping else None
             draft, held, clears = price_steps(
                 float(rise[s]), bool(path.level[k + s]),
                 None if density is None else float(density[k + s]),
@@ -1070,8 +1063,8 @@ class Machine:
             raise VehicleStuck("turn failed to converge on the target heading")
         return halves
 
-    def turn_by(self, delta_deg: float, tol_deg: float | None = None) -> int:
-        return self.turn_to(self.heading_deg + delta_deg, tol_deg=tol_deg)
+    def turn_by(self, delta_deg: float) -> int:
+        return self.turn_to(self.heading_deg + delta_deg)
 
     @staticmethod
     def _wrap(angle: float) -> float:
@@ -1165,7 +1158,7 @@ class Machine:
             raise ValueError("ripping depth must be non-negative")
         self.rip_depth = float(depth)
 
-    def dump_prism(self, relax: bool = True) -> float:
+    def dump_prism(self) -> float:
         """Deposit the carried spoil at the blade and settle it."""
         if self.prism <= 0.0:
             return 0.0
@@ -1173,9 +1166,8 @@ class Machine:
         volume = self.prism
         self.terrain.deposit(i, j, volume)
         self.prism = 0.0
-        if relax:
-            pad = 12
-            self.terrain.relax(window=(i - pad, j - pad, i + pad + 1, j + pad + 1))
+        pad = 12
+        self.terrain.relax(window=(i - pad, j - pad, i + pad + 1, j + pad + 1))
         return volume
 
     # ------------------------------------------------------------------

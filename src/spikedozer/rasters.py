@@ -39,7 +39,7 @@ def write_table(path: str, fields: Sequence[str], rows: Iterable[Sequence]) -> N
         if len(row) != len(fields):
             raise ValueError("row width does not match the header")
         lines.append(",".join(fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_raster(
@@ -61,7 +61,7 @@ def write_raster(
         if row_bytes != prev_bytes:
             prev_bytes, text = row_bytes, template % tuple(row.tolist())
         lines.append(text)
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_raster(path: str) -> tuple[np.ndarray, float, tuple[float, float]]:
@@ -96,7 +96,8 @@ def read_raster(path: str) -> tuple[np.ndarray, float, tuple[float, float]]:
     return grid, cell_size, origin
 
 
-def _write_text(path: str, text: str) -> None:
+def write_text(path: str, text: str) -> None:
+    """Write `text` as UTF-8 with newline line endings, making its directory."""
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -125,7 +125,9 @@ class PenetrationRecorder:
 
 
 def load_events(path: str) -> list[PenetrationEvent]:
-    """Read an event log CSV written with EVENT_FIELDS back into events."""
+    """Read an event log CSV written with EVENT_FIELDS back into events.
+    A value that does not parse, or is not finite, is an error naming the
+    file and the line."""
     events: list[PenetrationEvent] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -133,8 +135,14 @@ def load_events(path: str) -> list[PenetrationEvent]:
         if missing:
             raise ValueError(f"{path} lacks event columns: {sorted(missing)}")
         for row in reader:
-            events.append(PenetrationEvent(
-                **{name: kind(row[name]) for name, kind in _EVENT_TYPES.items()}))
+            try:
+                values = {name: kind(row[name]) for name, kind in _EVENT_TYPES.items()}
+            except (TypeError, ValueError) as exc:  # TypeError: a short row's None
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+            bad = [name for name, value in values.items() if not math.isfinite(value)]
+            if bad:
+                raise ValueError(f"{path} line {reader.line_num}: {', '.join(bad)} not finite")
+            events.append(PenetrationEvent(**values))
     return events
 
 

@@ -44,13 +44,11 @@ class SoilLayer:
                      is treated as unbounded below
     resistance       penetration resistance q (Pa)
     friction_mu      sliding friction coefficient tool-on-soil
-    density          bulk density of the undisturbed material (kg/m^3)
     """
 
     thickness: float
     resistance: float
     friction_mu: float = 0.6
-    density: float = 1500.0
 
     def __post_init__(self) -> None:
         if self.thickness <= 0.0:
@@ -59,8 +57,6 @@ class SoilLayer:
             raise ValueError("layer resistance must be positive")
         if not 0.0 < self.friction_mu < 2.0:
             raise ValueError("friction coefficient must be in (0, 2)")
-        if self.density <= 0.0:
-            raise ValueError("layer density must be positive")
 
 
 @dataclass(frozen=True)
@@ -73,13 +69,10 @@ class Duricrust:
     """
 
     strength: float  # Pa
-    thickness: float  # m
 
     def __post_init__(self) -> None:
         if self.strength <= 0.0:
             raise ValueError("crust strength must be positive")
-        if self.thickness <= 0.0:
-            raise ValueError("crust thickness must be positive")
 
 
 @dataclass(frozen=True)

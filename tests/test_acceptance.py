@@ -51,10 +51,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # react a 600 N draft and the bare 7 N press cannot break through
 CRUSTED_SLICK = SoilProfile(
     name="crusted slick",
-    layers=(SoilLayer(thickness=10.0, resistance=960e3, friction_mu=0.1,
-                      density=1500.0),),
+    layers=(SoilLayer(thickness=10.0, resistance=960e3, friction_mu=0.1),),
     anchor_work_slope=0.10,
-    duricrust=Duricrust(strength=150e3, thickness=0.02),
+    duricrust=Duricrust(strength=150e3),
 )
 
 

@@ -327,6 +327,11 @@ class TestSimulate:
         ({"soil": {"layers": [{"thickness": True, "resistance": 1e6}],
                    "anchor_work_slope": 0.1}},
          "soil.layers[0]: 'thickness' must be a number, got bool"),
+        ({"soil": {"layers": [{"thickness": 10.0, "resistance": 1e6, "density": 1500.0}],
+                   "anchor_work_slope": 0.1}},
+         "unknown keys in soil.layers[0]: ['density']"),
+        ({"soil": {"preset": "soft", "duricrust": {"strength": 1e5, "thickness": 0.02}}},
+         "unknown keys in soil.duricrust: ['thickness']"),
         ({"start": {"x": "nan"}}, "start: 'x' must be a number, got str"),
         ({"vehicle": {"spike": 5}}, "vehicle.spike must be an object, got 5"),
         ({"vehicle": {"spike": {"hinge_height": "0.12"}}},
@@ -338,7 +343,7 @@ class TestSimulate:
         (None, "No such file or directory"),
         ({"terrain": {"surface_raster": "absent.csv"}}, "absent.csv"),
     ], ids=["surface_K", "gravity", "allow_inversion", "seed_fraction", "seed_text",
-            "layer_thickness", "start_x", "spike", "spike_text", "spike_offsets", "shape",
+            "layer_thickness", "layer_density", "crust_thickness", "start_x", "spike", "spike_text", "spike_offsets", "shape",
             "vehicle_preset", "missing_scenario", "missing_raster"])
     def test_input_hole_exits_1(self, tmp_path, doc, key):
         path = tmp_path / "scenario.json"
@@ -541,6 +546,44 @@ class TestMap:
         assert rc == 1
         assert "--cell-size must be a positive finite number" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def write_events(path, points):
+        path.write_text(",".join(EVENT_FIELDS) + "\n" + "".join(
+            f"{k},{x},{y},0.1,1e5,2e5,250\n" for k, (x, y) in enumerate(points)))
+        return path
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,inf,1.0,0.1,1e5,2e5,250", "x not finite"),
+        ("1,0.5,-inf,0.1,1e5,2e5,250", "y not finite"),
+        ("1,0.5,1.0,0.1,nan,2e5,nan", "min_q, temperature_K not finite"),
+        ("1,0.5,1.0,0.1,1e5,2e5,warm", "could not convert string to float: 'warm'"),
+        ("1,0.5,1.0,0.1,1e5", "float() argument must be"),
+    ], ids=["inf", "-inf", "nan", "text", "short_row"])
+    def test_bad_event_value_exits_1(self, tmp_path, row, message):
+        path = tmp_path / "events.csv"
+        path.write_text(",".join(EVENT_FIELDS) + "\n0,0.5,0.5,0.1,1e5,2e5,250\n" + row + "\n")
+        rc, err = run_cli(["map", "--events", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "Traceback" not in err
+        assert f"error: {path} line 3: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("points, cell_size", [
+        ([(0.0, 0.0), (1e308, 0.0)], "0.25"),
+        ([(-1.7e308, 0.0), (1.7e308, 0.0)], "1e300"),
+        ([(0.0, 0.0), (1000.0, 1000.0)], "0.001"),
+    ], ids=["overflow", "span_overflow", "1km_at_1mm"])
+    def test_raster_over_the_cell_limit_exits_1(self, tmp_path, points, cell_size):
+        # the 1 km square at 1 mm cells would take terabytes; under a
+        # 512 MB cap only a refusal made before allocating ends cleanly
+        path = self.write_events(tmp_path / "events.csv", points)
+        rc, err = run_cli(["map", "--events", str(path), "--cell-size", cell_size,
+                           "--out", str(tmp_path / "out")], max_memory=512 * 2**20)
+        assert rc == 1
+        assert "Traceback" not in err
+        assert "over the 4194304 cell limit" in err
         assert not (tmp_path / "out").exists()
 
     def test_wrong_columns_exit_1(self, tmp_path, capsys):

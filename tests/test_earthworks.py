@@ -30,7 +30,7 @@ CRUSTED = SoilProfile(
     name="crusted",
     layers=(SoilLayer(thickness=10.0, resistance=960e3),),
     anchor_work_slope=0.10,
-    duricrust=Duricrust(strength=150e3, thickness=0.02),
+    duricrust=Duricrust(strength=150e3),
 )
 
 

@@ -99,8 +99,8 @@ LARGE_MAP = {
 # crust the bare press cannot break.
 CRUST = {"name": "crusted slick", "anchor_work_slope": 0.1,
          "layers": [{"thickness": 10.0, "resistance": 960000.0,
-                     "friction_mu": 0.1, "density": 1500.0}],
-         "duricrust": {"strength": 150000.0, "thickness": 0.02}}
+                     "friction_mu": 0.1}],
+         "duricrust": {"strength": 150000.0}}
 SINGLE_STEP_DRIVE = {
     "name": "single_steps", "environment": "moon",
     "vehicle": {"preset": "reference", "name": "reference bare",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spikedozer import locomotion
 from spikedozer.earthworks import SWELL_FACTOR, Terrain
 from spikedozer.errors import FlipInstability, SimulationError, VehicleStuck
 from spikedozer.locomotion import (
@@ -467,7 +468,7 @@ CRUSTED_SLICK = SoilProfile(
     name="crusted-slick",
     layers=(SoilLayer(thickness=10.0, resistance=960e3, friction_mu=0.1),),
     anchor_work_slope=0.10,
-    duricrust=Duricrust(strength=150e3, thickness=0.02),
+    duricrust=Duricrust(strength=150e3),
 )
 
 
@@ -702,6 +703,25 @@ class TestBlade:
         m.set_blade(-0.05)
         m.set_blade(None)
         assert m.blade is None
+
+    @pytest.mark.parametrize("spec,soil,target", [
+        (REFERENCE, SOFT, -0.05),
+        (CONSTRUCTION, SOFT, -0.05),
+        (REFERENCE, MEDIUM, -0.02),
+    ])
+    def test_a_cut_converges_as_the_step_shrinks(self, spec, soil, target, monkeypatch):
+        # one full cutting stroke on the Moon at three integration steps
+        totals = []
+        for step in (0.02, 0.01, 0.005):
+            monkeypatch.setattr(locomotion, "STEP", step)
+            m = Machine(spec, flat(soil), MOON)
+            m.set_blade(target)
+            m.half_cycle()
+            totals.append(m.energy_totals())
+        for key in ("useful", "total"):
+            values = [t[key] for t in totals]
+            assert values[0] > 0.0
+            assert max(values) <= 1.005 * min(values)
 
 
 class TestRipper:

@@ -408,7 +408,7 @@ class TestValidatePlan:
             name="armored",
             layers=(SoilLayer(thickness=10.0, resistance=960e3),),
             anchor_work_slope=0.10,
-            duricrust=Duricrust(strength=60e6, thickness=0.05))
+            duricrust=Duricrust(strength=60e6))
         findings = validate_plan(plan, MOON, armored)
         assert any("duricrust" in f for f in findings)
 

@@ -114,16 +114,14 @@ class TestDuricrust:
         assert crust_breaks(None, 0.0, 1e-4)
 
     def test_pressure_threshold(self):
-        crust = Duricrust(strength=150e3, thickness=0.02)
+        crust = Duricrust(strength=150e3)
         assert not crust_breaks(crust, 14.9, 1e-4)
         assert crust_breaks(crust, 15.0, 1e-4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Duricrust(strength=0.0, thickness=0.02)
-        with pytest.raises(ValueError):
-            Duricrust(strength=1e5, thickness=-0.1)
-        crust = Duricrust(strength=150e3, thickness=0.02)
+            Duricrust(strength=0.0)
+        crust = Duricrust(strength=150e3)
         with pytest.raises(ValueError):
             crust_breaks(crust, 10.0, 0.0)
 
