@@ -15,8 +15,10 @@ priced by the machine in `locomotion`.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,16 @@ MAX_RELAX_PASSES = 10000  # sweeps before relaxation gives up as unsettled
 
 # Neighbor scan order for the relaxation sweep: clockwise from north.
 _NEIGHBORS = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+
+
+@functools.lru_cache(maxsize=64)
+def _neighbour_tests(repose_angle_deg: float, cell_size: float) -> tuple:
+    """Per neighbour of a cell, in scan order: its offset and the drops (m)
+    that trigger a move to it and that the move settles to."""
+    tan_repose = math.tan(math.radians(repose_angle_deg))
+    tan_trigger = math.tan(math.radians(repose_angle_deg + REPOSE_SLACK_DEG))
+    return tuple((di, dj, tan_trigger * dist, tan_repose * dist) for di, dj in _NEIGHBORS
+                 for dist in [cell_size * (math.sqrt(2.0) if di and dj else 1.0)])
 
 
 def ripper_draft(
@@ -285,93 +297,112 @@ class Terrain:
         just enough spoil downhill to settle to the repose grade, so the
         result is deterministic and conserves spoil exactly.  A pair only
         triggers when its slope exceeds repose by more than the slack,
-        which guarantees termination.  Returns the number of sweeps.
+        which guarantees termination.  Spoil moves within the window and
+        onto the one-cell rim around it.  Returns the number of sweeps.
         """
         rows, cols = self.shape
-        if window is None:
-            i_lo, j_lo, i_hi, j_hi = 0, 0, rows, cols
-        else:
-            i_lo, j_lo, i_hi, j_hi = window
-            i_lo = max(i_lo, 0)
-            j_lo = max(j_lo, 0)
-            i_hi = min(i_hi, rows)
-            j_hi = min(j_hi, cols)
+        i_lo, j_lo, i_hi, j_hi = (0, 0, rows, cols) if window is None else window
+        i_lo, j_lo = min(max(i_lo, 0), rows), min(max(j_lo, 0), cols)
+        i_hi, j_hi = min(max(i_hi, i_lo), rows), min(max(j_hi, j_lo), cols)
+        # The sweep works on the columns of the window and its rim, c_lo:c_hi,
+        # and a column's index below is its place among them.
+        c_lo, c_hi = max(j_lo - 1, 0), min(j_hi + 1, cols)
+        width = c_hi - c_lo
+        # Every window cell that holds spoil now, row by row
+        at, cs = divmod(np.flatnonzero(self.loose_depth[i_lo:i_hi, j_lo:j_hi] > 0.0),
+                        max(j_hi - j_lo, 1))
+        starts = np.searchsorted(at, np.arange(i_hi - i_lo + 1)).tolist()
+        spoil_cols = (cs + (j_lo - c_lo)).tolist()
 
-        # The sweep runs on plain float arrays over the window plus the
-        # one-cell rim it can push spoil into.  A row is copied out when the sweep
-        # first works next to it and written back at the end; rows of the
-        # window that hold no spoil are passed over until spoil moves in.
-        r_lo, c_lo = max(i_lo - 1, 0), max(j_lo - 1, 0)
-        r_hi, c_hi = min(i_hi + 1, rows), min(j_hi + 1, cols)
-        block = self.loose_depth[r_lo:r_hi, c_lo:c_hi]
-        n_rows, n_cols = block.shape
-        has_spoil = (self.loose_depth[r_lo:r_hi, j_lo:j_hi] > 0.0).any(axis=1).tolist()
-        bank: list[array | None] = [None] * n_rows
-        loose: list[array | None] = [None] * n_rows
-        # (tan repose, tan trigger) per cell, worked out on its first visit
-        tans: list[list[tuple[float, float] | None] | None] = [None] * n_rows
-        # A cell found stable stays stable until spoil moves in its 3x3
-        # neighbourhood, so it is skipped until then; that skips only
-        # visits that would move nothing.
-        unsettled: list[list[bool] | None] = [None] * n_rows
-        steps = [(di, dj, self.cell_size * (math.sqrt(2.0) if di and dj else 1.0))
-                 for di, dj in _NEIGHBORS]
-        try:
-            for passes in range(1, MAX_RELAX_PASSES + 1):
-                moved = False
-                for i in range(i_lo - r_lo, i_hi - r_lo):
-                    if not has_spoil[i]:
+        # A row is taken up when the sweep first works next to it.  Spoil
+        # moves in the map's own rows, through memoryviews; heights are
+        # read from a copy of each row with one cell of infinite height at
+        # its end, which no pair test triggers on.  Python's indexing puts
+        # column -1, column `width`, row -1 and row `rows` all on such cells.
+        edge = array("d", [math.inf]).tobytes()
+        height: list = [None] * rows + [array("d", edge * (width + 1))]
+        bank, loose = [None] * rows, [None] * rows
+        # A cell found stable stays stable until a neighbour, or the cell,
+        # loses spoil, so it is skipped until then; that skips only visits
+        # that would move nothing, as a neighbour gaining spoil only makes
+        # the cell's drops smaller.  The edge row's flags are never read.
+        unsettled: list = [None] * rows + [bytearray(width + 1)]
+        # Per window row, the columns that hold or have held spoil, in
+        # order, a flag per column listed or outside the window, and per
+        # column its soil's neighbour tests, looked up on its first visit.
+        # Only cells with spoil are visited, and during a row's scan only
+        # the east neighbour of the visited cell can gain spoil ahead of
+        # it.  Rim rows list nothing.
+        spoil, listed, tests = [None] * rows, [None] * rows, [None] * rows
+        outside = bytearray(b"\x01") * (width + 1)
+        outside[j_lo - c_lo:j_hi - c_lo] = bytes(j_hi - j_lo)
+
+        def take_up(r: int) -> None:
+            b, lo = self.bank_floor[r, c_lo:c_hi], self.loose_depth[r, c_lo:c_hi]
+            bank[r], loose[r] = memoryview(b), memoryview(lo)
+            height[r] = array("d", (b + lo).tobytes() + edge)
+            unsettled[r] = bytearray(b"\x01") * (width + 1)
+            if not i_lo <= r < i_hi:
+                listed[r] = bytearray(b"\x01") * (width + 1)
+                return
+            spoil[r] = spoil_cols[starts[r - i_lo]:starts[r - i_lo + 1]]
+            listed[r] = bytearray(outside)
+            for c in spoil[r]:
+                listed[r][c] = 1
+            tests[r] = [None] * width
+
+        for sweeps in range(1, MAX_RELAX_PASSES + 1):
+            moved = False
+            for i in range(i_lo, i_hi):
+                if not (spoil[i] or spoil[i] is None  # the row is not taken up
+                        and starts[i - i_lo] < starts[i - i_lo + 1]):
+                    continue
+                for r in (i - 1, i, i + 1):
+                    if height[r] is None:
+                        take_up(r)
+                bank_row, loose_row, height_row = bank[i], loose[i], height[i]
+                unsettled_row, tests_row, behind = unsettled[i], tests[i], []
+                # a column inserted ahead of j is the next this loop visits
+                for j in spoil[i]:
+                    if loose_row[j] <= 0.0 or not unsettled_row[j]:
                         continue
-                    for r in range(max(i - 1, 0), min(i + 2, n_rows)):
-                        if loose[r] is None:
-                            bank[r] = array("d", self.bank_floor[r + r_lo, c_lo:c_hi].tobytes())
-                            loose[r] = array("d", block[r].tobytes())
-                            tans[r] = [None] * n_cols
-                            unsettled[r] = [True] * n_cols
-                    bank_row, loose_row = bank[i], loose[i]
-                    tan_row, unsettled_row = tans[i], unsettled[i]
-                    for j in range(j_lo - c_lo, j_hi - c_lo):
-                        if loose_row[j] <= 0.0 or not unsettled_row[j]:
+                    unsettled_row[j] = 0
+                    cell_tests = tests_row[j]
+                    if cell_tests is None:
+                        cell_tests = tests_row[j] = _neighbour_tests(
+                            self.profile_at_cell(i, j + c_lo).repose_angle_deg, self.cell_size)
+                    h_c = height_row[j]
+                    for di, dj, trigger, repose in cell_tests:
+                        drop = h_c - height[i + di][j + dj]
+                        if drop <= trigger:
                             continue
-                        unsettled_row[j] = False
-                        tan_pair = tan_row[j]
-                        if tan_pair is None:
-                            profile = self.profile_at_cell(i + r_lo, j + c_lo)
-                            tan_pair = tan_row[j] = (
-                                math.tan(profile.repose_angle_rad),
-                                math.tan(math.radians(
-                                    profile.repose_angle_deg + REPOSE_SLACK_DEG)))
-                        tan_repose, tan_trigger = tan_pair
-                        h_c = bank_row[j] + loose_row[j]
-                        for di, dj, dist in steps:
-                            ni, nj = i + di, j + dj
-                            if not (0 <= ni < n_rows and 0 <= nj < n_cols):
-                                continue
-                            drop = h_c - (bank[ni][nj] + loose[ni][nj])
-                            if drop <= tan_trigger * dist:
-                                continue
-                            move = min(loose_row[j], 0.5 * (drop - tan_repose * dist))
-                            if move <= 0.0:
-                                continue
-                            loose_row[j] -= move
-                            loose[ni][nj] += move
-                            h_c -= move
-                            moved = True
-                            has_spoil[ni] = True
-                            for ci, cj in ((i, j), (ni, nj)):
-                                lo, hi = max(cj - 1, 0), min(cj + 2, n_cols)
-                                for row in unsettled[max(ci - 1, 0):ci + 2]:
-                                    if row is not None:
-                                        row[lo:hi] = (True,) * (hi - lo)
-                            if loose_row[j] <= 0.0:
-                                break
-                if not moved:
-                    return passes
-        finally:
-            for r, values in enumerate(loose):
-                if values is not None:
-                    block[r] = np.frombuffer(values)
-        raise RuntimeError("spoil relaxation failed to settle")
+                        move = min(loose_row[j], 0.5 * (drop - repose))
+                        if move <= 0.0:
+                            continue
+                        ni, nj = i + di, j + dj
+                        loose_n = loose[ni]
+                        loose_row[j] = left = loose_row[j] - move
+                        loose_n[nj] = got = loose_n[nj] + move
+                        h_c -= move
+                        height_row[j] = bank_row[j] + left
+                        height[ni][nj] = bank[ni][nj] + got
+                        moved = True
+                        if not listed[ni][nj]:
+                            listed[ni][nj] = 1
+                            if ni == i and nj < j:
+                                behind.append(nj)
+                            else:
+                                insort(spoil[ni], nj)
+                        for row in unsettled[i - 1], unsettled_row, unsettled[i + 1]:
+                            row[j - 1] = row[j] = row[j + 1] = 1  # the 3x3 around the cell
+                        if left <= 0.0:
+                            break
+                for c in behind:
+                    insort(spoil[i], c)
+            if not moved:
+                return sweeps
+        raise RuntimeError(f"spoil relaxation did not settle in rows {i_lo}:{i_hi}, "
+                           f"columns {j_lo}:{j_hi} after {MAX_RELAX_PASSES} sweeps")
 
     def max_surface_slope_deg(self) -> float:
         """Steepest center-to-center surface grade on the map."""

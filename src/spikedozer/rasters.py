@@ -2,19 +2,23 @@
 
 Everything numeric is formatted with %.9g so a run writes byte-identical
 artifacts every time the inputs and seed repeat.  Rasters are CSV grids
-with one metadata comment line; NaN marks no-data cells.  A raster row is
-formatted by one `%` call on its Python floats: `"%.9g" % x` and
-`fmt`'s `f"{x:.9g}"` go through the same float formatter, so the text is
-that of formatting value by value.
+with one metadata comment line; NaN marks no-data cells.  A raster value
+is formatted by `"%.9g" % x` on its Python value, which goes through the
+same float formatter as `fmt`'s `f"{x:.9g}"`.
 
 Untouched ground leaves whole bands of equal rows, so a row whose bytes
-equal the previous row's reuses its text.  The test is on bytes, not
-values: 0.0 and -0.0 compare equal but print `0` and `-0`, and a NaN row
-compares unequal to itself.
+equal the previous row's reuses its text.  The other rows are written
+run by run, each run of equal values formatted once: on worked flat
+ground most runs are long, while a row of a sloped plane is all one-cell
+runs and costs about what formatting value by value does.  Rows and
+values are told apart by their bytes, not their values: 0.0 and -0.0
+compare equal but print `0` and `-0`, and a NaN compares unequal to
+itself.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from typing import Iterable, Sequence
 
@@ -54,14 +58,31 @@ def write_raster(
     rows, cols = grid.shape
     lines = [f"# {rows} {cols} {fmt(float(cell_size))} "
              f"{fmt(float(origin[0]))} {fmt(float(origin[1]))}"]
+    # a fresh row is one whose bytes differ from the row above's
+    bits = np.ascontiguousarray(grid).view(f"u{grid.itemsize}")
+    fresh = np.ones(rows, dtype=bool)
+    fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    # The fresh rows are written run by run, a run being equal values
+    # side by side in a row: a row's run values are formatted by one `%`
+    # call, one to a line, and each text is repeated by its run's length.
+    # A row of one-cell runs needs no repeats and is formatted as it is.
+    fresh_bits = bits[fresh]
+    starts = np.ones(fresh_bits.shape, dtype=bool)
+    starts[:, 1:] = fresh_bits[:, 1:] != fresh_bits[:, :-1]
+    at = np.flatnonzero(starts)
+    values = fresh_bits.ravel()[at].view(grid.dtype).tolist()
+    lengths = np.diff(at, append=fresh_bits.size).tolist()
+    firsts = np.searchsorted(at, np.arange(len(fresh_bits) + 1) * cols).tolist()
+    del fresh_bits, starts, at  # as large as the fresh rows: freed early, for the peak
     template = ",".join(["%.9g"] * cols)
-    prev_bytes, text = None, ""
-    for row in grid:  # row by row: a whole-grid tolist() costs memory
-        row_bytes = row.tobytes()
-        if row_bytes != prev_bytes:
-            prev_bytes, text = row_bytes, template % tuple(row.tolist())
-        lines.append(text)
-    write_text(path, "\n".join(lines) + "\n")
+    fresh_lines = [
+        template % tuple(values[a:b]) if b - a == cols
+        else "".join(map(operator.mul, (("%.9g,\n" * (b - a)) % tuple(values[a:b])).splitlines(),
+                         lengths[a:b]))[:-1]
+        for a, b in zip(firsts, firsts[1:])]
+    lines += [fresh_lines[k] for k in (np.cumsum(fresh) - 1).tolist()]
+    lines.append("")  # the last line's end
+    write_text(path, "\n".join(lines))
 
 
 def read_raster(path: str) -> tuple[np.ndarray, float, tuple[float, float]]:

@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from spikedozer import earthworks
 from spikedozer.earthworks import (
     SWELL_FACTOR,
     Terrain,
@@ -286,6 +288,161 @@ class TestRelaxation:
         t.relax()
         assert np.array_equal(t.bank_floor, before)
         assert float(np.sum(t.loose_depth)) == 0.0
+
+
+def reference_relax(t, window=None):
+    """`Terrain.relax` written plainly, as the oracle for its bytes.
+
+    Every sweep visits every cell of the window that holds spoil, in
+    row-major order, and works out its thresholds afresh; spoil may move
+    onto the one-cell rim around the window but no further.  The pair
+    trigger, the move arithmetic (the visited cell's height is carried
+    down by each move, not re-read), the sweep count and the partial
+    sweep written back on giving up are those of the simulator's.
+    """
+    rows, cols = t.shape
+    i_lo, j_lo, i_hi, j_hi = (0, 0, rows, cols) if window is None else window
+    i_lo, j_lo, i_hi, j_hi = max(i_lo, 0), max(j_lo, 0), min(i_hi, rows), min(j_hi, cols)
+    r_lo, c_lo = max(i_lo - 1, 0), max(j_lo - 1, 0)
+    r_hi, c_hi = min(i_hi + 1, rows), min(j_hi + 1, cols)
+    bank, loose = t.bank_floor.tolist(), t.loose_depth.tolist()
+    neighbors = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+    try:
+        for sweeps in range(1, earthworks.MAX_RELAX_PASSES + 1):
+            moved = False
+            for i in range(i_lo, i_hi):
+                for j in range(j_lo, j_hi):
+                    if loose[i][j] <= 0.0:
+                        continue
+                    profile = t.profile_at_cell(i, j)
+                    tan_repose = math.tan(profile.repose_angle_rad)
+                    tan_trigger = math.tan(math.radians(
+                        profile.repose_angle_deg + earthworks.REPOSE_SLACK_DEG))
+                    h_c = bank[i][j] + loose[i][j]
+                    for di, dj in neighbors:
+                        ni, nj = i + di, j + dj
+                        if not (r_lo <= ni < r_hi and c_lo <= nj < c_hi):
+                            continue
+                        dist = t.cell_size * (math.sqrt(2.0) if di and dj else 1.0)
+                        drop = h_c - (bank[ni][nj] + loose[ni][nj])
+                        if drop <= tan_trigger * dist:
+                            continue
+                        move = min(loose[i][j], 0.5 * (drop - tan_repose * dist))
+                        if move <= 0.0:
+                            continue
+                        loose[i][j] -= move
+                        loose[ni][nj] += move
+                        h_c -= move
+                        moved = True
+                        if loose[i][j] <= 0.0:
+                            break
+            if not moved:
+                return sweeps
+    finally:
+        t.loose_depth[...] = loose
+    raise RuntimeError("spoil relaxation did not settle")
+
+
+REPOSE_ANGLES = st.sampled_from([25.0, 34.0, 41.0, 50.0])
+# thin layers and tall piles, which avalanche over many sweeps
+SPOIL = st.one_of(st.just(0.0), st.just(-0.0), st.floats(1e-6, 0.05), st.floats(0.3, 3.0))
+WINDOW_BOUND = st.integers(-6, 30)
+
+
+@st.composite
+def relax_cases(draw):
+    """A terrain with spoil on stepped bank over patchy soil, and a window."""
+    rows = draw(st.integers(1, 24), label="rows")
+    cols = draw(st.integers(1, 24), label="cols")
+    size = draw(st.sampled_from([0.1, 0.125, 0.25]), label="size")
+    patches = []
+    for _ in range(draw(st.integers(0, 3), label="patches")):
+        x0 = draw(st.floats(0.0, cols * size))
+        y0 = draw(st.floats(0.0, rows * size))
+        x1 = draw(st.floats(x0, cols * size))
+        y1 = draw(st.floats(y0, rows * size))
+        profile = replace(SOFT, repose_angle_deg=draw(REPOSE_ANGLES))
+        patches.append(SoilPatch(x0, y0, x1, y1, profile))
+    t = Terrain((rows, cols), cell_size=size, origin=(0.0, 0.0),
+                soil=PatchSoilField(replace(SOFT, repose_angle_deg=draw(REPOSE_ANGLES)),
+                                    patches))
+    t.bank_floor[...] = draw(hnp.arrays(
+        np.float64, (rows, cols), elements=st.sampled_from([0.0, 0.0, 0.1, -0.2, 0.35])),
+        label="bank")
+    t.loose_depth[...] = draw(hnp.arrays(
+        np.float64, (rows, cols), elements=st.one_of(st.just(0.0), SPOIL), fill=st.nothing()),
+        label="spoil")
+    window = draw(st.one_of(st.none(), st.tuples(WINDOW_BOUND, WINDOW_BOUND,
+                                                 WINDOW_BOUND, WINDOW_BOUND)), label="window")
+    return t, window
+
+
+def piled_with_audit(shape=(14, 14), pile=(7, 7), dug=tuple((1, j) for j in range(12)),
+                     soil=SOFT):
+    """A terrain whose spoil was dug from bank and dumped in one cell, so
+    that `audit` closes."""
+    t = Terrain(shape, cell_size=0.125, soil=soil)
+    carried = 0.0
+    for i, j in dug:
+        loose_m3, bank_m3 = t.excavate(i, j, 0.4)
+        carried += loose_m3 + bank_m3 * SWELL_FACTOR
+    t.deposit(*pile, carried)
+    return t
+
+
+def _copy(t):
+    c = Terrain(t.shape, cell_size=t.cell_size, origin=t.origin, soil=t.soil,
+                initial_surface=t.bank_floor)
+    c.loose_depth[...] = t.loose_depth
+    return c
+
+
+class TestRelaxationOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(case=relax_cases())
+    @example(case=(piled_with_audit(), None))
+    @example(case=(piled_with_audit(), (7, 7, 8, 8)))
+    @example(case=(piled_with_audit(), (-3, 5, 9, 30)))
+    @example(case=(piled_with_audit(), (20, 20, 30, 30)))
+    @example(case=(piled_with_audit(), (-9, -9, -2, -2)))
+    @example(case=(piled_with_audit(), (8, 8, 6, 9)))
+    @example(case=(piled_with_audit((1, 9), (0, 4), ((0, 0),)), None))
+    @example(case=(piled_with_audit((9, 1), (4, 0), ((0, 0),)), None))
+    # the pile sits on steep soil whose patch starts east of the window's
+    # first column, over shallow soil west of it
+    @example(case=(piled_with_audit(soil=PatchSoilField(
+        replace(SOFT, repose_angle_deg=25.0),
+        [SoilPatch(0.75, 0.0, 1.75, 1.75, replace(SOFT, repose_angle_deg=50.0))])),
+        (2, 5, 12, 12)))
+    def test_same_bytes_and_sweeps_as_the_reference(self, case):
+        t, window = case
+        ref = _copy(t)
+        bank = t.bank_floor.tobytes()
+        sweeps = t.relax(window)
+        assert sweeps == reference_relax(ref, window)
+        assert t.loose_depth.tobytes() == ref.loose_depth.tobytes()
+        assert t.bank_floor.tobytes() == bank
+
+    @pytest.mark.parametrize("limit", [1, 3, 6])
+    @pytest.mark.parametrize("window, where", [
+        (None, "rows 0:14, columns 0:14"),
+        ((4, 3, 11, 12), "rows 4:11, columns 3:12"),
+        ((-2, 5, 30, 12), "rows 0:14, columns 5:12"),
+    ])
+    def test_giving_up_keeps_the_partial_sweep_and_names_the_window(
+            self, monkeypatch, limit, window, where):
+        monkeypatch.setattr(earthworks, "MAX_RELAX_PASSES", limit)
+        t = piled_with_audit()
+        ref = _copy(t)
+        with pytest.raises(RuntimeError) as err:
+            t.relax(window)
+        with pytest.raises(RuntimeError):
+            reference_relax(ref, window)
+        assert t.loose_depth.tobytes() == ref.loose_depth.tobytes()
+        assert t.loose_depth[7, 7] < piled_with_audit().loose_depth[7, 7]
+        assert t.audit().residual < 1e-9
+        assert str(err.value) == (
+            f"spoil relaxation did not settle in {where} after {limit} sweeps")
 
 
 class TestSlopes:

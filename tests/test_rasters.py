@@ -29,6 +29,32 @@ GRIDS = st.one_of(
 )
 
 
+def worked_map_rows(seed, rows=20, cols=288):
+    """A raster as wide as a drive's map: bands of repeated rows, and fresh
+    rows drawn from a few values they share with each other and with the
+    repeated rows, with 0.0 beside -0.0, NaNs of several payloads and
+    signs, and long runs of one value."""
+    rng = np.random.default_rng(seed)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                     0x7FF0000000000001, 0xFFF00000DEAD0000], dtype=np.uint64).view(np.float64)
+    values = np.concatenate([[0.0, -0.0, 0.1, np.nextafter(0.1, 1.0), -0.035, 1e-300,
+                              123456789.5, np.inf], nans])
+    grid = values[rng.integers(0, values.size, (rows, cols))]
+    grid[:, :2] = [0.0, -0.0]
+    grid[2, 100], grid[7, -1] = 0.0, nans[0]
+    grid[3:7] = grid[2]  # a band of repeated rows,
+    grid[6, 100] = -0.0  # then a row that differs only in a zero's sign
+    grid[8:12] = grid[7]
+    grid[11, -1] = nans[2]  # or only in a NaN's payload
+    grid[12] = grid[7]  # a fresh row equal to an earlier repeated one
+    grid[13] = np.where(grid[12] == 0.0, -grid[12], grid[12])
+    grid[15:19, 40:250] = 0.0  # long runs, broken by -0.0 or a NaN,
+    grid[16, 100:120] = -0.0
+    grid[17, 249] = nans[3]
+    grid[18, 200:] = 0.1  # or running to the row's end
+    return grid
+
+
 def reference_raster_text(grid, cell_size, origin):
     """The raster text of a writer that formats one value at a time."""
     rows, cols = grid.shape
@@ -66,6 +92,11 @@ class TestWriteRaster:
     @example(grid=np.full((3, 2), 0.1, dtype=np.float32))
     @example(grid=np.full((3, 2), -2**63, dtype=np.int64))
     @example(grid=np.array([[True, False]] * 3 + [[False, False]]))
+    # as wide as a drive's map
+    @example(grid=worked_map_rows(0))
+    @example(grid=worked_map_rows(1))
+    @example(grid=worked_map_rows(2)[:, ::-1])
+    @example(grid=np.tile(worked_map_rows(3)[:1], (20, 1)))
     def test_same_bytes_as_formatting_each_value(self, grid):
         expected = reference_raster_text(grid, 0.25, (-1.5, 2.0)).encode("utf-8")
         assert written_bytes(grid) == expected
