@@ -115,8 +115,9 @@ class Terrain:
         self.loose_depth = np.zeros(shape, dtype=float)
         self.crust_broken = np.zeros(shape, dtype=bool)
         self._initial_bank = self.bank_floor.copy()
-        # Spoil removed from the map surface and not yet put back (blade loads).
-        self._carried_out = 0.0
+        # Spoil removed from the map surface and not yet put back (blade
+        # loads); a stroke that takes back its tool work sets it back too.
+        self.carried_out = 0.0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -270,7 +271,7 @@ class Terrain:
         self.bank_floor[i, j] -= bank_cut
         loose_m3 = loose_cut * self.cell_area
         bank_m3 = bank_cut * self.cell_area
-        self._carried_out += loose_m3 + bank_m3 * SWELL_FACTOR
+        self.carried_out += loose_m3 + bank_m3 * SWELL_FACTOR
         return loose_m3, bank_m3
 
     def deposit(self, i: int, j: int, loose_m3: float) -> None:
@@ -278,7 +279,7 @@ class Terrain:
         if loose_m3 < 0.0:
             raise ValueError("deposited volume must be non-negative")
         self.loose_depth[i, j] += loose_m3 / self.cell_area
-        self._carried_out -= loose_m3
+        self.carried_out -= loose_m3
 
     def break_crust(self, i: int, j: int) -> None:
         self.crust_broken[i, j] = True
@@ -426,5 +427,5 @@ class Terrain:
         return VolumeAudit(
             bank_removed=bank_removed,
             loose_present=loose_present,
-            loose_carried=self._carried_out,
+            loose_carried=self.carried_out,
         )

@@ -24,7 +24,9 @@ reconstructed from the pin position, so the anchor point cannot drift.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,8 +156,11 @@ class VehicleSpec:
         return self.base_separation + 0.5 * self.stroke_length
 
     def loaded_weight(self, prism, density, g: float):
-        """Weight of the machine plus `prism` m^3 of spoil at `density` (N)."""
-        if prism > 0.0:
+        """Weight of the machine plus `prism` m^3 of spoil at `density` (N).
+        `prism` and `density` are floats or arrays; with an empty blade
+        `density` may be None.  An empty blade adds exactly nothing, so
+        array entries at 0 come out as the float does."""
+        if isinstance(prism, np.ndarray) or prism > 0.0:
             return (self.mass + prism * density) * g
         return self.mass * g
 
@@ -286,21 +291,23 @@ class BladeSetting:
     mask: frozenset[tuple[int, int]] | None = None
 
 
-def price_steps(rise, level, density, friction, face, rip, prism: float,
+def price_steps(rise, level, density, friction, face, rip, prism,
                 extra_draft: float, spec: VehicleSpec, g: float,
                 anchor: AnchorState | None):
     """Price straight steps: the draft of each and whether `anchor` holds it.
 
     Per-step inputs are arrays over a run of steps, or floats for one
-    step, which stays scalar work.  `rise` is the fore-minus-aft height
+    step, which stays scalar work; each step of a run comes out with the
+    bits it has priced alone.  `rise` is the fore-minus-aft height
     difference, along the travel direction, of samples half a footprint
     either side of the center, so the rigid machine bridges single-cell
     steps; where `level` the footprint is off the map.  `density` is the
     loose density under the center (None when no prism can be carried)
     and `friction` the seated frame's skid friction, which reacts draft
     in parallel with its spikes.  `face` (plus the prism's ground drag)
-    and `rip` are the blade and tine forces, None for a raised tool;
-    `prism` is the blade load and `extra_draft` the tow load.
+    and `rip` are the blade and tine forces, None for a raised tool.
+    `prism` is the blade load, per step or one float for all, and
+    `extra_draft` the tow load.
 
     Returns (drafts, held, clears): the drafts (N, floored at 0); how many
     steps the anchor holds before the first it cannot, all of them with
@@ -345,8 +352,8 @@ class _StrokePath:
     order, as moving one step at a time.  `ds` holds the length of each
     step to be taken: the `n` full ones, then step `n` trimmed to the
     travel left, unless that travel is a rounding error.
-    The fore and aft grade samples of every step are located once; their
-    heights are read as needed.  So are the skid friction and loose
+    The fore and aft grade samples of every step are located once, and
+    `_ToolWork` reads their heights.  So are the skid friction and loose
     density under the center, which `price_steps` takes along with the
     heights.
 
@@ -355,9 +362,11 @@ class _StrokePath:
     the end of each step (-1 off the map), and `crossings` the steps at
     which it enters a new one, where it may change the terrain and its
     load.  `blade_cells` gives the cells under the blade span at each
-    crossing.  `stop` is the step always priced alone: step `n`, or an
-    earlier step that would collide the frames and so raises.  `k` is
-    the next step to take.
+    crossing.  `stop` is the step that ends the path: step `n`, or an
+    earlier step that would collide the frames and so raises; the
+    machine takes it by moving itself, not by being placed.  `k` is the
+    next step to take.  A slip shoves the seated frame and so lays the
+    path again.
     """
 
     def __init__(self, machine: Machine, move_frame: str, motion: float,
@@ -370,6 +379,7 @@ class _StrokePath:
         n = int(np.count_nonzero(advance_total - ts >= STEP))
         signed = motion * STEP
         d_sep = signed if move_frame == "front" else -signed
+        self.motion = motion
         self.travelled = ts[:n + 1]
         self.xs = np.concatenate(([machine.x], np.full(n, 0.5 * signed * ux))).cumsum()
         self.ys = np.concatenate(([machine.y], np.full(n, 0.5 * signed * uy))).cumsum()
@@ -421,6 +431,173 @@ class _StrokePath:
         machine.separation = float(self.seps[step])
 
 
+class _ToolState(NamedTuple):
+    """What a stroke's tools have left at one point of the stroke."""
+
+    journal: int  # terrain writes journaled so far
+    prism: float
+    face_force: float
+    rip_face: float
+    carried_out: float  # the terrain's
+    spill: float
+    last_tool_cell: int
+    visited: int  # band cells the blade has visited
+
+
+class _ToolWork:
+    """The tool work of steps `k`..`last` of a path, done before they are
+    priced, and the per-step inputs it leaves for `price_steps`.
+
+    The crossings are worked in order, the machine placed before each
+    one's step.  The span runs to the path's last step, or, while the
+    blade works and the seated anchor can still slip, to the first
+    crossing whose step, priced alone, that anchor does not hold: a slip
+    lays the path again, and the blade work past it would be taken back.
+    Ripping spans run to the end and take back what a slip invalidates,
+    since a crossing of the tines loosens one cell.
+
+    The map and the tool state after each crossing are what the steps
+    see that are priced alone in the same order: a step reads the
+    heights and the blade load left by the crossings before it, and the
+    face and tine forces left by the crossings up to and including it.
+    The terrain writes go to the machine's journal, so the heights each
+    step read are found again from the map as the span left it, and
+    `roll_back` can take back the work past any step.
+    """
+
+    def __init__(self, machine: Machine, path: _StrokePath, cutting: bool,
+                 ripping: bool, may_slip: AnchorState | None):
+        """Work the crossings of the path from its step `k`; `may_slip` is
+        the seated anchor when the blade works and it can still slip."""
+        self.path, self.cutting = path, cutting
+        self.k = k = path.k
+        machine._journal.clear()
+        # the tool state as the span starts, then after each crossing
+        self.states = [machine._tool_state()]
+        self.crossed, cut = [], []  # the crossings worked, and those that cut, from k
+        last = min(path.stop, len(path.ds) - 1)
+        c = path.next_crossing(k)
+        while c <= last:
+            gives = False
+            if cutting:
+                seen = None if may_slip is None else (
+                    self._step_rise(machine.terrain, c), machine.prism)
+                path.place(machine, c)
+                if machine._enter_blade_cell(int(path.cells[c]), path.blade_cells[c]):
+                    cut.append(c - k)
+                    gives = seen is not None and not self._holds(machine, c, *seen, may_slip)
+            else:
+                machine._enter_ripper_cell(int(path.cells[c]))
+            self.crossed.append(c - k)
+            self.states.append(machine._tool_state())
+            if gives:
+                last = c
+                break
+            c = path.next_crossing(c + 1)
+        self.last = last
+
+        self.rise = path.motion * self._heights(machine.terrain, machine._journal)
+        self.prism, self.face, self.rip, self.run = machine.prism, None, None, None
+        if not (cutting or ripping):
+            return
+        steps = np.arange(last - k + 1)
+        # per step, the tool state left by the crossings up to it
+        left = np.searchsorted(self.crossed, steps, side="right")
+        if ripping:
+            rips = np.array([state.rip_face for state in self.states])
+            self.rip = np.where(path.cells[k:last + 1] >= 0, rips[left], 0.0)
+            return
+        # the blade load before the step's own cut
+        self.prism = np.array([state.prism for state in self.states])[
+            np.searchsorted(self.crossed, steps, side="left")]
+        # The face run restarts at a cut and runs down by whole steps:
+        # from the last cut at or before each step, else from the run the
+        # span started with.
+        down = np.full(len(steps), -STEP)
+        down[0] = machine.terrain.cell_size
+        since_cut = down.cumsum()
+        down[0] = machine._face_run
+        self.run = down.cumsum()
+        last_cut = np.full(len(steps), -1)
+        last_cut[cut] = cut
+        np.maximum.accumulate(last_cut, out=last_cut)
+        after_cut = last_cut >= 0
+        self.run[after_cut] = since_cut[(steps - last_cut)[after_cut]]
+        forces = np.array([state.face_force for state in self.states])
+        self.face = np.where(self.run > 0.0, forces[left], 0.0)
+
+    def _step_rise(self, terrain: Terrain, step: int) -> float:
+        """Fore-minus-aft height of `step` on the map as it stands."""
+        corners, tx, ty, _ = self.path.footprint
+        fore, aft = terrain.blend(corners[..., step], tx[:, step], ty[:, step])
+        return self.path.motion * float(fore - aft)
+
+    def _holds(self, machine: Machine, step: int, rise: float, prism: float,
+               anchor: AnchorState) -> bool:
+        """Whether `anchor` holds the step of a crossing that cut, priced
+        alone: its grade and blade load before the cut, its face after."""
+        path = self.path
+        return bool(price_steps(
+            rise, bool(path.level[step]), float(path.density[step]),
+            float(path.friction[step]), machine._face_force, None, prism,
+            machine.extra_draft, machine.spec, machine.env.gravity, anchor)[1])
+
+    def _heights(self, terrain: Terrain, journal: list):
+        """Fore-minus-aft height of every step, from the map as each step
+        saw it: a cell the journal shows written at the step's crossing or
+        a later one holds the value that write found."""
+        path, k, last = self.path, self.k, self.last
+        corners, tx, ty, _ = path.footprint
+        corners = corners[..., k:last + 1]
+        bank = terrain.bank_floor.take(corners)
+        loose = terrain.loose_depth.take(corners)
+        if journal:
+            n = last - k + 1
+            cells, old_bank, old_loose = (np.array(col) for col in zip(*journal))
+            writes = np.diff([state.journal for state in self.states])
+            at = np.repeat(self.crossed, writes)
+            # the first write to each cell at or after each step
+            key = cells * n + at
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            found = np.searchsorted(key, corners * n + np.arange(n))
+            hit = found < len(key)
+            found[~hit] = 0
+            hit &= cells[order][found] == corners  # and not the next cell's first write
+            bank = np.where(hit, old_bank[order][found], bank)
+            loose = np.where(hit, old_loose[order][found], loose)
+        # the bilinear blend of `Terrain.blend`, on these corner heights
+        s = bank + loose
+        tx, ty = tx[:, k:last + 1], ty[:, k:last + 1]
+        wx = 1.0 - tx
+        top = s[0] * wx + s[1] * tx
+        bot = s[2] * wx + s[3] * tx
+        fore, aft = top * (1.0 - ty) + bot * ty
+        return fore - aft
+
+    def price(self, i: int, machine: Machine, anchor: AnchorState):
+        """`price_steps` over steps `i`..`last`, held by `anchor`."""
+        path, a, b = self.path, i - self.k, self.last + 1
+        density = path.density
+        return price_steps(
+            self.rise[a:], path.level[i:b], None if density is None else density[i:b],
+            path.friction[i:b], None if self.face is None else self.face[a:],
+            None if self.rip is None else self.rip[a:],
+            self.prism[a:] if self.cutting else self.prism, machine.extra_draft,
+            machine.spec, machine.env.gravity, anchor)
+
+    def roll_back(self, machine: Machine, step: int) -> None:
+        """Take back the work of the crossings after `step`, and leave the
+        face run as taking `step` leaves it."""
+        machine._restore_tool_state(self.states[bisect_right(self.crossed, step - self.k)])
+        self.settle(machine, step)
+
+    def settle(self, machine: Machine, step: int) -> None:
+        """Leave the face run as taking `step` leaves it."""
+        if self.run is not None:
+            machine._face_run = float(self.run[step - self.k]) - float(self.path.ds[step])
+
+
 class Machine:
     """Quasi-static machine state bound to a terrain and environment."""
 
@@ -452,11 +629,17 @@ class Machine:
         self._expanded = False
         self._unit_for = float("nan")
         self._unit_vec = (1.0, 0.0)
+        # the blade's face force from its last cut and the travel left over
+        # which it acts, which `_ToolWork` runs down; the tines' force
         self._face_force = 0.0
         self._face_run = 0.0
         self._rip_face = 0.0
-        self._stroke_cut: set[tuple[int, int]] = set()
+        # the band cells the blade has visited this stroke, a dict used as
+        # an ordered set so that taking back tool work can pop the newest
+        self._stroke_cut: dict[tuple[int, int], None] = {}
         self._stroke_spill = 0.0
+        # (flat cell, bank, loose) before each terrain write of the tools
+        self._journal: list[tuple[int, float, float]] = []
         # flat index of the cell the working tool last entered this stroke;
         # `_phase` never works the blade and the ripper in one half-cycle
         self._last_tool_cell = -1
@@ -686,7 +869,7 @@ class Machine:
         for band_cell in band:
             if band_cell is None or band_cell in self._stroke_cut:
                 continue
-            self._stroke_cut.add(band_cell)
+            self._stroke_cut[band_cell] = None
             loose_cut, bank_cut = self._cut_cell(*band_cell)
             if loose_cut <= 0.0 and bank_cut <= 0.0:
                 continue
@@ -697,7 +880,6 @@ class Machine:
         if work <= 0.0:
             return False
         self._face_force = work / self.terrain.cell_size
-        self._face_run = self.terrain.cell_size
         return True
 
     def _cut_cell(self, i: int, j: int) -> tuple[float, float]:
@@ -714,6 +896,7 @@ class Machine:
         if thickness <= 1e-12:
             return 0.0, 0.0
         thickness = min(thickness, self.spec.blade_max_cut)
+        self._note(i, j)
         loose_m3, bank_m3 = self.terrain.excavate(i, j, thickness)
         self.prism += loose_m3 + bank_m3 * SWELL_FACTOR
         excess = self.prism - self.spec.blade_capacity
@@ -734,34 +917,58 @@ class Machine:
                                               by + side * off * ux)
             except ValueError:
                 ci, cj = fallback  # keep the volume on the map
+            self._note(ci, cj)
             self.terrain.deposit(ci, cj, 0.5 * volume)
         self._stroke_spill += volume
 
-    def _ripper_force(self, cell: int) -> float:
-        """Price the ripper tines over a step that ends with them in `cell`
-        (-1 off the map), loosening the cell when new.
+    def _note(self, i: int, j: int) -> None:
+        """Journal cell (i, j) as it stands before the tools write it."""
+        terrain = self.terrain
+        self._journal.append((i * terrain.shape[1] + j, terrain.bank_floor.item(i, j),
+                              terrain.loose_depth.item(i, j)))
 
-        The force for a cell is set by its composition as the tines enter
-        it and held for the whole traverse of that cell.
+    def _tool_state(self) -> _ToolState:
+        """What the tools have left so far this stroke."""
+        return _ToolState(len(self._journal), self.prism, self._face_force, self._rip_face,
+                          self.terrain.carried_out, self._stroke_spill,
+                          self._last_tool_cell, len(self._stroke_cut))
+
+    def _restore_tool_state(self, state: _ToolState) -> None:
+        """Take back the tool work done since `state` was taken: the
+        journaled writes, newest first, and the tool state."""
+        bank, loose = self.terrain.bank_floor.flat, self.terrain.loose_depth.flat
+        for cell, old_bank, old_loose in reversed(self._journal[state.journal:]):
+            bank[cell] = old_bank
+            loose[cell] = old_loose
+        del self._journal[state.journal:]
+        while len(self._stroke_cut) > state.visited:
+            self._stroke_cut.popitem()
+        self.prism, self._face_force = state.prism, state.face_force
+        self._rip_face, self._stroke_spill = state.rip_face, state.spill
+        self.terrain.carried_out = state.carried_out
+        self._last_tool_cell = state.last_tool_cell
+
+    def _enter_ripper_cell(self, cell: int) -> None:
+        """Loosen the flat `cell` as the ripper tines enter it.
+
+        The tine force for a cell is set by its composition as the tines
+        enter it and held for the whole traverse of that cell.
         """
-        if cell < 0:
-            return 0.0
-        if cell != self._last_tool_cell:
-            i, j = divmod(cell, self.terrain.shape[1])
-            profile = self.terrain.profile_at_cell(i, j)
-            loose_d = float(self.terrain.loose_depth[i, j])
-            bank_d = max(0.0, self.rip_depth - loose_d)
-            q_bank = profile.resistance_at(bank_d) if bank_d > 0.0 else 0.0
-            face = ripper_draft(self.spec.ripper_width, bank_d, q_bank,
-                                self.spec.ripper_cut_coeff) if bank_d > 0.0 else 0.0
-            drag = ripper_draft(self.spec.ripper_width,
-                                min(self.rip_depth, loose_d),
-                                profile.loose_resistance,
-                                self.spec.ripper_cut_coeff) if loose_d > 0.0 else 0.0
-            self.terrain.rip(i, j, self.rip_depth)
-            self._last_tool_cell = cell
-            self._rip_face = face + drag
-        return self._rip_face
+        self._last_tool_cell = cell
+        i, j = divmod(cell, self.terrain.shape[1])
+        profile = self.terrain.profile_at_cell(i, j)
+        loose_d = float(self.terrain.loose_depth[i, j])
+        bank_d = max(0.0, self.rip_depth - loose_d)
+        q_bank = profile.resistance_at(bank_d) if bank_d > 0.0 else 0.0
+        face = ripper_draft(self.spec.ripper_width, bank_d, q_bank,
+                            self.spec.ripper_cut_coeff) if bank_d > 0.0 else 0.0
+        drag = ripper_draft(self.spec.ripper_width,
+                            min(self.rip_depth, loose_d),
+                            profile.loose_resistance,
+                            self.spec.ripper_cut_coeff) if loose_d > 0.0 else 0.0
+        self._note(i, j)
+        self.terrain.rip(i, j, self.rip_depth)
+        self._rip_face = face + drag
 
     def _check_flip(self, seat_frame: str, draft: float, ripping: bool) -> None:
         """Raise FlipInstability when `draft` flips the seated frame."""
@@ -785,14 +992,20 @@ class Machine:
 
         The free frame advances in `STEP` increments and a trimmed last
         step, all laid out by `_StrokePath` and priced by `price_steps`.
-        The steps left are priced together, from one reading of the
-        terrain, and taken together up to the first at which a tool cuts
-        or rips, the seated frame cannot simply hold the draft, or the
-        stroke ends.  That step is priced again alone and taken on its
-        own: where the frame cannot hold it, the anchor deepens first,
-        then the machine flips or the frame slides.  The tools work the
-        cells the path found them entering.  The numbers are those of
-        taking every step on its own.
+        The tools work first: `_ToolWork` works every crossing of a span
+        of the steps left in order, keeping a journal of what it writes,
+        and then the whole span is priced in one pass, each step on the
+        terrain, blade load and tool forces it would meet taken alone.
+        The steps are taken up to the first the seated frame cannot
+        simply hold.  There the anchor deepens first, then the machine
+        flips or the frame slides; a deepening that does not slip prices
+        the rest of the span again with the deeper anchor, since no tool
+        work depends on the anchor.  A slip shoves the seated frame off
+        the path, and a flip or a stall ends the stroke, so each first
+        takes back the tool work past its step.  An anchor seated
+        unloaded slips at its first deepening, so while it can, a cutting
+        span ends at the first cut whose step it does not hold.  The
+        numbers are those of taking every step on its own.
 
         `_draft` is for `advance` alone: the zero-length draft it already
         had `_fresh_draft` price for this phase at the present pose.
@@ -829,91 +1042,74 @@ class Machine:
         useful = 0.0
         draft_peak = draft
         travelled = 0.0
-        spec, g = self.spec, self.env.gravity
+        anchor = self.anchors[seat_frame]
         path = None
         while travelled < advance_total - 1e-12:
             if path is None:
                 path = _StrokePath(self, move_frame, motion, travelled, advance_total,
                                    cutting, ripping)
-            k = path.k
-            e = path.stop
-            m = e - k
-            # Price steps k..e on the terrain and blade load as they stand.
-            corners, tx, ty, _ = path.footprint
-            fore, aft = self.terrain.blend(corners[..., k:e + 1], tx[:, k:e + 1],
-                                           ty[:, k:e + 1])
-            rise = motion * (fore - aft)
-            density = path.density
-            prism = self.prism
-            anchor = self.anchors[seat_frame]
-            held = 0
-            if m:
-                face = rip = runs = None
-                if cutting:
-                    runs = np.concatenate(([self._face_run], np.full(m, -STEP))).cumsum()
-                    face = np.where(runs[:m] > 0.0, self._face_force, 0.0)
-                if ripping:
-                    rip = np.where(path.cells[k:e] >= 0, self._rip_face, 0.0)
-                drafts, held, _ = price_steps(
-                    rise[:m], path.level[k:e], None if density is None else density[k:e],
-                    path.friction[k:e], face, rip, prism, self.extra_draft, spec, g, anchor)
-            # The pricing holds up to the first step at which a tool cuts
-            # or rips.  That step, a hold event or step e is taken on its
-            # own once the steps before it are taken together.
-            s, cut = held, False
-            c = path.next_crossing(k)
-            while c - k <= min(held, m):
-                path.place(self, c)
-                cut = (self._enter_blade_cell(int(path.cells[c]), path.blade_cells[c])
-                       if cutting else True)
-                if cut:
-                    s = c - k
+            # slip is 2k for any load, so only an anchor seated unloaded
+            # and not yet deepened can still slip
+            can_slip = cutting and not anchor.by_friction and anchor.slipped == 0.0
+            work = _ToolWork(self, path, cutting, ripping, anchor if can_slip else None)
+            last, step = work.last, path.k
+            slipped = False
+            while step <= last:
+                drafts, held, clears = work.price(step, self, anchor)
+                if held:
+                    taken = drafts[:held]
+                    useful = float(np.concatenate(([useful], taken * path.ds[step:step + held]))
+                                   .cumsum()[-1])
+                    draft_peak = max(draft_peak, float(taken.max()))
+                step += held
+                if step > last:
                     break
-                c = path.next_crossing(c + 1)
-            if s:
-                run = drafts[:s]
-                useful = float(np.concatenate(([useful], run * STEP)).cumsum()[-1])
-                draft_peak = max(draft_peak, float(run.max()))
-                travelled = float(path.travelled[k + s])
-                if cutting and not cut:  # a cut restarts the face run
-                    self._face_run = float(runs[s])
-            path.place(self, k + s)
-            path.k = k + s
-            if k + s == len(path.ds):
-                break  # the travel left is a rounding error
-            ds = float(path.ds[k + s])
-            # Price step s alone: its grade and prism as they stood before
-            # any cut there, its face and tine forces after.
-            face = (self._face_force if self._face_run > 0.0 else 0.0) if cutting else None
-            rip = self._ripper_force(int(path.cells[k + s])) if ripping else None
-            draft, held, clears = price_steps(
-                float(rise[s]), bool(path.level[k + s]),
-                None if density is None else float(density[k + s]),
-                float(path.friction[k + s]), face, rip, prism, self.extra_draft,
-                spec, g, anchor)
-            if cutting:
-                self._face_run -= ds
-
-            if not held:
-                if clears:
-                    if anchor.by_friction:
-                        raise VehicleStuck(f"sliding friction anchor cannot react {draft:.1f} N")
-                    # Deepening rates the spikes for the whole measured draft.
-                    extra_slip, extra_work = self._deepen_anchor(seat_frame, draft)
-                    anchor_work += extra_work
-                    extra_slip = min(extra_slip, advance_total - travelled)
-                    if extra_slip > 0.0:
-                        self._shift_frame(seat_frame, -motion * extra_slip)
-                        advance_total -= extra_slip
-                        slip_total += extra_slip
-                        path = None
-                self._check_flip(seat_frame, draft, ripping)
-            draft_peak = max(draft_peak, draft)
+                # The seated frame cannot simply hold this step.
+                draft = float(drafts[held])
+                path.place(self, step)
+                try:
+                    if clears[held]:
+                        if anchor.by_friction:
+                            raise VehicleStuck(
+                                f"sliding friction anchor cannot react {draft:.1f} N")
+                        # Deepening rates the spikes for the whole measured draft.
+                        extra_slip, extra_work = self._deepen_anchor(seat_frame, draft)
+                        anchor_work += extra_work
+                        extra_slip = min(extra_slip,
+                                         advance_total - float(path.travelled[step]))
+                        if extra_slip > 0.0:
+                            self._shift_frame(seat_frame, -motion * extra_slip)
+                            advance_total -= extra_slip
+                            slip_total += extra_slip
+                            slipped = True
+                    self._check_flip(seat_frame, draft, ripping)
+                except (SimulationError, ValueError):
+                    work.roll_back(self, step)
+                    raise
+                draft_peak = max(draft_peak, draft)
+                useful += draft * float(path.ds[step])
+                if slipped:
+                    break
+                step += 1
+            if slipped:
+                work.roll_back(self, step)
+            else:
+                work.settle(self, last)
+                # The path goes on in a new span, or what is left of it is
+                # a rounding error.
+                if last < path.stop:
+                    path.k = last + 1
+                    path.place(self, last + 1)
+                    travelled = float(path.travelled[last + 1])
+                    continue
+                step = last
+                path.place(self, step)
+            # The machine moves itself over the step that slipped or that
+            # ends the path, and a new path is laid from where it stops.
+            ds = float(path.ds[step])
             self._shift_frame(move_frame, motion * ds)
-            useful += draft * ds
-            travelled += ds
-            if path is not None:
-                path.k += 1
+            travelled = float(path.travelled[step]) + ds
+            path = None
 
         self._expanded = expand
         return self._log("expand" if expand else "contract", motion * travelled,

@@ -2,11 +2,12 @@
 
 The artifacts of a fixed scenario and seed stay byte for byte the same
 across refactors.  These sha256 digests pin the `simulate` artifacts of
-three presets, of a drive on a large patch-soil map and of a drive that
-takes many steps alone, the `plan` listings of the pad mission, of two
-more pad layouts and of a pad with findings, and the stuck preset's and a
-flipping tow's failures.  A change meant to alter an output updates its
-digest here and says why in CHANGES.md.
+three presets, of a drive on a large patch-soil map, of a drive that
+takes many steps alone and of an oblique drive that slips, spills and
+rips, the `plan` listings of the pad mission, of two more pad layouts
+and of a pad with findings, and the stuck preset's and a flipping tow's
+failures.  A change meant to alter an output updates its digest here
+and says why in CHANGES.md.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from spikedozer import cli
+from spikedozer.scenario import load_scenario, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -149,6 +151,38 @@ SINGLE_STEPS = {
     "surface.csv": "929b8ba04cb6ab54c2fbda63286d7acff2b7a862f90575173239fa7726a1214a",
     "trajectory.csv": "73a3acdeb0f2f33f83aa1beecb3648e6e2c6f4a7de530a51232adf2b2bb55aa5",
 }
+# An oblique drive with a small blade: its first cut deepens the spikes
+# the rear frame seated unloaded, and they slip; the blade overflows
+# partway through that stroke and spills beside its band; then the
+# tines rip across the ground.
+OBLIQUE_DRIVE = {
+    "name": "oblique_overflow", "environment": "moon",
+    "vehicle": {"preset": "reference", "name": "reference small blade",
+                "blade_capacity": 0.15},
+    "soil": {"preset": "soft", "patches": [
+        {"x_min": 1.0, "y_min": -1.0, "x_max": 4.0, "y_max": 6.0, "soil": LOOSE}]},
+    "seed": 11, "sensing": {"noise_rel": 0.02},
+    "terrain": {"extent": [16.0, 16.0], "cell_size": 0.2},
+    "start": {"x": -2.0, "y": -2.5, "heading_deg": 37.0},
+    "drive": [
+        {"op": "blade", "target_elevation": -0.04},
+        {"op": "advance", "distance": 3.0},
+        {"op": "blade", "target_elevation": None},
+        {"op": "dump"},
+        {"op": "ripper", "depth": 0.05},
+        {"op": "advance", "distance": 4.0},
+        {"op": "ripper", "depth": 0.0},
+        {"op": "relax"},
+    ],
+}
+OBLIQUE = {
+    "bank.csv": "154ced7cacc0c5d7abfb9dfd4f2692abd50bd6c644eadde17096658f61490615",
+    "energy.csv": "79199663ccf1c5b8f52c19b65fd0294319cf7907f3124d0125bbdbb8d04e4b81",
+    "events.csv": "3654f7861b5266813c435f230ea179fc6139bfae9429120935b59ddf0d9248ff",
+    "loose.csv": "838543c33300de294ea3f534d5740125208feff033b0596cad3abb0e9bbc08f5",
+    "surface.csv": "45a7869943be6cbf7f8aff654899fbce643bc33a89902a717fa32d26bbd3b525",
+    "trajectory.csv": "49ce25d513e2b92d91a6f38ab593aa9a6f62a76a70590ed86f876874a2a7a79a",
+}
 PLAN = "c0e82c3c84fadeaa01dde8ccf9c08121cd41a02514a19d04ef44195d0df89776"
 # `plan` listings of two soft lunar pads, keyed by (radius, cell size):
 # the widest benchmark pad, with 77 lanes, and a pad whose 0.2 m cells are
@@ -189,6 +223,19 @@ def test_drive_of_single_steps(tmp_path):
     rc = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert rc == 0
     assert digests(tmp_path / "out") == SINGLE_STEPS
+
+
+def test_oblique_drive_that_slips_spills_and_rips(tmp_path):
+    path = tmp_path / "drive.json"
+    path.write_text(json.dumps(OBLIQUE_DRIVE))
+    cycles = run_scenario(load_scenario(str(path))).machine.cycles
+    first = cycles[0]  # the first cut: an unloaded seat slips nothing itself
+    assert (first.mode, first.slip > 0.0, first.spill_volume > 0.0) == ("expand", True, True)
+    assert any(c.mode == "contract" and c.draft_peak > 0.0 and c.prism_volume == 0.0
+               for c in cycles)  # a ripping stroke
+    rc = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert digests(tmp_path / "out") == OBLIQUE
 
 
 def test_drive_on_a_large_patch_map(tmp_path):

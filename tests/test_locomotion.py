@@ -1,9 +1,10 @@
 """Half-cycle mechanics, compound moves, turning, and the stuck/flip guards."""
 
+import hashlib
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -527,6 +528,71 @@ class TestFlipGuard:
         assert rec.draft_peak == pytest.approx(1400.0)
 
 
+# The error text and end state of the two strokes `TestFailureState` runs.
+FLIP_TEXT = "drawbar lift at beta=37.2 deg exceeds 1635 N of hold-down"
+FLIP_STATE = (
+    {"bank_floor": "10a90108cfa3650e9bbcf4c69dcd060b632380cdb7d338f38d0dc4331df4702d",
+     "loose_depth": "939a87a98d2ac61ff52e0ac6400eb45272c9cb8694a0d994b7ceb082a18bc6fc",
+     "crust_broken": "c6a807f940a2b7312a22fe085ea9bc4e607c1e91246642ec05583794363f85bd"},
+    (0.134375, 0.07468749999999988, 0.1),
+    (0.8383347030088989, 0.3909218921101479, 0.4363323129985824, 2.649999999999987),
+    0.1, 0.07468749999999988)
+STUCK_TEXT = "sliding friction anchor cannot react 240.0 N"
+STUCK_STATE = (
+    {"bank_floor": "c589f3a228fa323f7df1350f4617dd6ad4f9d2f89ce58ea9044de9cc18190f8a",
+     "loose_depth": "8887c447249d6af8014e6b9d86ba464b36ccdbf6e0eb76e31e2ae86b0c9392c7",
+     "crust_broken": "9202e68fbe5587e30738f2f118e87e10202a6eabd7297e1299978ed53c3a8f46"},
+    (0.006875000000000001, 18.5264375, 0.0),
+    (2.5042808343944585, 0.9114836819629127, 0.3490658503988659, 3.269999999999974),
+    0.0, 0.0)
+
+
+class TestFailureState:
+    """What a stroke that fails partway leaves behind: the error, every
+    terrain array, the volume audit and the machine's pose and load,
+    pinned bit for bit."""
+
+    @staticmethod
+    def state(m):
+        t = m.terrain
+        arrays = {name: hashlib.sha256(getattr(t, name).tobytes()).hexdigest()
+                  for name in ("bank_floor", "loose_depth", "crust_broken")}
+        return (arrays, astuple(t.audit()), (m.x, m.y, m.heading, m.separation), m.prism,
+                m._stroke_spill)
+
+    def test_a_flip_partway_through_a_cutting_stroke(self):
+        # Oblique on medium ground: the blade overflows and spills, then
+        # meets hard ground and the deepened spikes flip the machine with
+        # two metres of stroke left.
+        soil = PatchSoilField(MEDIUM, [SoilPatch(2.5, -20.0, 20.0, 20.0, HARD)])
+        m = Machine(replace(REFERENCE, blade_capacity=0.1),
+                    Terrain((160, 160), CELL, (-20.0, -20.0), soil), MOON, heading_deg=25.0)
+        m.set_blade(-0.05)
+        with pytest.raises(FlipInstability) as failure:
+            m.half_cycle()
+        assert str(failure.value) == FLIP_TEXT
+        assert self.state(m) == FLIP_STATE
+
+    def test_stuck_on_friction_partway_through_a_ripping_stroke(self):
+        # The press cannot break the crust, so the front frame holds by
+        # friction; the tines rip a thin bank under laid spoil, then meet
+        # bare bank whose draft the friction cannot react.
+        m = Machine(replace(REFERENCE, has_crust_actuator=False),
+                    Terrain((120, 120), CELL, (-15.0, -15.0), CRUSTED_SLICK), MOON,
+                    heading_deg=20.0)
+        m.set_ripper(0.05)
+        m.half_cycle()
+        ux, uy = m._unit()
+        px, py = m._tool_point(False, m.x, m.y, m.separation)
+        centres = -15.0 + (np.arange(120) + 0.5) * CELL
+        along = (centres[None, :] - px) * ux + (centres[:, None] - py) * uy
+        m.terrain.loose_depth[along < 1.2] = 0.04
+        with pytest.raises(VehicleStuck) as failure:
+            m.half_cycle()
+        assert str(failure.value) == STUCK_TEXT
+        assert self.state(m) == STUCK_STATE
+
+
 class TestHoldRules:
     """The hold rule of `price_steps`, priced at one step and over a run,
     on a rear anchor set by hand."""
@@ -629,13 +695,20 @@ class TestHoldRules:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_run_rule_finds_the_first_single_step_event(self, data):
+        # A run of steps, each with its own grade, blade load, face and
+        # tine force, against the same steps priced one at a time.  The
+        # tow sets each step's draft near a drawn target, often an exact
+        # bound, and is exact where the step adds no other force.
         m = self.machine(data.draw(st.sampled_from([MOON, EARTH])),
                          data.draw(st.sampled_from([0.0, 5.0, 35.0])),
                          data.draw(st.sampled_from(list(self.anchors()))))
+        spec, g = m.spec, m.env.gravity
         ripping = data.draw(st.booleans())
+        cutting = data.draw(st.booleans())
         frictions = self.frictions(m)
         top = 1.5 * max(max(self.bounds(m, f, ripping)) for f in frictions)
-        drafts, friction = [], []
+        density = SOFT.loose_density
+        steps = []  # per step: rise, level, friction, face, rip, prism, tow
         for _ in range(data.draw(st.integers(1, 12))):
             f = data.draw(st.sampled_from(frictions))
             if data.draw(st.booleans()):
@@ -643,14 +716,25 @@ class TestHoldRules:
                 draft = data.draw(st.sampled_from(self.around(bound)))
             else:
                 draft = data.draw(st.floats(0.0, top))
-            drafts.append(draft)
-            friction.append(f)
-        steps = [self.price(m, d, f, ripping) for d, f in zip(drafts, friction)]
-        held = next((i for i, step in enumerate(steps) if step[1] == 0), len(drafts))
-        run, run_held, clears = self.price(m, drafts, friction, ripping)
-        assert run.tolist() == [step[0] for step in steps]
+            prism = data.draw(st.sampled_from([0.0, 0.0, 0.37, 1.5]))
+            face = data.draw(st.sampled_from([0.0, 0.0, 0.25 * top])) if cutting else None
+            rip = data.draw(st.sampled_from([0.0, 0.0, 0.1 * top])) if ripping else None
+            rise = data.draw(st.sampled_from([0.0, -0.0, 0.03, -0.2]))
+            level = data.draw(st.booleans())
+            tools = ((face + spec.prism_drag(prism, density, g) if cutting else 0.0)
+                     + (rip if ripping else 0.0))
+            steps.append((rise, level, f, face, rip, prism, draft - tools))
+        singles = [price_steps(rise, level, density, f, face, rip, prism, tow, spec, g,
+                               m.anchors["rear"])
+                   for rise, level, f, face, rip, prism, tow in steps]
+        held = next((i for i, step in enumerate(singles) if step[1] == 0), len(steps))
+        rise, level, f, face, rip, prism, tow = (np.array(col) for col in zip(*steps))
+        run, run_held, clears = price_steps(
+            rise, level, np.full(len(steps), density), f, face if cutting else None,
+            rip if ripping else None, prism, tow, spec, g, m.anchors["rear"])
+        assert run.tolist() == [step[0] for step in singles]
         assert run_held == held
-        assert clears.tolist() == [step[2] for step in steps]
+        assert clears.tolist() == [step[2] for step in singles]
 
 
 class TestBlade:
