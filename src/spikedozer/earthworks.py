@@ -44,6 +44,16 @@ def _neighbour_tests(repose_angle_deg: float, cell_size: float) -> tuple:
                  for dist in [cell_size * (math.sqrt(2.0) if di and dj else 1.0)])
 
 
+def bilinear(s, tx, ty):
+    """Blend corner heights stacked on the first axis of `s`, in the order
+    (i0, j0), (i0, j1), (i1, j0), (i1, j1), at fractions `tx` from j0
+    toward j1 and `ty` from i0 toward i1.  Floats or arrays."""
+    wx = 1.0 - tx
+    top = s[0] * wx + s[1] * tx
+    bot = s[2] * wx + s[3] * tx
+    return top * (1.0 - ty) + bot * ty
+
+
 def ripper_draft(
     width: float,
     depth: float,
@@ -139,18 +149,16 @@ class Terrain:
             raise ValueError(f"point ({x}, {y}) is off the map")
         return i, j
 
-    def cells_of(self, xs: np.ndarray,
-                 ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`cell_of` over arrays of points, with the same arithmetic.
-
-        Returns (i, j, on); where `cell_of` would raise, `on` is False and
-        i and j are -1.
-        """
+    def cells_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """`cell_of` over arrays of points, with the same arithmetic, as
+        flat indices i * cols + j: -1 where `cell_of` would raise."""
         rows, cols = self.shape
         j = np.floor((np.asarray(xs, dtype=float) - self.origin[0]) / self.cell_size)
         i = np.floor((np.asarray(ys, dtype=float) - self.origin[1]) / self.cell_size)
         on = (0 <= i) & (i < rows) & (0 <= j) & (j < cols)
-        return (np.where(on, i, -1).astype(np.intp), np.where(on, j, -1).astype(np.intp), on)
+        # a point off the map counts as row 0, column -1, so no arithmetic
+        # meets an infinite coordinate
+        return (np.where(on, i, 0) * cols + np.where(on, j, -1)).astype(np.intp)
 
     def cell_center(self, i: int, j: int) -> tuple[float, float]:
         return (
@@ -192,11 +200,8 @@ class Terrain:
         tx = min(max(fx - j0, 0.0), 1.0)
         ty = min(max(fy - i0, 0.0), 1.0)
         bank, loose = self.bank_floor, self.loose_depth
-        top = ((bank.item(i0, j0) + loose.item(i0, j0)) * (1.0 - tx)
-               + (bank.item(i0, j1) + loose.item(i0, j1)) * tx)
-        bot = ((bank.item(i1, j0) + loose.item(i1, j0)) * (1.0 - tx)
-               + (bank.item(i1, j1) + loose.item(i1, j1)) * tx)
-        return top * (1.0 - ty) + bot * ty
+        return bilinear([bank.item(i, j) + loose.item(i, j) for i in (i0, i1) for j in (j0, j1)],
+                        tx, ty)
 
     def bilinear_weights(self, xs: np.ndarray, ys: np.ndarray) -> tuple[
             np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -230,11 +235,7 @@ class Terrain:
 
     def blend(self, corners: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
         """Surface heights at points given by `bilinear_weights`."""
-        s = self.bank_floor.take(corners) + self.loose_depth.take(corners)
-        wx = 1.0 - tx
-        top = s[0] * wx + s[1] * tx
-        bot = s[2] * wx + s[3] * tx
-        return top * (1.0 - ty) + bot * ty
+        return bilinear(self.bank_floor.take(corners) + self.loose_depth.take(corners), tx, ty)
 
     def profile_at_cell(self, i: int, j: int) -> SoilProfile:
         x, y = self.cell_center(i, j)

@@ -24,13 +24,13 @@ reconstructed from the pin position, so the anchor point cannot drift.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .earthworks import SWELL_FACTOR, Terrain, ripper_draft
+from .earthworks import SWELL_FACTOR, Terrain, bilinear, ripper_draft
 from .errors import FlipInstability, SimulationError, VehicleStuck
 from .sensing import PenetrationRecorder
 from .soils import Environment, SoilProfile, crust_breaks
@@ -284,8 +284,10 @@ class BladeSetting:
     """Grading mode: cut whatever stands above `target_elevation`, up to
     the per-pass limit, in the `mask` cells (anywhere when None).
 
-    `mask` is a frozenset of (i, j) grid cells, looked up once for every
-    cell the blade enters; a planned trip passes its `cells`."""
+    `mask` is a frozenset of (i, j) grid cells, as a planned trip passes
+    its `cells`.  The stroke engine names cells by flat index and splits
+    each cell under the blade into (i, j) once, to test it against the
+    mask."""
 
     target_elevation: float
     mask: frozenset[tuple[int, int]] | None = None
@@ -344,113 +346,34 @@ def price_steps(rise, level, density, friction, face, rip, prism,
 
 
 class _StrokePath:
-    """The steps left in a stroke, laid out ahead of the machine.
+    """The steps left in a stroke, laid out ahead of the machine, and the
+    tool work of each span of them.
 
     Between anchor slips the heading and the per-step pose increment are
     fixed, so the center, separation and travel before each remaining
     full `STEP` follow by running sums: the same additions, in the same
     order, as moving one step at a time.  `ds` holds the length of each
     step to be taken: the `n` full ones, then step `n` trimmed to the
-    travel left, unless that travel is a rounding error.
-    The fore and aft grade samples of every step are located once, and
-    `_ToolWork` reads their heights.  So are the skid friction and loose
-    density under the center, which `price_steps` takes along with the
-    heights.
+    travel left, unless that travel is a rounding error.  The fore and
+    aft grade samples of every step are located once, and so are the
+    skid friction and loose density under the center, which `price_steps`
+    takes along with the heights.
 
-    This is the one place that finds the cells the tools enter: `cells`
-    holds the flat index of the cell the working tool's edge reaches at
-    the end of each step (-1 off the map), and `crossings` the steps at
-    which it enters a new one, where it may change the terrain and its
-    load.  `blade_cells` gives the cells under the blade span at each
-    crossing.  `stop` is the step that ends the path: step `n`, or an
-    earlier step that would collide the frames and so raises; the
-    machine takes it by moving itself, not by being placed.  `k` is the
-    next step to take.  A slip shoves the seated frame and so lays the
-    path again.
-    """
+    This is the one place that finds the cells the tools enter, each as
+    its flat index i * cols + j, -1 off the map: `cells` holds the cell
+    the working tool's edge reaches at the end of each step, and
+    `crossings` the steps at which it enters a new one, where it may
+    change the terrain and its load.  `blade_cells` gives the cells under
+    the blade span at each crossing.  `stop` is the step that ends the
+    path: step `n`, or an earlier step that would collide the frames and
+    so raises; the machine takes it by moving itself, not by being
+    placed.  `k` is the next step to take.  A slip shoves the seated
+    frame and so lays the path again.
 
-    def __init__(self, machine: Machine, move_frame: str, motion: float,
-                 travelled: float, advance_total: float,
-                 cutting: bool, ripping: bool):
-        terrain = machine.terrain
-        ux, uy = machine._unit()
-        bound = int((advance_total - travelled) / STEP) + 2
-        ts = np.concatenate(([travelled], np.full(bound, STEP))).cumsum()
-        n = int(np.count_nonzero(advance_total - ts >= STEP))
-        signed = motion * STEP
-        d_sep = signed if move_frame == "front" else -signed
-        self.motion = motion
-        self.travelled = ts[:n + 1]
-        self.xs = np.concatenate(([machine.x], np.full(n, 0.5 * signed * ux))).cumsum()
-        self.ys = np.concatenate(([machine.y], np.full(n, 0.5 * signed * uy))).cumsum()
-        self.seps = np.concatenate(([machine.separation], np.full(n, d_sep))).cumsum()
-        collide = (self.seps[1:] <= 0.0).nonzero()[0]
-        self.stop = int(collide[0]) if collide.size else n
-        self.ds = np.full(n + 1 if ts[n] < advance_total - 1e-12 else n, STEP)
-        self.ds[n:] = advance_total - ts[n]
-        crossings = []
-        self.cells = None
-        if cutting or ripping:
-            # the working tool's edge at the end of each step
-            taken = len(self.ds)
-            px, py = machine._tool_point(cutting, self.xs[:taken], self.ys[:taken],
-                                         self.seps[:taken])
-            travel = motion * self.ds
-            px, py = px + travel * ux, py + travel * uy
-            i, j, on = terrain.cells_of(px, py)
-            self.cells = np.where(on, i * terrain.shape[1] + j, -1)
-            seq = self.cells[on]
-            prev = np.concatenate(([machine._last_tool_cell], seq[:-1]))
-            crossings = on.nonzero()[0][seq != prev].tolist()
-            if cutting:
-                self.blade_cells = dict(zip(crossings, machine._blade_cells(
-                    px[crossings], py[crossings])))
-        self.crossings = crossings + [n + 1]
-        fx, fy, ax, ay = machine._grade_samples(self.xs, self.ys)
-        self.footprint = terrain.bilinear_weights(np.stack((fx, ax)), np.stack((fy, ay)))
-        self.level = ~(self.footprint[3][0] & self.footprint[3][1])
-        # the soil under the machine center before each step: its skid
-        # friction capacity, and the loose density of a prism carried on it
-        profiles, at = terrain.soil.profiles_at(self.xs, self.ys)
-        self.friction = np.array([machine._friction_capacity(p) for p in profiles])[at]
-        self.density = None
-        if cutting or machine.prism > 0.0:
-            self.density = np.array([p.loose_density for p in profiles])[at]
-        self._crossing = self.k = 0
-
-    def next_crossing(self, start: int) -> int:
-        """First crossing at or after `start`; past `n` when none is left."""
-        while self.crossings[self._crossing] < start:
-            self._crossing += 1
-        return self.crossings[self._crossing]
-
-    def place(self, machine: Machine, step: int) -> None:
-        """Put the machine at its pose before `step`."""
-        machine.x = float(self.xs[step])
-        machine.y = float(self.ys[step])
-        machine.separation = float(self.seps[step])
-
-
-class _ToolState(NamedTuple):
-    """What a stroke's tools have left at one point of the stroke."""
-
-    journal: int  # terrain writes journaled so far
-    prism: float
-    face_force: float
-    rip_face: float
-    carried_out: float  # the terrain's
-    spill: float
-    last_tool_cell: int
-    visited: int  # band cells the blade has visited
-
-
-class _ToolWork:
-    """The tool work of steps `k`..`last` of a path, done before they are
-    priced, and the per-step inputs it leaves for `price_steps`.
-
-    The crossings are worked in order, the machine placed before each
-    one's step.  The span runs to the path's last step, or, while the
-    blade works and the seated anchor can still slip, to the first
+    `work` does the tool work of the span of steps `k`..`last` before they
+    are priced, crossing by crossing in order, the machine placed before
+    each one's step.  The span runs to the path's last step, or, while
+    the blade works and the seated anchor can still slip, to the first
     crossing whose step, priced alone, that anchor does not hold: a slip
     lays the path again, and the blade work past it would be taken back.
     Ripping spans run to the end and take back what a slip invalidates,
@@ -465,48 +388,101 @@ class _ToolWork:
     `roll_back` can take back the work past any step.
     """
 
-    def __init__(self, machine: Machine, path: _StrokePath, cutting: bool,
-                 ripping: bool, may_slip: AnchorState | None):
-        """Work the crossings of the path from its step `k`; `may_slip` is
-        the seated anchor when the blade works and it can still slip."""
-        self.path, self.cutting = path, cutting
-        self.k = k = path.k
+    def __init__(self, machine: Machine, move_frame: str, motion: float,
+                 travelled: float, advance_total: float,
+                 cutting: bool, ripping: bool):
+        terrain = machine.terrain
+        ux, uy = machine._unit()
+        bound = int((advance_total - travelled) / STEP) + 2
+        ts = np.concatenate(([travelled], np.full(bound, STEP))).cumsum()
+        n = int(np.count_nonzero(advance_total - ts >= STEP))
+        signed = motion * STEP
+        d_sep = signed if move_frame == "front" else -signed
+        self.machine, self.cutting, self.ripping = machine, cutting, ripping
+        self.motion = motion
+        self.travelled = ts[:n + 1]
+        self.xs = np.concatenate(([machine.x], np.full(n, 0.5 * signed * ux))).cumsum()
+        self.ys = np.concatenate(([machine.y], np.full(n, 0.5 * signed * uy))).cumsum()
+        self.seps = np.concatenate(([machine.separation], np.full(n, d_sep))).cumsum()
+        collide = (self.seps[1:] <= 0.0).nonzero()[0]
+        self.stop = int(collide[0]) if collide.size else n
+        self.ds = np.full(n + 1 if ts[n] < advance_total - 1e-12 else n, STEP)
+        self.ds[n:] = advance_total - ts[n]
+        self.crossings = []
+        self.cells = None
+        if cutting or ripping:
+            # the working tool's edge at the end of each step
+            taken = len(self.ds)
+            px, py = machine._tool_point(cutting, self.xs[:taken], self.ys[:taken],
+                                         self.seps[:taken])
+            travel = motion * self.ds
+            px, py = px + travel * ux, py + travel * uy
+            self.cells = terrain.cells_of(px, py)
+            on = (self.cells >= 0).nonzero()[0]
+            seq = self.cells[on]
+            prev = np.concatenate(([machine._last_tool_cell], seq[:-1]))
+            self.crossings = on[seq != prev].tolist()
+            if cutting:
+                self.blade_cells = dict(zip(self.crossings, machine._blade_cells(
+                    px[self.crossings], py[self.crossings])))
+        fx, fy, ax, ay = machine._grade_samples(self.xs, self.ys)
+        self.footprint = terrain.bilinear_weights(np.stack((fx, ax)), np.stack((fy, ay)))
+        self.level = ~(self.footprint[3][0] & self.footprint[3][1])
+        # the soil under the machine center before each step: its skid
+        # friction capacity, and the loose density of a prism carried on it
+        profiles, at = terrain.soil.profiles_at(self.xs, self.ys)
+        self.friction = np.array([machine._friction_capacity(p) for p in profiles])[at]
+        self.density = None
+        if cutting or machine.prism > 0.0:
+            self.density = np.array([p.loose_density for p in profiles])[at]
+        self.k = 0
+
+    def place(self, step: int) -> None:
+        """Put the machine at its pose before `step`."""
+        machine = self.machine
+        machine.x = float(self.xs[step])
+        machine.y = float(self.ys[step])
+        machine.separation = float(self.seps[step])
+
+    def work(self, may_slip: AnchorState | None) -> int:
+        """Work the crossings of the span from step `k` and return its last
+        step; `may_slip` is the seated anchor when the blade works and it
+        can still slip.  This leaves the per-step inputs of `price`."""
+        machine, cutting, k = self.machine, self.cutting, self.k
         machine._journal.clear()
         # the tool state as the span starts, then after each crossing
         self.states = [machine._tool_state()]
         self.crossed, cut = [], []  # the crossings worked, and those that cut, from k
-        last = min(path.stop, len(path.ds) - 1)
-        c = path.next_crossing(k)
-        while c <= last:
+        last = min(self.stop, len(self.ds) - 1)
+        crossings = self.crossings
+        for c in crossings[bisect_left(crossings, k):bisect_right(crossings, last)]:
             gives = False
             if cutting:
-                seen = None if may_slip is None else (
-                    self._step_rise(machine.terrain, c), machine.prism)
-                path.place(machine, c)
-                if machine._enter_blade_cell(int(path.cells[c]), path.blade_cells[c]):
+                seen = None if may_slip is None else (self._step_rise(c), machine.prism)
+                self.place(c)
+                if machine._enter_blade_cell(int(self.cells[c]), self.blade_cells[c]):
                     cut.append(c - k)
-                    gives = seen is not None and not self._holds(machine, c, *seen, may_slip)
+                    gives = seen is not None and not self._holds(c, *seen, may_slip)
             else:
-                machine._enter_ripper_cell(int(path.cells[c]))
+                machine._enter_ripper_cell(int(self.cells[c]))
             self.crossed.append(c - k)
             self.states.append(machine._tool_state())
             if gives:
                 last = c
                 break
-            c = path.next_crossing(c + 1)
         self.last = last
 
-        self.rise = path.motion * self._heights(machine.terrain, machine._journal)
+        self.rise = self.motion * self._heights()
         self.prism, self.face, self.rip, self.run = machine.prism, None, None, None
-        if not (cutting or ripping):
-            return
+        if not (cutting or self.ripping):
+            return last
         steps = np.arange(last - k + 1)
         # per step, the tool state left by the crossings up to it
         left = np.searchsorted(self.crossed, steps, side="right")
-        if ripping:
+        if self.ripping:
             rips = np.array([state.rip_face for state in self.states])
-            self.rip = np.where(path.cells[k:last + 1] >= 0, rips[left], 0.0)
-            return
+            self.rip = np.where(self.cells[k:last + 1] >= 0, rips[left], 0.0)
+            return last
         # the blade load before the step's own cut
         self.prism = np.array([state.prism for state in self.states])[
             np.searchsorted(self.crossed, steps, side="left")]
@@ -525,29 +501,30 @@ class _ToolWork:
         self.run[after_cut] = since_cut[(steps - last_cut)[after_cut]]
         forces = np.array([state.face_force for state in self.states])
         self.face = np.where(self.run > 0.0, forces[left], 0.0)
+        return last
 
-    def _step_rise(self, terrain: Terrain, step: int) -> float:
+    def _step_rise(self, step: int) -> float:
         """Fore-minus-aft height of `step` on the map as it stands."""
-        corners, tx, ty, _ = self.path.footprint
-        fore, aft = terrain.blend(corners[..., step], tx[:, step], ty[:, step])
-        return self.path.motion * float(fore - aft)
+        corners, tx, ty, _ = self.footprint
+        fore, aft = self.machine.terrain.blend(corners[..., step], tx[:, step], ty[:, step])
+        return self.motion * float(fore - aft)
 
-    def _holds(self, machine: Machine, step: int, rise: float, prism: float,
-               anchor: AnchorState) -> bool:
+    def _holds(self, step: int, rise: float, prism: float, anchor: AnchorState) -> bool:
         """Whether `anchor` holds the step of a crossing that cut, priced
         alone: its grade and blade load before the cut, its face after."""
-        path = self.path
+        machine = self.machine
         return bool(price_steps(
-            rise, bool(path.level[step]), float(path.density[step]),
-            float(path.friction[step]), machine._face_force, None, prism,
+            rise, bool(self.level[step]), float(self.density[step]),
+            float(self.friction[step]), machine._face_force, None, prism,
             machine.extra_draft, machine.spec, machine.env.gravity, anchor)[1])
 
-    def _heights(self, terrain: Terrain, journal: list):
-        """Fore-minus-aft height of every step, from the map as each step
-        saw it: a cell the journal shows written at the step's crossing or
-        a later one holds the value that write found."""
-        path, k, last = self.path, self.k, self.last
-        corners, tx, ty, _ = path.footprint
+    def _heights(self):
+        """Fore-minus-aft height of every step of the span, from the map as
+        each step saw it: a cell the journal shows written at the step's
+        crossing or a later one holds the value that write found."""
+        terrain, journal = self.machine.terrain, self.machine._journal
+        k, last = self.k, self.last
+        corners, tx, ty, _ = self.footprint
         corners = corners[..., k:last + 1]
         bank = terrain.bank_floor.take(corners)
         loose = terrain.loose_depth.take(corners)
@@ -566,36 +543,43 @@ class _ToolWork:
             hit &= cells[order][found] == corners  # and not the next cell's first write
             bank = np.where(hit, old_bank[order][found], bank)
             loose = np.where(hit, old_loose[order][found], loose)
-        # the bilinear blend of `Terrain.blend`, on these corner heights
-        s = bank + loose
-        tx, ty = tx[:, k:last + 1], ty[:, k:last + 1]
-        wx = 1.0 - tx
-        top = s[0] * wx + s[1] * tx
-        bot = s[2] * wx + s[3] * tx
-        fore, aft = top * (1.0 - ty) + bot * ty
+        fore, aft = bilinear(bank + loose, tx[:, k:last + 1], ty[:, k:last + 1])
         return fore - aft
 
-    def price(self, i: int, machine: Machine, anchor: AnchorState):
-        """`price_steps` over steps `i`..`last`, held by `anchor`."""
-        path, a, b = self.path, i - self.k, self.last + 1
-        density = path.density
+    def price(self, i: int, anchor: AnchorState):
+        """`price_steps` over steps `i`..`last` of the span, held by `anchor`."""
+        machine, a, b = self.machine, i - self.k, self.last + 1
+        density = self.density
         return price_steps(
-            self.rise[a:], path.level[i:b], None if density is None else density[i:b],
-            path.friction[i:b], None if self.face is None else self.face[a:],
+            self.rise[a:], self.level[i:b], None if density is None else density[i:b],
+            self.friction[i:b], None if self.face is None else self.face[a:],
             None if self.rip is None else self.rip[a:],
             self.prism[a:] if self.cutting else self.prism, machine.extra_draft,
             machine.spec, machine.env.gravity, anchor)
 
-    def roll_back(self, machine: Machine, step: int) -> None:
-        """Take back the work of the crossings after `step`, and leave the
-        face run as taking `step` leaves it."""
-        machine._restore_tool_state(self.states[bisect_right(self.crossed, step - self.k)])
-        self.settle(machine, step)
+    def roll_back(self, step: int) -> None:
+        """Take back the work of the span's crossings after `step`, and
+        leave the face run as taking `step` leaves it."""
+        self.machine._restore_tool_state(self.states[bisect_right(self.crossed, step - self.k)])
+        self.settle(step)
 
-    def settle(self, machine: Machine, step: int) -> None:
+    def settle(self, step: int) -> None:
         """Leave the face run as taking `step` leaves it."""
         if self.run is not None:
-            machine._face_run = float(self.run[step - self.k]) - float(self.path.ds[step])
+            self.machine._face_run = float(self.run[step - self.k]) - float(self.ds[step])
+
+
+class _ToolState(NamedTuple):
+    """What a stroke's tools have left at one point of the stroke."""
+
+    journal: int  # terrain writes journaled so far
+    prism: float
+    face_force: float
+    rip_face: float
+    carried_out: float  # the terrain's
+    spill: float
+    last_tool_cell: int
+    visited: int  # band cells the blade has visited
 
 
 class Machine:
@@ -618,6 +602,8 @@ class Machine:
         self.y = float(y)
         self.heading = math.radians(heading_deg)
         self.separation = spec.base_separation  # start contracted
+        # each frame's seated spikes; unseating a frame sets None at no
+        # charge, as each spike's pull-out was charged when it seated
         self.anchors: dict[str, AnchorState | None] = {"front": None, "rear": None}
         self.prism = 0.0  # m^3 loose, carried on the blade
         self.blade: BladeSetting | None = None
@@ -630,13 +616,13 @@ class Machine:
         self._unit_for = float("nan")
         self._unit_vec = (1.0, 0.0)
         # the blade's face force from its last cut and the travel left over
-        # which it acts, which `_ToolWork` runs down; the tines' force
+        # which it acts, which `_StrokePath` runs down; the tines' force
         self._face_force = 0.0
         self._face_run = 0.0
         self._rip_face = 0.0
         # the band cells the blade has visited this stroke, a dict used as
         # an ordered set so that taking back tool work can pop the newest
-        self._stroke_cut: dict[tuple[int, int], None] = {}
+        self._stroke_cut: dict[int, None] = {}
         self._stroke_spill = 0.0
         # (flat cell, bank, loose) before each terrain write of the tools
         self._journal: list[tuple[int, float, float]] = []
@@ -807,11 +793,6 @@ class Machine:
         anchor.stored_work += extra_work
         return extra_slip, extra_work
 
-    def _release_frame(self, frame: str) -> None:
-        """Unseat a frame's spikes.  The pull-out energy was charged when
-        they seated, so releasing is free here."""
-        self.anchors[frame] = None
-
     # ------------------------------------------------------------------
     # Draft model
 
@@ -844,88 +825,82 @@ class Machine:
                            0.0 if ripping else None, self.prism, self.extra_draft,
                            self.spec, self.env.gravity, None)[0]
 
-    def _blade_cells(self, px: np.ndarray, py: np.ndarray) -> list[list]:
-        """For each blade center (px, py): the cells under the blade span,
-        each (i, j) or None off the map."""
+    def _blade_cells(self, px: np.ndarray, py: np.ndarray) -> list[list[int]]:
+        """For each blade center (px, py): the flat cells under the blade
+        span, -1 off the map."""
         ux, uy = self._unit()
         band = self._band_offsets
-        i, j, on = self.terrain.cells_of(px[:, None] - band * uy, py[:, None] + band * ux)
-        return [[(a, b) if o else None for a, b, o in zip(*row)]
-                for row in zip(i.tolist(), j.tolist(), on.tolist())]
+        return self.terrain.cells_of(px[:, None] - band * uy, py[:, None] + band * ux).tolist()
 
-    def _enter_blade_cell(self, cell: int, band: list) -> bool:
-        """Cut the `band` cells under the blade as its center enters the
-        new `cell`.  True when anything was cut.
+    def _enter_blade_cell(self, cell: int, band: list[int]) -> bool:
+        """Cut the flat `band` cells under the blade as its center enters
+        the new flat `cell`.  True when anything was cut.
 
         Every not yet visited cell under the blade span is cut in one
-        pass.  The cut work, cutting resistance times material volume, is
-        spread over one cell length of travel as a constant face force,
-        which for a full-width uniform cut reduces to
+        pass.  The cut work is spread over one cell length of travel as a
+        constant face force, which for a full-width uniform cut reduces to
 
             F = k_b * w * (d_loose * q_loose + d_bank * q_bank)
         """
         self._last_tool_cell = cell
         work = 0.0
         for band_cell in band:
-            if band_cell is None or band_cell in self._stroke_cut:
+            if band_cell < 0 or band_cell in self._stroke_cut:
                 continue
             self._stroke_cut[band_cell] = None
-            loose_cut, bank_cut = self._cut_cell(*band_cell)
-            if loose_cut <= 0.0 and bank_cut <= 0.0:
-                continue
-            cprof = self.terrain.profile_at_cell(*band_cell)
-            q_bank = cprof.resistance_at(bank_cut) if bank_cut > 0.0 else 0.0
-            work += self.spec.blade_cut_coeff * self.terrain.cell_area * (
-                loose_cut * cprof.loose_resistance + bank_cut * q_bank)
+            work += self._cut_cell(band_cell)
         if work <= 0.0:
             return False
         self._face_force = work / self.terrain.cell_size
         return True
 
-    def _cut_cell(self, i: int, j: int) -> tuple[float, float]:
-        """Take one blade pass from the cell, respecting mask and cut limit.
-
-        Material beyond the prism capacity is cast off the blade ends.
-        Returns the (loose, bank) thicknesses of the face cut.
-        """
-        setting = self.blade
+    def _cut_cell(self, cell: int) -> float:
+        """Take one blade pass from the flat `cell`, respecting mask and cut
+        limit, and return its cut work: cutting resistance times material
+        volume (J).  Material beyond the prism capacity is cast off the
+        blade ends."""
+        terrain, setting = self.terrain, self.blade
+        i, j = divmod(cell, terrain.shape[1])
         if setting.mask is not None and (i, j) not in setting.mask:
-            return 0.0, 0.0
-        surf = self.terrain.surface_at_cell(i, j)
-        thickness = surf - setting.target_elevation
+            return 0.0
+        thickness = terrain.surface_at_cell(i, j) - setting.target_elevation
         if thickness <= 1e-12:
-            return 0.0, 0.0
+            return 0.0
         thickness = min(thickness, self.spec.blade_max_cut)
-        self._note(i, j)
-        loose_m3, bank_m3 = self.terrain.excavate(i, j, thickness)
+        self._note(cell)
+        loose_m3, bank_m3 = terrain.excavate(i, j, thickness)
         self.prism += loose_m3 + bank_m3 * SWELL_FACTOR
         excess = self.prism - self.spec.blade_capacity
         if excess > 1e-12:
             self.prism -= excess
-            self._spill(excess, (i, j))
-        return (loose_m3 / self.terrain.cell_area,
-                bank_m3 / self.terrain.cell_area)
+            self._spill(excess, cell)
+        loose_cut, bank_cut = loose_m3 / terrain.cell_area, bank_m3 / terrain.cell_area
+        profile = terrain.profile_at_cell(i, j)
+        q_bank = profile.resistance_at(bank_cut) if bank_cut > 0.0 else 0.0
+        return self.spec.blade_cut_coeff * terrain.cell_area * (
+            loose_cut * profile.loose_resistance + bank_cut * q_bank)
 
-    def _spill(self, volume: float, fallback: tuple[int, int]) -> None:
-        """Cast overflow spoil half to each cell just beyond the blade ends."""
+    def _spill(self, volume: float, fallback_cell: int) -> None:
+        """Cast overflow spoil half to each cell just beyond the blade ends,
+        or to the flat `fallback_cell` where that is off the map."""
+        terrain = self.terrain
+        cols = terrain.shape[1]
         bx, by = self.blade_point()
         ux, uy = self._unit()
-        off = 0.5 * self.spec.blade_width + 0.5 * self.terrain.cell_size
+        off = 0.5 * self.spec.blade_width + 0.5 * terrain.cell_size
         for side in (1.0, -1.0):
             try:
-                ci, cj = self.terrain.cell_of(bx - side * off * uy,
-                                              by + side * off * ux)
+                i, j = terrain.cell_of(bx - side * off * uy, by + side * off * ux)
             except ValueError:
-                ci, cj = fallback  # keep the volume on the map
-            self._note(ci, cj)
-            self.terrain.deposit(ci, cj, 0.5 * volume)
+                i, j = divmod(fallback_cell, cols)  # keep the volume on the map
+            self._note(i * cols + j)
+            terrain.deposit(i, j, 0.5 * volume)
         self._stroke_spill += volume
 
-    def _note(self, i: int, j: int) -> None:
-        """Journal cell (i, j) as it stands before the tools write it."""
+    def _note(self, cell: int) -> None:
+        """Journal the flat `cell` as it stands before the tools write it."""
         terrain = self.terrain
-        self._journal.append((i * terrain.shape[1] + j, terrain.bank_floor.item(i, j),
-                              terrain.loose_depth.item(i, j)))
+        self._journal.append((cell, terrain.bank_floor.item(cell), terrain.loose_depth.item(cell)))
 
     def _tool_state(self) -> _ToolState:
         """What the tools have left so far this stroke."""
@@ -966,7 +941,7 @@ class Machine:
                             min(self.rip_depth, loose_d),
                             profile.loose_resistance,
                             self.spec.ripper_cut_coeff) if loose_d > 0.0 else 0.0
-        self._note(i, j)
+        self._note(cell)
         self.terrain.rip(i, j, self.rip_depth)
         self._rip_face = face + drag
 
@@ -991,13 +966,12 @@ class Machine:
         to the full ram stroke.
 
         The free frame advances in `STEP` increments and a trimmed last
-        step, all laid out by `_StrokePath` and priced by `price_steps`.
-        The tools work first: `_ToolWork` works every crossing of a span
-        of the steps left in order, keeping a journal of what it writes,
-        and then the whole span is priced in one pass, each step on the
-        terrain, blade load and tool forces it would meet taken alone.
-        The steps are taken up to the first the seated frame cannot
-        simply hold.  There the anchor deepens first, then the machine
+        step, all laid out by a `_StrokePath` and priced by `price_steps`.
+        The tools work first: the path works every crossing of a span of
+        the steps left in order, keeping a journal of what it writes, and
+        then prices the whole span in one pass, each step on the terrain,
+        blade load and tool forces it would meet taken alone.  The steps
+        are taken up to the first the seated frame cannot simply hold.  There the anchor deepens first, then the machine
         flips or the frame slides; a deepening that does not slip prices
         the rest of the span again with the deeper anchor, since no tool
         work depends on the anchor.  A slip shoves the seated frame off
@@ -1025,7 +999,7 @@ class Machine:
         move_frame = "front" if seat_frame == "rear" else "rear"
         self._stroke_spill = 0.0
 
-        self._release_frame(move_frame)
+        self.anchors[move_frame] = None
 
         x0, y0 = self.x, self.y
         ux, uy = self._unit()
@@ -1051,11 +1025,10 @@ class Machine:
             # slip is 2k for any load, so only an anchor seated unloaded
             # and not yet deepened can still slip
             can_slip = cutting and not anchor.by_friction and anchor.slipped == 0.0
-            work = _ToolWork(self, path, cutting, ripping, anchor if can_slip else None)
-            last, step = work.last, path.k
+            last, step = path.work(anchor if can_slip else None), path.k
             slipped = False
             while step <= last:
-                drafts, held, clears = work.price(step, self, anchor)
+                drafts, held, clears = path.price(step, anchor)
                 if held:
                     taken = drafts[:held]
                     useful = float(np.concatenate(([useful], taken * path.ds[step:step + held]))
@@ -1066,7 +1039,7 @@ class Machine:
                     break
                 # The seated frame cannot simply hold this step.
                 draft = float(drafts[held])
-                path.place(self, step)
+                path.place(step)
                 try:
                     if clears[held]:
                         if anchor.by_friction:
@@ -1084,7 +1057,7 @@ class Machine:
                             slipped = True
                     self._check_flip(seat_frame, draft, ripping)
                 except (SimulationError, ValueError):
-                    work.roll_back(self, step)
+                    path.roll_back(step)
                     raise
                 draft_peak = max(draft_peak, draft)
                 useful += draft * float(path.ds[step])
@@ -1092,18 +1065,18 @@ class Machine:
                     break
                 step += 1
             if slipped:
-                work.roll_back(self, step)
+                path.roll_back(step)
             else:
-                work.settle(self, last)
+                path.settle(last)
                 # The path goes on in a new span, or what is left of it is
                 # a rounding error.
                 if last < path.stop:
                     path.k = last + 1
-                    path.place(self, last + 1)
+                    path.place(last + 1)
                     travelled = float(path.travelled[last + 1])
                     continue
                 step = last
-                path.place(self, step)
+                path.place(step)
             # The machine moves itself over the step that slipped or that
             # ends the path, and a new path is laid from where it stops.
             ds = float(path.ds[step])
@@ -1280,8 +1253,7 @@ class Machine:
             self._expanded = expand
             return False
 
-        self._release_frame(free_frame)
-        self._release_frame(pin_frame)
+        self.anchors[free_frame] = self.anchors[pin_frame] = None
 
         profile = self._profile_at(*self.spike_point(pin_frame, side, 0.0))
         f_turn = self._friction_capacity(profile)

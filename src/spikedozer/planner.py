@@ -114,10 +114,6 @@ class Trip:
     r_in: float  # radius of the innermost cell center
     r_out: float  # radius of the outermost cell center
 
-    @property
-    def volume_bank(self) -> float:
-        return self.volume_loose / SWELL_FACTOR
-
 
 @dataclass
 class MissionPlan:

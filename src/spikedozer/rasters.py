@@ -118,8 +118,13 @@ def read_raster(path: str) -> tuple[np.ndarray, float, tuple[float, float]]:
 
 
 def write_text(path: str, text: str) -> None:
-    """Write `text` as UTF-8 with newline line endings, making its directory."""
+    """Write `text` as UTF-8 with newline line endings, making its directory.
+
+    An existing file is written over in place and then cut to length,
+    since truncating it first costs more than the write.
+    """
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()

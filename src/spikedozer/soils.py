@@ -138,10 +138,6 @@ class SoilProfile:
     def surface_friction(self) -> float:
         return self.layers[0].friction_mu
 
-    @property
-    def repose_angle_rad(self) -> float:
-        return math.radians(self.repose_angle_deg)
-
 
 def crust_breaks(crust: Duricrust | None, normal_force: float, tip_area: float) -> bool:
     """True when `normal_force` over `tip_area` exceeds the crust strength.

@@ -143,7 +143,7 @@ class TestTerrainGrid:
         ys = np.array([p[1] for p in points])
         corners, tx, ty, inside = t.bilinear_weights(xs, ys)
         h = t.blend(corners, tx, ty)
-        ci, cj, on = t.cells_of(xs, ys)
+        cells = t.cells_of(xs, ys)
         for k, (x, y) in enumerate(points):
             try:
                 expected = t.height_at(x, y)
@@ -154,9 +154,9 @@ class TestTerrainGrid:
             try:
                 cell = t.cell_of(x, y)
             except ValueError:
-                assert not on[k] and (ci[k], cj[k]) == (-1, -1)
+                assert cells[k] == -1
             else:
-                assert on[k] and (ci[k], cj[k]) == cell
+                assert divmod(int(cells[k]), cols) == cell
 
     def test_initial_surface_copied_not_aliased(self):
         init = np.ones((3, 3))
@@ -315,7 +315,7 @@ def reference_relax(t, window=None):
                     if loose[i][j] <= 0.0:
                         continue
                     profile = t.profile_at_cell(i, j)
-                    tan_repose = math.tan(profile.repose_angle_rad)
+                    tan_repose = math.tan(math.radians(profile.repose_angle_deg))
                     tan_trigger = math.tan(math.radians(
                         profile.repose_angle_deg + earthworks.REPOSE_SLACK_DEG))
                     h_c = bank[i][j] + loose[i][j]

@@ -90,7 +90,6 @@ class TestPlanLayout:
     def test_trip_volumes_respect_the_blade(self, plan):
         for trip in plan.trips:
             assert trip.volume_loose <= CONSTRUCTION.blade_capacity + 1e-9
-            assert trip.volume_bank == pytest.approx(trip.volume_loose / 1.3)
 
     def test_deposits_retreat_along_each_lane(self, plan):
         for lane in (0, 17, 62):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spikedozer.rasters import fmt, read_raster, write_raster
+from spikedozer.rasters import fmt, read_raster, write_raster, write_text
 
 # decimal values one digit past the 9 that %.9g keeps, ending in 5: the
 # rounding edge, as near as a double can sit to it
@@ -133,3 +133,15 @@ class TestReadRaster:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path} has rows beyond the 2 its header gives")):
             read_raster(str(path))
+
+
+class TestWriteText:
+    def test_rewriting_with_shorter_text_leaves_no_stale_tail(self, tmp_path):
+        text = "x,y\n1,2\n\u00b0\n"
+        fresh = tmp_path / "fresh.txt"
+        write_text(str(fresh), text)
+        assert fresh.read_bytes() == text.encode("utf-8")
+        rewritten = tmp_path / "sub" / "rewritten.txt"
+        write_text(str(rewritten), "a much longer first text\n" * 50)
+        write_text(str(rewritten), text)
+        assert rewritten.read_bytes() == fresh.read_bytes()
