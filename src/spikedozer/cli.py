@@ -30,9 +30,10 @@ import numpy as np
 
 from .errors import SimulationError
 from .locomotion import RECORD_FIELDS, VEHICLES, conventional_drawbar_per_mass
-from .planner import MAX_GRID_CELLS, describe_plan, plan_pad_mission, validate_plan
+from .earthworks import check_grid_size
+from .planner import describe_plan
 from .rasters import fmt, write_raster, write_table, write_text
-from .scenario import RunResult, load_scenario, run_scenario
+from .scenario import RunResult, load_scenario, plan_and_validate, run_scenario
 from .sensing import EVENT_FIELDS, load_events, rasterize_events
 from .soils import ENVIRONMENTS, SOILS
 from .traction import (
@@ -131,9 +132,7 @@ def _cmd_plan(args) -> int:
                         force_depth_override=args.force_depth_override)
     if scn.pad is None:
         raise ValueError("the plan subcommand needs a scenario with a 'pad'")
-    plan = plan_pad_mission(scn.pad, scn.vehicle, scn.environment,
-                            scn.base_profile)
-    violations = validate_plan(plan, scn.environment, scn.base_profile)
+    plan, violations = plan_and_validate(scn)
     _write_plan_file(os.path.join(args.out, "plan.txt"), plan, violations)
     print(f"{scn.name}: {len(plan.lane)} trips over {plan.n_lanes} lanes, "
           f"budget {plan.energy_budget:.9g} J, "
@@ -161,9 +160,8 @@ def _cmd_map(args) -> int:
         raise ValueError(f"{args.events} holds no events to map")
     ox, cols = _survey_axis([ev.x for ev in events], cell)
     oy, rows = _survey_axis([ev.y for ev in events], cell)
-    if rows * cols > MAX_GRID_CELLS:
-        raise ValueError(f"the events need a {rows} x {cols} raster of "
-                         f"{cell:.9g} m cells, over the {MAX_GRID_CELLS} cell limit")
+    check_grid_size(rows, cols, f"the events need a {rows} x {cols} raster of "
+                    f"{cell:.9g} m cells")
     min_q, mean_q = rasterize_events(events, (rows, cols), cell, (ox, oy))
     write_raster(os.path.join(args.out, "min_q.csv"), min_q, cell, (ox, oy))
     write_raster(os.path.join(args.out, "mean_q.csv"), mean_q, cell, (ox, oy))

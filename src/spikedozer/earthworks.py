@@ -30,6 +30,10 @@ DEFAULT_CELL_SIZE = 0.25  # m
 REPOSE_SLACK_DEG = 0.5  # relaxation trigger slack above the repose angle
 MAX_RELAX_PASSES = 10000  # sweeps before relaxation gives up as unsettled
 
+# Most cells a grid built from outside input may hold, a 2048-cell
+# square: planning a pad whose grid nears it peaks at about 500 MB.
+MAX_GRID_CELLS = 2048 * 2048
+
 # Neighbor scan order for the relaxation sweep: clockwise from north.
 _NEIGHBORS = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 
@@ -42,6 +46,12 @@ def _neighbour_tests(repose_angle_deg: float, cell_size: float) -> tuple:
     tan_trigger = math.tan(math.radians(repose_angle_deg + REPOSE_SLACK_DEG))
     return tuple((di, dj, tan_trigger * dist, tan_repose * dist) for di, dj in _NEIGHBORS
                  for dist in [cell_size * (math.sqrt(2.0) if di and dj else 1.0)])
+
+
+def check_grid_size(rows, cols, needs: str) -> None:
+    """Refuse a `rows` x `cols` grid over `MAX_GRID_CELLS`; `needs` opens the message."""
+    if rows * cols > MAX_GRID_CELLS:
+        raise ValueError(f"{needs}, over the {MAX_GRID_CELLS} cell limit")
 
 
 def bilinear(s, tx, ty):
@@ -142,12 +152,13 @@ class Terrain:
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         """Cell containing the point; raises ValueError off the map."""
-        j = int(math.floor((x - self.origin[0]) / self.cell_size))
-        i = int(math.floor((y - self.origin[1]) / self.cell_size))
+        j = (x - self.origin[0]) / self.cell_size
+        i = (y - self.origin[1]) / self.cell_size
         rows, cols = self.shape
-        if not (0 <= i < rows and 0 <= j < cols):
+        # floor(v) is in [0, n) just when v is, which a NaN or inf is not
+        if not (0.0 <= i < rows and 0.0 <= j < cols):
             raise ValueError(f"point ({x}, {y}) is off the map")
-        return i, j
+        return int(i), int(j)
 
     def cells_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """`cell_of` over arrays of points, with the same arithmetic, as

@@ -145,10 +145,10 @@ class VehicleSpec:
         if not 0.0 < self.heading_tolerance_deg <= 10.0:
             raise ValueError("heading tolerance must be in (0, 10] degrees")
 
-    # The draft and hold terms below are shared by the simulator, the
-    # planner's energy budget and its validator.  Seated spikes hold a draft
-    # up to their capacity; the frame flips once draft * tan(beta) reaches
-    # its hold-down.
+    # The draft, skid friction and hold terms below are shared by the
+    # simulator, the planner's energy budget and its validator.  Seated spikes
+    # and their frame's skid friction hold a draft up to their sum; the frame
+    # flips once draft * tan(beta) reaches its hold-down.
 
     @property
     def gauge(self) -> float:
@@ -167,6 +167,10 @@ class VehicleSpec:
     def prism_drag(self, prism, density, g: float):
         """Ground drag of `prism` m^3 of spoil at `density` on the blade (N)."""
         return self.prism_friction * density * prism * g
+
+    def skid_friction(self, profile: SoilProfile, g: float) -> float:
+        """Draft a seated frame holds by skid friction on `profile`, on half the weight (N)."""
+        return profile.surface_friction * 0.5 * (self.mass * g)
 
     def seat(self, force: float, profile: SoilProfile,
              n_spikes: int) -> tuple[float, float, float] | None:
@@ -431,7 +435,8 @@ class _StrokePath:
         # the soil under the machine center before each step: its skid
         # friction capacity, and the loose density of a prism carried on it
         profiles, at = terrain.soil.profiles_at(self.xs, self.ys)
-        self.friction = np.array([machine._friction_capacity(p) for p in profiles])[at]
+        g = machine.env.gravity
+        self.friction = np.array([machine.spec.skid_friction(p, g) for p in profiles])[at]
         self.density = None
         if cutting or machine.prism > 0.0:
             self.density = np.array([p.loose_density for p in profiles])[at]
@@ -677,10 +682,6 @@ class Machine:
     def blade_point(self) -> tuple[float, float]:
         return self._tool_point(True, self.x, self.y, self.separation)
 
-    @property
-    def weight(self) -> float:
-        return self.spec.mass * self.env.gravity
-
     def ram_travel(self, expand: bool) -> float:
         """Frame travel left before the ram reaches its stop.
 
@@ -718,10 +719,6 @@ class Machine:
         self.terrain.break_crust(i, j)
         return True
 
-    def _friction_capacity(self, profile: SoilProfile) -> float:
-        """Draft the seated frame's skid friction reacts on `profile`."""
-        return profile.surface_friction * 0.5 * self.weight
-
     def _seat_frame(self, frame: str, force: float, slip_allowed: bool,
                     offsets: tuple[float, ...] | None = None) -> tuple[float, float]:
         """Seat `frame`'s spikes against `force`.
@@ -736,7 +733,7 @@ class Machine:
             offsets = self.spec.spike_offsets
         sx, sy = self.spike_point(frame, offsets[0], 0.0)
         if not self._try_break_crust(sx, sy):
-            friction = self._friction_capacity(self._profile_at(self.x, self.y))
+            friction = self.spec.skid_friction(self._profile_at(self.x, self.y), self.env.gravity)
             if force <= friction:
                 self.anchors[frame] = AnchorState(
                     x=sx, y=sy, depth=0.0, capacity=friction,
@@ -1256,7 +1253,7 @@ class Machine:
         self.anchors[free_frame] = self.anchors[pin_frame] = None
 
         profile = self._profile_at(*self.spike_point(pin_frame, side, 0.0))
-        f_turn = self._friction_capacity(profile)
+        f_turn = self.spec.skid_friction(profile, self.env.gravity)
         # The pin is pressed in, not dragged in: no stroke is lost to slip.
         # Only the pin seats; the frame yaws around it, so its other
         # spikes would sweep an arc and cannot hold ground.

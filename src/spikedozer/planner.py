@@ -31,12 +31,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .earthworks import SWELL_FACTOR, Terrain
+from .earthworks import SWELL_FACTOR, Terrain, check_grid_size
 from .errors import SimulationError
-from .locomotion import Machine, VehicleSpec, ordered_sum
+from .locomotion import Machine, VehicleSpec, ordered_sum, price_steps
 from .sensing import PenetrationRecorder
 from .soils import Environment, SoilField, SoilProfile, crust_breaks
-from .traction import anchoring_slip
+from .traction import anchoring_slip, anchoring_work
 
 # Pads shallower than this fail to trap engine exhaust recirculation and
 # deeper ones waste mission energy for no blast benefit.
@@ -47,10 +47,6 @@ MAX_PAD_DEPTH = 0.50
 # never lets a lane edge escape the blade.
 LANE_ALIGNMENT_MARGIN = 1.0
 LANE_HEADING_TOL_DEG = 0.02
-
-# Most cells a pad's claim window or grid may hold, a 2048-cell square:
-# planning a pad whose grid nears it peaks at about 500 MB.
-MAX_GRID_CELLS = 2048 * 2048
 
 
 @dataclass(frozen=True)
@@ -244,12 +240,9 @@ def _claim_lanes(local_half: int, cell_size: float, radius: float,
 
 
 def _check_grid_size(pad: PadSpec, what: str, n: int) -> None:
-    """Refuse an `n` x `n` cell `what` over `MAX_GRID_CELLS`, before it
-    is allocated."""
-    if n * n > MAX_GRID_CELLS:
-        raise ValueError(
-            f"a {pad.radius:.9g} m pad at {pad.cell_size:.9g} m cells needs "
-            f"a {n} x {n} cell {what}, over the {MAX_GRID_CELLS} cell limit")
+    """Refuse an `n` x `n` cell `what` before it is allocated."""
+    check_grid_size(n, n, f"a {pad.radius:.9g} m pad at {pad.cell_size:.9g} m "
+                    f"cells needs a {n} x {n} cell {what}")
 
 
 def plan_pad_mission(
@@ -366,48 +359,42 @@ def estimate_energy(
     env: Environment,
     soil: SoilProfile,
 ) -> float:
-    """Predicted mission energy (J) from the same force models.
+    """Predicted mission energy (J) from the machine's own force terms.
 
     Walks every trip's push leg in closed form instead of stepping the
     terrain.  The prism ramps from empty to the trip's full load across
     the cut span (taken from the claimed cell radii), then rides at full
     load to the dump spot, so drag is charged at half weight over the
-    cut and full weight over the carry.  Face work is cutting resistance
-    times bank volume, the rim climb lifts machine plus load out of the
-    pit, and anchoring plus its prepaid extraction are charged per
-    half-cycle over the loaded span at that span's mean draft.  Return
-    legs, hub approaches and lane-entry turns are not priced; the only
-    charge off the push legs is pivot friction swept through one
-    half-rotation per lane change.  The budget therefore reads low, most
-    on small pads, where those legs are the largest share of the work.
+    cut and full weight over the carry.  Face work is cutting resistance,
+    read at the lift's cut thickness as the blade reads it, times bank
+    volume; the rim climb lifts machine plus load out of the pit, and
+    anchoring plus its prepaid extraction are charged per half-cycle over
+    the loaded span at that span's mean draft.  Return legs, hub
+    approaches and lane-entry turns are not priced; the only charge off
+    the push legs is skid friction swept through one half-rotation per
+    lane change.  The budget therefore reads low, most on small pads.
     """
     g = env.gravity
     cell = plan.pad.cell_size
     r_lo = plan.r_in - 0.5 * cell
     r_hi = plan.r_out + 0.5 * cell
-    depth = -plan.target_elevation
-    # resistance is read once per lift depth
-    depths, depth_of = np.unique(depth, return_inverse=True)
-    resistance = np.array([soil.resistance_at(d) for d in depths.tolist()])
-    face_work = vehicle.blade_cut_coeff * resistance[depth_of] \
+    face_work = vehicle.blade_cut_coeff * soil.resistance_at(plan.lift_depth) \
         * (plan.volume_loose / SWELL_FACTOR)
     drag_full = vehicle.prism_drag(plan.volume_loose, soil.loose_density, g)
     drag_work = drag_full * (0.5 * (r_hi - r_lo)
                              + np.maximum(0.0, plan.deposit_r - r_hi))
-    volumes, volume_of = np.unique(plan.volume_loose, return_inverse=True)
-    weight = np.array([vehicle.loaded_weight(v, soil.loose_density, g)
-                       for v in volumes.tolist()])
-    climb = weight[volume_of] * depth
+    climb = vehicle.loaded_weight(plan.volume_loose, soil.loose_density, g) \
+        * -plan.target_elevation
     useful = face_work + drag_work + climb
     loaded_span = np.maximum(plan.deposit_r - r_lo, cell)
     mean_draft = useful / loaded_span
     slip = anchoring_slip(mean_draft, soil)
     stroke_gain = np.maximum(vehicle.stroke_length - 2.0 * slip, 1e-6)
     halves = np.ceil(2.0 * loaded_span / stroke_gain)
-    anchoring = halves * soil.anchor_work_slope * mean_draft
+    anchoring = halves * anchoring_work(mean_draft, soil)
     total = ordered_sum(useful + anchoring * (1.0 + vehicle.extraction_ratio))
     lane_changes = int(np.count_nonzero(np.diff(plan.lane, prepend=-1)))
-    pivot_friction = soil.surface_friction * 0.5 * vehicle.mass * g
+    pivot_friction = vehicle.skid_friction(soil, g)
     return total + lane_changes * pivot_friction * math.pi * vehicle.gauge
 
 
@@ -415,17 +402,13 @@ def predict_peak_draft(vehicle: VehicleSpec, target_elevation: float,
                        volume_loose: float, env: Environment,
                        soil: SoilProfile) -> float:
     """Worst draft a trip carrying `volume_loose` m^3 down to
-    `target_elevation` should see: a full-width cut at the per-pass
-    thickness limit, full prism drag, and the climb over the pit rim
-    averaged across the machine's own support footprint."""
-    g = env.gravity
-    depth = -target_elevation
-    face = vehicle.blade_cut_coeff * vehicle.blade_width \
-        * vehicle.blade_max_cut * soil.resistance_at(depth)
-    drag = vehicle.prism_drag(volume_loose, soil.loose_density, g)
-    rim_sin = depth / math.hypot(depth, vehicle.gauge)
-    climb = vehicle.loaded_weight(volume_loose, soil.loose_density, g) * rim_sin
-    return face + drag + climb
+    `target_elevation` should see, as `price_steps` prices it: a full-width
+    cut at the per-pass thickness limit and resistance, full prism drag,
+    and the climb over the pit rim across the machine's support footprint."""
+    face = vehicle.blade_cut_coeff * vehicle.blade_width * vehicle.blade_max_cut \
+        * soil.resistance_at(vehicle.blade_max_cut)
+    return price_steps(-target_elevation, False, soil.loose_density, None, face, None,
+                       volume_loose, 0.0, vehicle, env.gravity, None)[0]
 
 
 def validate_plan(

@@ -24,6 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .earthworks import check_grid_size
+
 
 def fmt(value) -> str:
     """Canonical text for one value: floats via %.9g, the rest via str."""
@@ -98,6 +100,7 @@ def read_raster(path: str) -> tuple[np.ndarray, float, tuple[float, float]]:
             rows, cols = int(parts[0]), int(parts[1])
             cell_size = float(parts[2])
             origin = (float(parts[3]), float(parts[4]))
+            check_grid_size(rows, cols, f"a {rows} x {cols} cell grid")
             grid = np.empty((rows, cols))
         except ValueError as exc:
             raise ValueError(f"{path} has a malformed raster header: {exc}") from None

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .earthworks import DEFAULT_CELL_SIZE, Terrain
+from .earthworks import DEFAULT_CELL_SIZE, Terrain, check_grid_size
 from .locomotion import VEHICLES, Machine, VehicleSpec
 from .planner import (
     MissionPlan,
@@ -305,6 +305,7 @@ def _parse_terrain(node: dict, base_dir: str) -> tuple[
         ex, ey = given.get("extent", (40.0, 40.0))
         cols = max(1, round(ex / cell))
         rows = max(1, round(ey / cell))
+    check_grid_size(rows, cols, f"terrain needs a {rows} x {cols} cell grid")
     origin = given.get("origin", (-0.5 * cols * cell, -0.5 * rows * cell))
 
     surface = None
@@ -365,7 +366,7 @@ def load_scenario(
             raise ValueError("scenario must be a JSON object")
         return _build_scenario(doc, seed_override, force_depth_override,
                                os.path.dirname(path))
-    except (OSError, KeyError, TypeError, ValueError) as err:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as err:
         raise ValueError(f"{path}: {err}") from err
 
 
@@ -482,15 +483,20 @@ def _run_command(machine: Machine, terrain: Terrain, cmd: dict) -> None:
         terrain.relax()
 
 
+def plan_and_validate(scn: Scenario) -> tuple[MissionPlan, list[str]]:
+    """The scenario's pad plan and its findings, both from the base soil profile."""
+    plan = plan_pad_mission(scn.pad, scn.vehicle, scn.environment,
+                            scn.base_profile)
+    return plan, validate_plan(plan, scn.environment, scn.base_profile)
+
+
 def run_scenario(scn: Scenario) -> RunResult:
     """Execute a parsed scenario and return its full end state."""
     rng = np.random.default_rng(scn.seed)
     recorder = PenetrationRecorder(scn.soil, scn.temperature, rng, scn.noise_rel)
 
     if scn.pad is not None:
-        plan = plan_pad_mission(scn.pad, scn.vehicle, scn.environment,
-                                scn.base_profile)
-        violations = validate_plan(plan, scn.environment, scn.base_profile)
+        plan, violations = plan_and_validate(scn)
         mission = execute_plan(plan, scn.environment, scn.soil, recorder)
         return RunResult(
             scenario=scn,

@@ -184,12 +184,13 @@ class SpikeGeometry:
 REFERENCE_GEOMETRY = SpikeGeometry.from_thrust_angles()
 
 
-def anchoring_work(force: float, profile: SoilProfile) -> float:
+def anchoring_work(force, profile: SoilProfile):
     """Energy to seat one spike against `force` of drawbar load (J).
 
     Linear in the load: W = k * F with k the profile's anchor work slope.
+    `force` is a float, giving a float, or an array.
     """
-    if force < 0.0:
+    if _any_negative(force):
         raise ValueError("anchored force must be non-negative")
     return profile.anchor_work_slope * force
 

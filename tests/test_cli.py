@@ -240,14 +240,31 @@ class TestSimulate:
         assert "Traceback" not in err
         assert f"{path}: number 10000000000000000000... of 401 characters overflows" in err
 
-    @pytest.mark.parametrize("cell, message", [
-        ("nan", "row 1 column 2 is nan; heights must be finite"),
-        ("-inf", "row 1 column 2 is -inf; heights must be finite"),
-        ("0.1x", "row 1: could not convert string to float: '0.1x'"),
-    ])
-    def test_bad_surface_raster_exits_1(self, tmp_path, cell, message):
+    @pytest.mark.parametrize("text, message", [
+        ("# 3 4 0.5 -1 -0.75\n0,0,0,0\n0,0,nan,0\n0,0,0,0\n",
+         "row 1 column 2 is nan; heights must be finite"),
+        ("# 3 4 0.5 -1 -0.75\n0,0,0,0\n0,0,-inf,0\n0,0,0,0\n",
+         "row 1 column 2 is -inf; heights must be finite"),
+        ("# 3 4 0.5 -1 -0.75\n0,0,0,0\n0,0,0.1x,0\n0,0,0,0\n",
+         "row 1: could not convert string to float: '0.1x'"),
+        ("0,0,0,0\n", "is missing the raster header line"),
+        ("# 3 4 0.5 -1\n0,0,0,0\n", "has a malformed raster header"),
+        ("# 3 four 0.5 -1 -0.75\n0,0,0,0\n",
+         "has a malformed raster header: invalid literal for int() with base 10: 'four'"),
+        ("# -3 -4 0.5 -1 -0.75\n",
+         "has a malformed raster header: negative dimensions are not allowed"),
+        ("# 3 4 0.5 -1 -0.75\n0,0,0,0\n", "ended before row 1"),
+        ("# 3 4 0.5 -1 -0.75\n0,0,0,0\n0,0,0\n0,0,0,0\n", "row 1 has 3 of 4 columns"),
+        ("# 3 4 0.5 -1 -0.75\n0,0,0,0\n0,0,0,0\n0,0,0,0\n0,0,0,0\n",
+         "has rows beyond the 3 its header gives"),
+        ("# 100000000 100000000 0.5 -1 -0.75\n0,0,0,0\n",
+         "has a malformed raster header: a 100000000 x 100000000 cell grid, over the "
+         "4194304 cell limit"),
+    ], ids=["nan", "-inf", "text", "no_header", "short_header", "header_text",
+            "negative_shape", "short_file", "ragged_row", "extra_row", "oversize"])
+    def test_bad_surface_raster_exits_1(self, tmp_path, text, message):
         raster = tmp_path / "surface.csv"
-        raster.write_text(f"# 3 4 0.5 -1 -0.75\n0,0,0,0\n0,0,{cell},0\n0,0,0,0\n")
+        raster.write_text(text)
         path = write_scenario(tmp_path, {
             "name": "raster", "terrain": {"surface_raster": str(raster)},
             "start": {"x": 0.0, "y": 0.0}, "drive": [{"op": "advance", "distance": 0.1}]})
@@ -338,12 +355,19 @@ class TestSimulate:
          "vehicle.spike: 'hinge_height' must be a number, got str"),
         ({"vehicle": {"spike_offsets": 0.4}}, "vehicle.spike_offsets must be a list"),
         ({"terrain": {"shape": [1]}}, "terrain.shape must be a list of 2 values"),
+        ({"terrain": {"shape": [100000000, 100000000]}},
+         "terrain needs a 100000000 x 100000000 cell grid, over the 4194304 cell limit"),
+        ({"terrain": {"extent": [1e7, 1e7], "cell_size": 0.001}},
+         "terrain needs a 10000000000 x 10000000000 cell grid, over the 4194304 cell limit"),
+        ({"terrain": {"extent": [1e300, 1.0], "cell_size": 1e-10}},
+         "cannot convert float infinity to integer"),
         ({"vehicle": {"preset": "nope"}},
          "unknown vehicle preset 'nope'; have ['construction', 'reference']"),
         (None, "No such file or directory"),
         ({"terrain": {"surface_raster": "absent.csv"}}, "absent.csv"),
     ], ids=["surface_K", "gravity", "allow_inversion", "seed_fraction", "seed_text",
             "layer_thickness", "layer_density", "crust_thickness", "start_x", "spike", "spike_text", "spike_offsets", "shape",
+            "oversize_shape", "oversize_extent", "overflowing_extent",
             "vehicle_preset", "missing_scenario", "missing_raster"])
     def test_input_hole_exits_1(self, tmp_path, doc, key):
         path = tmp_path / "scenario.json"

@@ -135,6 +135,7 @@ class TestTerrainGrid:
                 st.integers(0, n).map(lambda k: lo + k * size),  # cell edges
                 st.sampled_from([lo, hi, math.nextafter(hi, lo),
                                  math.nextafter(lo, -math.inf)]),  # the border
+                st.sampled_from([math.inf, -math.inf, math.nan]),  # off any map
             )
 
         points = data.draw(st.lists(st.tuples(coordinate(ox, cols), coordinate(oy, rows)),

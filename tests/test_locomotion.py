@@ -101,6 +101,27 @@ class TestVehicleSpec:
         assert CONSTRUCTION.crust_press(1.62) == press + 0.5 * weight
         assert replace(CONSTRUCTION, has_crust_actuator=False).crust_press(1.62) == press
 
+    def test_skid_friction_is_the_friction_anchors_and_the_pivots(self):
+        # a frame that cannot seat on crust holds on skid friction alone
+        spec = replace(REFERENCE, has_crust_actuator=False)
+        m = Machine(spec, flat(soil=CRUSTED_SLICK), EARTH)
+        m._seat_frame("rear", 0.0, True)
+        assert m.anchors["rear"].by_friction
+        assert m.anchors["rear"].capacity == spec.skid_friction(CRUSTED_SLICK, EARTH.gravity) \
+            == 0.1 * 0.5 * (spec.mass * EARTH.gravity)
+        # a pivot's pin seats against the skid friction of the swung frame
+        m = Machine(REFERENCE, flat(soil=MEDIUM), MOON)
+        pins = []
+        seat = m._seat_frame
+
+        def spy(frame, force, slip_allowed, offsets=None):
+            pins.append(force)
+            return seat(frame, force, slip_allowed, offsets)
+
+        m._seat_frame = spy
+        m.turn_to(90.0)
+        assert pins and set(pins) == {REFERENCE.skid_friction(MEDIUM, MOON.gravity)}
+
 
 class TestHalfCycle:
     def test_loaded_half_ledger(self):
@@ -371,7 +392,7 @@ class TestStrokePathSoil:
         steps = [field.profile_at(x, y) for x, y in zip(path.xs.tolist(), path.ys.tolist())]
         assert steps[36] is SOFT and steps[37] is patch
         assert np.all(path.density == [p.loose_density for p in steps])
-        assert np.all(path.friction == [m._friction_capacity(p) for p in steps])
+        assert np.all(path.friction == [m.spec.skid_friction(p, MOON.gravity) for p in steps])
 
 
 class TestTurning:
@@ -608,7 +629,7 @@ class TestHoldRules:
         """A friction anchor and spike anchors seated by `VehicleSpec.seat`,
         also with power-of-two tan(beta), so that a draft can sit exactly
         on the flip bound; at 4 the frame flips before the spikes give."""
-        friction = Machine(REFERENCE, flat(n=40), MOON)._friction_capacity(SOFT)
+        friction = REFERENCE.skid_friction(SOFT, MOON.gravity)
         yield AnchorState(0.0, 0.0, 0.0, friction, 0.0, by_friction=True)
         for force in (0.0, 300.0, 1400.0):
             depth, capacity, tan_beta = REFERENCE.seat(force, SOFT, 2)
@@ -617,7 +638,7 @@ class TestHoldRules:
 
     @staticmethod
     def frictions(m):
-        return [m._friction_capacity(p) for p in (SOFT, CRUSTED_SLICK)]
+        return [m.spec.skid_friction(p, m.env.gravity) for p in (SOFT, CRUSTED_SLICK)]
 
     @staticmethod
     def bounds(m, friction, ripping):

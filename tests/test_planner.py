@@ -25,6 +25,7 @@ from spikedozer.planner import (
 from spikedozer.sensing import PenetrationRecorder
 from spikedozer.soils import (
     EARTH,
+    MARS,
     MOON,
     SOFT,
     MEDIUM,
@@ -372,6 +373,22 @@ class TestEnergyBudget:
         earth = estimate_energy(plan, CONSTRUCTION, EARTH, SOFT)
         assert earth > plan.energy_budget
 
+    def test_face_resistance_is_read_at_the_cut_thickness(self):
+        # Two 0.2 m lifts over a layer boundary at 0.3 m: the blade never
+        # cuts more than a lift below the floor it stands on, so neither
+        # lift reaches the stronger layer, and the budget and the findings
+        # are those of the top layer alone.
+        top = SoilLayer(thickness=0.3, resistance=960e3)
+        layered = SoilProfile(name="layered", anchor_work_slope=0.10,
+                              layers=(top, SoilLayer(thickness=10.0, resistance=2e6)))
+        uniform = replace(layered, layers=(top,))
+        plan = plan_pad_mission(PadSpec(radius=8.0), CONSTRUCTION, MOON, layered)
+        assert plan.lift_depth < 0.3 < plan.pad.depth
+        assert plan.energy_budget == estimate_energy(plan, CONSTRUCTION, MOON, uniform)
+        for target in (-plan.lift_depth, -plan.pad.depth):
+            assert predict_peak_draft(CONSTRUCTION, target, 1.5, MOON, layered) \
+                == predict_peak_draft(CONSTRUCTION, target, 1.5, MOON, uniform)
+
 
 class TestPeakDraft:
     def test_bigger_prism_pulls_harder(self, plan):
@@ -384,18 +401,20 @@ class TestPeakDraft:
         assert predict_peak_draft(CONSTRUCTION, trip.target_elevation,
                                   trip.volume_loose, MOON, SOFT) > 0.0
 
-    @pytest.mark.parametrize("env", [MOON, EARTH])
-    def test_drag_and_climb_are_the_simulators(self, plan, env):
-        # With the face term zeroed the prediction is the prism drag plus
-        # the rim climb, which the machine prices with the same terms.
-        vehicle = replace(plan.vehicle, blade_cut_coeff=0.0)
-        plan = replace(plan, vehicle=vehicle)
-        trip = plan.trips[-1]
-        depth = -trip.target_elevation
-        simulated, _, _ = price_steps(depth, False, SOFT.loose_density, None, 0.0, None,
-                                      trip.volume_loose, 0.0, vehicle, env.gravity, None)
-        assert predict_peak_draft(vehicle, trip.target_elevation,
-                                  trip.volume_loose, env, SOFT) == simulated
+    @pytest.mark.parametrize("env", [MOON, MARS, EARTH], ids=lambda e: e.name)
+    @pytest.mark.parametrize("vehicle", [REFERENCE, CONSTRUCTION], ids=lambda v: v.name)
+    def test_whole_draft_is_the_simulators(self, plan, vehicle, env):
+        # The prediction is the draft the machine prices for one step up
+        # the pit rim, pushing the full prism behind a full-width cut at
+        # the blade's thickness limit.
+        face = vehicle.blade_cut_coeff * vehicle.blade_width * vehicle.blade_max_cut \
+            * SOFT.resistance_at(vehicle.blade_max_cut)
+        for trip in (plan.trips[0], plan.trips[-1]):
+            depth = -trip.target_elevation
+            simulated, _, _ = price_steps(depth, False, SOFT.loose_density, None, face, None,
+                                          trip.volume_loose, 0.0, vehicle, env.gravity, None)
+            assert predict_peak_draft(vehicle, trip.target_elevation,
+                                      trip.volume_loose, env, SOFT) == simulated
 
 
 class TestValidatePlan:

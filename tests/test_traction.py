@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -158,6 +159,13 @@ class TestAnchoringEnergetics:
     def test_profile_slopes(self):
         assert anchoring_work(300.0, MEDIUM) == pytest.approx(15.0)
         assert anchoring_work(300.0, HARD) == pytest.approx(9.9)
+
+    def test_work_of_an_array_is_the_work_of_each_force(self):
+        forces = np.array([0.0, 1.0, 300.0, 1234.5678])
+        assert anchoring_work(forces, MEDIUM).tolist() == [
+            anchoring_work(f, MEDIUM) for f in forces.tolist()]
+        with pytest.raises(ValueError):
+            anchoring_work(np.array([300.0, -1e-300, 2.0]), MEDIUM)
 
     def test_slip_is_twice_the_slope(self):
         # W = F s / 2 with W = k F gives s = 2 k
