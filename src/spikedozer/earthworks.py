@@ -293,13 +293,6 @@ class Terrain:
         self.loose_depth[i, j] += loose_m3 / self.cell_area
         self.carried_out -= loose_m3
 
-    def break_crust(self, i: int, j: int) -> None:
-        self.crust_broken[i, j] = True
-
-    def crust_intact(self, i: int, j: int) -> bool:
-        profile = self.profile_at_cell(i, j)
-        return profile.duricrust is not None and not self.crust_broken[i, j]
-
     # ------------------------------------------------------------------
     # Spoil relaxation
 

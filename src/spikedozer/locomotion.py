@@ -697,9 +697,6 @@ class Machine:
     # ------------------------------------------------------------------
     # Anchoring
 
-    def _profile_at(self, x: float, y: float) -> SoilProfile:
-        return self.terrain.soil.profile_at(x, y)
-
     def _cell_on_map(self, what: str, x: float, y: float) -> tuple[int, int]:
         """Cell under a point the machine works at; off the map is a runtime failure."""
         try:
@@ -707,17 +704,21 @@ class Machine:
         except ValueError:
             raise SimulationError(f"{what} ({x:.2f}, {y:.2f}) is off the map") from None
 
-    def _try_break_crust(self, x: float, y: float) -> bool:
-        """Clear any intact crust under a spike; True when spikes can seat."""
-        i, j = self._cell_on_map("seating spike point", x, y)
-        if not self.terrain.crust_intact(i, j):
-            return True
-        if not crust_breaks(self._profile_at(x, y).duricrust,
-                            self.spec.crust_press(self.env.gravity),
-                            self.spec.spike.tip_area):
-            return False
-        self.terrain.break_crust(i, j)
-        return True
+    def _spike_ground(self, frame: str, offset: float):
+        """A spike's ground at the surface, read once for seating and for
+        `advance`'s slip prediction: the point, its cell (None off the map),
+        the soil profile there, and whether intact crust resists the press."""
+        x, y = self.spike_point(frame, offset, 0.0)
+        try:
+            cell = self.terrain.cell_of(x, y)
+        except ValueError:
+            cell = None
+        profile = self.terrain.soil.profile_at(x, y)
+        resists = (profile.duricrust is not None and cell is not None
+                   and not self.terrain.crust_broken[cell]
+                   and not crust_breaks(profile.duricrust, self.spec.crust_press(self.env.gravity),
+                                        self.spec.spike.tip_area))
+        return (x, y), cell, profile, resists
 
     def _seat_frame(self, frame: str, force: float, slip_allowed: bool,
                     offsets: tuple[float, ...] | None = None) -> tuple[float, float]:
@@ -725,15 +726,19 @@ class Machine:
 
         `offsets` restricts which spikes seat; straight driving seats the
         whole row, a turn pins a single off-axis spike so the frame can
-        yaw around it.  Returns (slip, anchoring_work).  Falls back to
-        sliding friction when crust keeps the spikes out; raises
+        yaw around it.  Returns (slip, anchoring_work).  `_spike_ground`
+        reads the first spike's ground for the row: where intact crust
+        resists the press the frame falls back to sliding friction; raises
         VehicleStuck when neither spikes nor friction can react the load.
         """
         if offsets is None:
             offsets = self.spec.spike_offsets
-        sx, sy = self.spike_point(frame, offsets[0], 0.0)
-        if not self._try_break_crust(sx, sy):
-            friction = self.spec.skid_friction(self._profile_at(self.x, self.y), self.env.gravity)
+        (sx, sy), cell, profile, resists = self._spike_ground(frame, offsets[0])
+        if cell is None:
+            raise SimulationError(f"seating spike point ({sx:.2f}, {sy:.2f}) is off the map")
+        if resists:
+            friction = self.spec.skid_friction(self.terrain.soil.profile_at(self.x, self.y),
+                                               self.env.gravity)
             if force <= friction:
                 self.anchors[frame] = AnchorState(
                     x=sx, y=sy, depth=0.0, capacity=friction,
@@ -742,7 +747,8 @@ class Machine:
             raise VehicleStuck(
                 "crust resists the spike press and sliding friction "
                 f"cannot react {force:.1f} N")
-        profile = self._profile_at(sx, sy)
+        if profile.duricrust is not None:
+            self.terrain.crust_broken[cell] = True
         seated = self.spec.seat(force, profile, len(offsets))
         if seated is None:
             raise VehicleStuck(
@@ -753,8 +759,7 @@ class Machine:
         for off in offsets:
             px, py = self.spike_point(frame, off, depth)
             try:
-                ci, cj = self.terrain.cell_of(px, py)
-                self.terrain.break_crust(ci, cj)
+                self.terrain.crust_broken[self.terrain.cell_of(px, py)] = True
             except ValueError:
                 pass
             if self.recorder is not None and depth > 0.0:
@@ -775,7 +780,7 @@ class Machine:
         slipped its ramp deepens without shoving the frame again.
         """
         anchor = self.anchors[frame]
-        profile = self._profile_at(anchor.x, anchor.y)
+        profile = self.terrain.soil.profile_at(anchor.x, anchor.y)
         seated = self.spec.seat(new_force, profile, len(self.spec.spike_offsets))
         if seated is None:
             raise VehicleStuck(
@@ -817,7 +822,7 @@ class Machine:
             level = False
         except ValueError:
             rise, level = 0.0, True
-        density = self._profile_at(self.x, self.y).loose_density
+        density = self.terrain.soil.profile_at(self.x, self.y).loose_density
         return price_steps(rise, level, density, None, 0.0 if cutting else None,
                            0.0 if ripping else None, self.prism, self.extra_draft,
                            self.spec, self.env.gravity, None)[0]
@@ -1126,8 +1131,9 @@ class Machine:
     def advance(self, distance: float, reverse: bool = False) -> float:
         """Drive the machine center `distance` along its heading.
 
-        Runs half-cycles, trimming the last stroke so the center lands on
-        the target.  Returns the center travel actually achieved.
+        Runs half-cycles, trimming the last stroke for the seating slip,
+        none where the frame holds by friction, so the center lands on the
+        target.  Returns the center travel actually achieved.
         """
         if distance <= 0.0:
             raise ValueError("advance distance must be positive")
@@ -1146,10 +1152,11 @@ class Machine:
                     "half-cycle budget exhausted without reaching the target")
             expand, seat_frame, cutting, ripping = self._phase(reverse)
             # Predict the seating slip as the half-cycle will seat: from
-            # the same zero-length draft, in the soil at the spike point.
+            # the same zero-length draft and the same reading of the ground
+            # at the spike point; a frame held by friction does not slip.
             draft0 = self._fresh_draft(cutting, ripping, -1.0 if reverse else 1.0)
-            spike = self.spike_point(seat_frame, self.spec.spike_offsets[0], 0.0)
-            slip = anchoring_slip(draft0, self._profile_at(*spike))
+            _, _, profile, resists = self._spike_ground(seat_frame, self.spec.spike_offsets[0])
+            slip = 0.0 if resists else anchoring_slip(draft0, profile)
             # A phase whose remaining ram travel cannot beat its own
             # seating slip is skipped: the interlock simply swaps which
             # frame holds and the opposite phase gets the full stroke.
@@ -1252,7 +1259,7 @@ class Machine:
 
         self.anchors[free_frame] = self.anchors[pin_frame] = None
 
-        profile = self._profile_at(*self.spike_point(pin_frame, side, 0.0))
+        profile = self.terrain.soil.profile_at(*self.spike_point(pin_frame, side, 0.0))
         f_turn = self.spec.skid_friction(profile, self.env.gravity)
         # The pin is pressed in, not dragged in: no stroke is lost to slip.
         # Only the pin seats; the frame yaws around it, so its other

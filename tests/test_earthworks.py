@@ -21,18 +21,8 @@ from spikedozer.soils import (
     HARD,
     MOON,
     SOFT,
-    Duricrust,
     PatchSoilField,
-    SoilLayer,
     SoilPatch,
-    SoilProfile,
-)
-
-CRUSTED = SoilProfile(
-    name="crusted",
-    layers=(SoilLayer(thickness=10.0, resistance=960e3),),
-    anchor_work_slope=0.10,
-    duricrust=Duricrust(strength=150e3),
 )
 
 
@@ -221,24 +211,6 @@ class TestCutFillAudit:
             carried += loose_m3 + bank_m3 * SWELL_FACTOR
         t.deposit(0, 4, carried)
         assert t.audit().residual < 1e-9
-
-
-class TestCrust:
-    def test_intact_until_broken(self):
-        t = Terrain((3, 3), soil=CRUSTED)
-        assert t.crust_intact(1, 1)
-        t.break_crust(1, 1)
-        assert not t.crust_intact(1, 1)
-
-    def test_no_crust_profile_never_intact(self):
-        t = Terrain((3, 3), soil=SOFT)
-        assert not t.crust_intact(1, 1)
-
-    def test_patchy_crust(self):
-        field = PatchSoilField(SOFT, [SoilPatch(0.0, 0.0, 0.5, 0.5, CRUSTED)])
-        t = Terrain((4, 4), soil=field)
-        assert t.crust_intact(0, 0)
-        assert not t.crust_intact(3, 3)
 
 
 class TestRelaxation:

@@ -145,11 +145,11 @@ SINGLE_STEP_DRIVE = {
 }
 SINGLE_STEPS = {
     "bank.csv": "d7dda68b9e5cafc9a5885d00aa3bee109f0c793d020ef616c6b4ab4e4946285e",
-    "energy.csv": "2d17be4705cbde5236e52583331652205b1995ef5a1087f238b9f6e777e22531",
+    "energy.csv": "b355ea9f326d99431e739225866f76462efb4600e8cd186f2ec31964c675adfc",
     "events.csv": "3cd9f59e89bddd2d8eaa66d7349f08c0123215eaca688ce40bda500257d8784a",
     "loose.csv": "e42c5a41722829877d977cc4b8f42de9226087e8d36c9b839f53356406c3a800",
     "surface.csv": "929b8ba04cb6ab54c2fbda63286d7acff2b7a862f90575173239fa7726a1214a",
-    "trajectory.csv": "73a3acdeb0f2f33f83aa1beecb3648e6e2c6f4a7de530a51232adf2b2bb55aa5",
+    "trajectory.csv": "c6e3d2ff4ec931ff131c08e0dbb59214a4c90b449920825ca949d0714b0131b0",
 }
 # An oblique drive with a small blade: its first cut deepens the spikes
 # the rear frame seated unloaded, and they slip; the blade overflows

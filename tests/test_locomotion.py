@@ -209,6 +209,17 @@ class TestAdvance:
         assert moved == pytest.approx(2.0, abs=1e-9)
         assert m.x == pytest.approx(-2.0, abs=1e-9)
 
+    def test_lands_on_target_when_the_frame_holds_by_friction(self):
+        # the crust keeps the spikes out, so the frame holds by skid
+        # friction and does not slip: the stroke is not trimmed for one
+        spec = replace(REFERENCE, has_crust_actuator=False)
+        m = Machine(spec, flat(soil=replace(SOFT, duricrust=Duricrust(1e12)), n=80), MOON)
+        m.extra_draft = 20.0
+        moved = m.advance(1.0)
+        assert moved == pytest.approx(1.0, abs=1e-9)
+        assert m.x == pytest.approx(1.0, abs=1e-9)
+        assert all(c.slip == 0.0 for c in m.cycles)
+
     def test_rejects_nonpositive_distance(self):
         m = Machine(REFERENCE, flat(), EARTH)
         with pytest.raises(ValueError):
@@ -517,6 +528,53 @@ class TestDuricrust:
         rec = m.half_cycle()
         assert rec.seat_depth == 0.0
         assert rec.center_advance == pytest.approx(2.0, abs=1e-9)
+
+
+    def test_crust_holds_by_friction_until_a_press_breaks_it(self):
+        terrain = flat(soil=CRUSTED_SLICK)
+        m = Machine(replace(REFERENCE, has_crust_actuator=False), terrain, EARTH)
+        m._seat_frame("rear", 50.0, True)
+        assert m.anchors["rear"].by_friction and not terrain.crust_broken.any()
+        # the weight-transfer actuator's press breaks the crust under the spikes
+        pressed = Machine(REFERENCE, terrain, EARTH)
+        pressed._seat_frame("rear", 50.0, True)
+        assert not pressed.anchors["rear"].by_friction and terrain.crust_broken.any()
+        # and spikes without the press now seat where it was broken
+        m._seat_frame("rear", 50.0, True)
+        assert not m.anchors["rear"].by_friction
+        assert m.anchors["rear"].depth == pressed.anchors["rear"].depth > 0.0
+
+    def test_no_crust_profile_seats_spikes(self):
+        m = Machine(replace(REFERENCE, has_crust_actuator=False), flat(soil=SOFT), EARTH)
+        m._seat_frame("rear", 50.0, True)
+        assert not m.anchors["rear"].by_friction and m.anchors["rear"].depth > 0.0
+
+    @pytest.mark.parametrize("x0, y0, by_friction", [(-2.0, 0.0, True), (5.0, 5.0, False)],
+                             ids=["under_the_spikes", "elsewhere"])
+    def test_patchy_crust_is_read_at_the_spike_point(self, x0, y0, by_friction):
+        # a crust patch under the rear spikes keeps them out; one
+        # elsewhere on the map does not
+        field = PatchSoilField(SOFT, [SoilPatch(x0, y0, x0 + 2.0, y0 + 2.0, CRUSTED_SLICK)])
+        m = Machine(replace(REFERENCE, has_crust_actuator=False), flat(soil=field), EARTH)
+        m._seat_frame("rear", 50.0, True)
+        assert m.anchors["rear"].by_friction == by_friction
+
+    def test_crust_edge_is_read_at_the_spike_point_not_the_cell_center(self):
+        # The rear spike's surface point (-0.8671, 0.4) lies in the crust
+        # patch while its cell's center (-0.875, 0.375) does not: the
+        # press cannot break the crust, so the spikes stay out.
+        crust = replace(SOFT, duricrust=Duricrust(1e12))
+        field = PatchSoilField(SOFT, [SoilPatch(-0.871, 0.0, 0.0, 1.0, crust)])
+        terrain = Terrain((80, 80), CELL, ORIGIN, field)
+        m = Machine(replace(REFERENCE, has_crust_actuator=False), terrain, MOON)
+        sx, sy = m.spike_point("rear", REFERENCE.spike_offsets[0], 0.0)
+        i, j = terrain.cell_of(sx, sy)
+        assert sx == pytest.approx(-0.8671, abs=1e-4) and sy == 0.4
+        assert terrain.cell_center(i, j) == (-0.875, 0.375)
+        m.extra_draft = 50.0
+        rec = m.half_cycle()
+        assert m.anchors["rear"].by_friction and rec.seat_depth == 0.0
+        assert not terrain.crust_broken[i, j]
 
 
 class TestFlipGuard:
