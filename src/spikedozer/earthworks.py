@@ -223,19 +223,30 @@ class Terrain:
         a new first axis.  They depend on the points alone, so `blend`
         can read the heights afresh after the terrain changes.  Points
         off the map get `inside` False and weights clamped onto the map.
+
+        When every point lies half a cell or more inside the map, as its
+        (i0, j0) cell shows, no clamp changes anything and none is applied.
         """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         rows, cols = self.shape
         ox, oy = self.origin
         size = self.cell_size
+        fx = (xs - ox) / size - 0.5
+        fy = (ys - oy) / size - 0.5
+        j0 = np.floor(fx)
+        i0 = np.floor(fy)
+        # a NaN fails every one of these tests
+        if (xs.size and 0.0 <= j0.min() and j0.max() <= cols - 2
+                and 0.0 <= i0.min() and i0.max() <= rows - 2):
+            corner = (i0 * cols + j0).astype(np.intp)
+            return (np.add.outer((0, 1, cols, cols + 1), corner), fx - j0, fy - i0,
+                    np.ones(xs.shape, dtype=bool))
         inside = ((ox <= xs) & (xs < ox + cols * size)
                   & (oy <= ys) & (ys < oy + rows * size))
         # fmax and fmin clamp even a NaN coordinate onto the map
-        fx = (xs - ox) / size - 0.5
-        fy = (ys - oy) / size - 0.5
-        j0 = np.fmin(np.fmax(np.floor(fx), 0.0), cols - 1)
-        i0 = np.fmin(np.fmax(np.floor(fy), 0.0), rows - 1)
+        j0 = np.fmin(np.fmax(j0, 0.0), cols - 1)
+        i0 = np.fmin(np.fmax(i0, 0.0), rows - 1)
         tx = np.fmin(np.fmax(fx - j0, 0.0), 1.0)
         ty = np.fmin(np.fmax(fy - i0, 0.0), 1.0)
         row0 = i0 * cols

@@ -286,15 +286,17 @@ RECORD_FIELDS = tuple(f.name for f in fields(CycleRecord))
 @dataclass
 class BladeSetting:
     """Grading mode: cut whatever stands above `target_elevation`, up to
-    the per-pass limit, in the `mask` cells (anywhere when None).
+    the per-pass limit, in the cells `cuts` marks.
 
-    `mask` is a frozenset of (i, j) grid cells, as a planned trip passes
-    its `cells`.  The stroke engine names cells by flat index and splits
-    each cell under the blade into (i, j) once, to test it against the
-    mask."""
+    `cuts` is a boolean lookup by flat cell index i * cols + j, built
+    once by `Machine.set_blade` from its mask (every cell without one),
+    with one more entry, always False, where the -1 of a point off the
+    map lands.  The stroke engine filters the cells under the blade
+    through it before it works them, so no other cell is tested or
+    visited."""
 
     target_elevation: float
-    mask: frozenset[tuple[int, int]] | None = None
+    cuts: np.ndarray
 
 
 def price_steps(rise, level, density, friction, face, rip, prism,
@@ -368,7 +370,11 @@ class _StrokePath:
     the working tool's edge reaches at the end of each step, and
     `crossings` the steps at which it enters a new one, where it may
     change the terrain and its load.  `blade_cells` gives the cells under
-    the blade span at each crossing.  `stop` is the step that ends the
+    the blade span at each crossing that the blade may cut; a blade
+    crossing with none is dropped, as working it would change nothing.
+    `settle` and `roll_back` leave the machine's last tool cell, which
+    the next path starts from, as the last cell of `cells` on the map
+    up to their step.  `stop` is the step that ends the
     path: step `n`, or an earlier step that would collide the frames and
     so raises; the machine takes it by moving itself, not by being
     placed.  `k` is the next step to take.  A slip shoves the seated
@@ -398,22 +404,24 @@ class _StrokePath:
         terrain = machine.terrain
         ux, uy = machine._unit()
         bound = int((advance_total - travelled) / STEP) + 2
-        ts = np.concatenate(([travelled], np.full(bound, STEP))).cumsum()
-        n = int(np.count_nonzero(advance_total - ts >= STEP))
         signed = motion * STEP
         d_sep = signed if move_frame == "front" else -signed
+        # travel, center and separation before each step, as running sums
+        lay = np.repeat([[travelled, STEP], [machine.x, 0.5 * signed * ux],
+                         [machine.y, 0.5 * signed * uy], [machine.separation, d_sep]],
+                        [1, bound], axis=1).cumsum(axis=1)
+        ts = lay[0]
+        n = int(np.count_nonzero(advance_total - ts >= STEP))
         self.machine, self.cutting, self.ripping = machine, cutting, ripping
         self.motion = motion
-        self.travelled = ts[:n + 1]
-        self.xs = np.concatenate(([machine.x], np.full(n, 0.5 * signed * ux))).cumsum()
-        self.ys = np.concatenate(([machine.y], np.full(n, 0.5 * signed * uy))).cumsum()
-        self.seps = np.concatenate(([machine.separation], np.full(n, d_sep))).cumsum()
+        self.travelled, self.xs, self.ys, self.seps = lay = lay[:, :n + 1]
         collide = (self.seps[1:] <= 0.0).nonzero()[0]
         self.stop = int(collide[0]) if collide.size else n
         self.ds = np.full(n + 1 if ts[n] < advance_total - 1e-12 else n, STEP)
         self.ds[n:] = advance_total - ts[n]
         self.crossings = []
         self.cells = None
+        self.start_cell = machine._last_tool_cell
         if cutting or ripping:
             # the working tool's edge at the end of each step
             taken = len(self.ds)
@@ -424,13 +432,16 @@ class _StrokePath:
             self.cells = terrain.cells_of(px, py)
             on = (self.cells >= 0).nonzero()[0]
             seq = self.cells[on]
-            prev = np.concatenate(([machine._last_tool_cell], seq[:-1]))
+            prev = np.concatenate(([self.start_cell], seq[:-1]))
             self.crossings = on[seq != prev].tolist()
             if cutting:
-                self.blade_cells = dict(zip(self.crossings, machine._blade_cells(
-                    px[self.crossings], py[self.crossings])))
-        fx, fy, ax, ay = machine._grade_samples(self.xs, self.ys)
-        self.footprint = terrain.bilinear_weights(np.stack((fx, ax)), np.stack((fy, ay)))
+                bands = machine._blade_cells(px[self.crossings], py[self.crossings])
+                self.blade_cells = {c: band for c, band in zip(self.crossings, bands) if band}
+                self.crossings = list(self.blade_cells)
+        # the fore and aft grade samples of each step, stacked as (x, y)
+        hx, hy = machine._grade_offset()
+        self.footprint = terrain.bilinear_weights(
+            *(lay[1:3, None] + np.array([[[hx], [-hx]], [[hy], [-hy]]])))
         self.level = ~(self.footprint[3][0] & self.footprint[3][1])
         # the soil under the machine center before each step: its skid
         # friction capacity, and the loose density of a prism carried on it
@@ -465,7 +476,7 @@ class _StrokePath:
             if cutting:
                 seen = None if may_slip is None else (self._step_rise(c), machine.prism)
                 self.place(c)
-                if machine._enter_blade_cell(int(self.cells[c]), self.blade_cells[c]):
+                if machine._enter_blade_cell(self.blade_cells[c]):
                     cut.append(c - k)
                     gives = seen is not None and not self._holds(c, *seen, may_slip)
             else:
@@ -564,14 +575,20 @@ class _StrokePath:
 
     def roll_back(self, step: int) -> None:
         """Take back the work of the span's crossings after `step`, and
-        leave the face run as taking `step` leaves it."""
+        leave the face run and the last tool cell as taking `step` leaves
+        them."""
         self.machine._restore_tool_state(self.states[bisect_right(self.crossed, step - self.k)])
         self.settle(step)
 
     def settle(self, step: int) -> None:
-        """Leave the face run as taking `step` leaves it."""
+        """Leave the face run and the last tool cell as taking `step`
+        leaves them."""
+        machine = self.machine
         if self.run is not None:
-            self.machine._face_run = float(self.run[step - self.k]) - float(self.ds[step])
+            machine._face_run = float(self.run[step - self.k]) - float(self.ds[step])
+        if self.cells is not None:
+            on = np.flatnonzero(self.cells[:step + 1] >= 0)
+            machine._last_tool_cell = int(self.cells[on[-1]]) if on.size else self.start_cell
 
 
 class _ToolState(NamedTuple):
@@ -583,7 +600,6 @@ class _ToolState(NamedTuple):
     rip_face: float
     carried_out: float  # the terrain's
     spill: float
-    last_tool_cell: int
     visited: int  # band cells the blade has visited
 
 
@@ -631,8 +647,9 @@ class Machine:
         self._stroke_spill = 0.0
         # (flat cell, bank, loose) before each terrain write of the tools
         self._journal: list[tuple[int, float, float]] = []
-        # flat index of the cell the working tool last entered this stroke;
-        # `_phase` never works the blade and the ripper in one half-cycle
+        # flat index of the cell the working tool last entered this stroke,
+        # kept by `_StrokePath`; `_phase` never works the blade and the
+        # ripper in one half-cycle
         self._last_tool_cell = -1
         # blade width sampled finely enough that no covered cell is missed
         half_w = 0.5 * spec.blade_width
@@ -798,13 +815,12 @@ class Machine:
     # ------------------------------------------------------------------
     # Draft model
 
-    def _grade_samples(self, x: float | np.ndarray, y: float | np.ndarray) -> tuple:
-        """Fore and aft height sample points, half a footprint either side
-        of a center at (x, y) at the present heading: (fx, fy, ax, ay)."""
+    def _grade_offset(self) -> tuple[float, float]:
+        """From the center to the fore height sample, half a footprint
+        along the present heading; the aft sample lies as far behind."""
         half = 0.5 * self.spec.gauge
         ux, uy = self._unit()
-        hx, hy = half * ux, half * uy
-        return x + hx, y + hy, x - hx, y - hy
+        return half * ux, half * uy
 
     def _fresh_draft(self, cutting: bool, ripping: bool, motion: float) -> float:
         """Clear the per-stroke tool state and return the draft at the
@@ -816,9 +832,11 @@ class Machine:
             self._face_run = 0.0
         if ripping:
             self._rip_face = 0.0
-        fx, fy, ax, ay = self._grade_samples(self.x, self.y)
+        hx, hy = self._grade_offset()
+        x, y = self.x, self.y
         try:
-            rise = motion * (self.terrain.height_at(fx, fy) - self.terrain.height_at(ax, ay))
+            rise = motion * (self.terrain.height_at(x + hx, y + hy)
+                             - self.terrain.height_at(x - hx, y - hy))
             level = False
         except ValueError:
             rise, level = 0.0, True
@@ -829,14 +847,18 @@ class Machine:
 
     def _blade_cells(self, px: np.ndarray, py: np.ndarray) -> list[list[int]]:
         """For each blade center (px, py): the flat cells under the blade
-        span, -1 off the map."""
+        span that the blade setting lets it cut, in order along the span."""
         ux, uy = self._unit()
         band = self._band_offsets
-        return self.terrain.cells_of(px[:, None] - band * uy, py[:, None] + band * ux).tolist()
+        cells = self.terrain.cells_of(px[:, None] - band * uy, py[:, None] + band * ux)
+        cuts = self.blade.cuts[cells]
+        kept = cells[cuts].tolist()
+        ends = cuts.sum(axis=1).cumsum().tolist()
+        return [kept[a:b] for a, b in zip([0] + ends, ends)]
 
-    def _enter_blade_cell(self, cell: int, band: list[int]) -> bool:
+    def _enter_blade_cell(self, band: list[int]) -> bool:
         """Cut the flat `band` cells under the blade as its center enters
-        the new flat `cell`.  True when anything was cut.
+        a new cell.  True when anything was cut.
 
         Every not yet visited cell under the blade span is cut in one
         pass.  The cut work is spread over one cell length of travel as a
@@ -844,10 +866,9 @@ class Machine:
 
             F = k_b * w * (d_loose * q_loose + d_bank * q_bank)
         """
-        self._last_tool_cell = cell
         work = 0.0
         for band_cell in band:
-            if band_cell < 0 or band_cell in self._stroke_cut:
+            if band_cell in self._stroke_cut:
                 continue
             self._stroke_cut[band_cell] = None
             work += self._cut_cell(band_cell)
@@ -857,15 +878,14 @@ class Machine:
         return True
 
     def _cut_cell(self, cell: int) -> float:
-        """Take one blade pass from the flat `cell`, respecting mask and cut
-        limit, and return its cut work: cutting resistance times material
-        volume (J).  Material beyond the prism capacity is cast off the
-        blade ends."""
-        terrain, setting = self.terrain, self.blade
+        """Take one blade pass, down to the target and at most the cut
+        limit, from the flat `cell`, one the blade setting lets it cut,
+        and return its cut work: cutting resistance times material volume
+        (J).  Material beyond the prism capacity is cast off the blade
+        ends."""
+        terrain = self.terrain
         i, j = divmod(cell, terrain.shape[1])
-        if setting.mask is not None and (i, j) not in setting.mask:
-            return 0.0
-        thickness = terrain.surface_at_cell(i, j) - setting.target_elevation
+        thickness = terrain.surface_at_cell(i, j) - self.blade.target_elevation
         if thickness <= 1e-12:
             return 0.0
         thickness = min(thickness, self.spec.blade_max_cut)
@@ -907,8 +927,7 @@ class Machine:
     def _tool_state(self) -> _ToolState:
         """What the tools have left so far this stroke."""
         return _ToolState(len(self._journal), self.prism, self._face_force, self._rip_face,
-                          self.terrain.carried_out, self._stroke_spill,
-                          self._last_tool_cell, len(self._stroke_cut))
+                          self.terrain.carried_out, self._stroke_spill, len(self._stroke_cut))
 
     def _restore_tool_state(self, state: _ToolState) -> None:
         """Take back the tool work done since `state` was taken: the
@@ -923,7 +942,6 @@ class Machine:
         self.prism, self._face_force = state.prism, state.face_force
         self._rip_face, self._stroke_spill = state.rip_face, state.spill
         self.terrain.carried_out = state.carried_out
-        self._last_tool_cell = state.last_tool_cell
 
     def _enter_ripper_cell(self, cell: int) -> None:
         """Loosen the flat `cell` as the ripper tines enter it.
@@ -931,7 +949,6 @@ class Machine:
         The tine force for a cell is set by its composition as the tines
         enter it and held for the whole traverse of that cell.
         """
-        self._last_tool_cell = cell
         i, j = divmod(cell, self.terrain.shape[1])
         profile = self.terrain.profile_at_cell(i, j)
         loose_d = float(self.terrain.loose_depth[i, j])
@@ -1320,10 +1337,21 @@ class Machine:
 
     def set_blade(self, target_elevation: float | None,
                   mask: frozenset[tuple[int, int]] | None = None) -> None:
+        """Cut down to `target_elevation` in the (i, j) cells of `mask`,
+        or anywhere on the map when it is None; mask cells off the map
+        are ignored.  A `target_elevation` of None raises the blade."""
         if target_elevation is None:
             self.blade = None
+            return
+        rows, cols = self.terrain.shape
+        cuts = np.zeros(rows * cols + 1, dtype=bool)
+        if mask is None:
+            cuts[:-1] = True
         else:
-            self.blade = BladeSetting(float(target_elevation), mask)
+            i, j = np.array(list(mask), dtype=np.intp).reshape(-1, 2).T
+            on = (0 <= i) & (i < rows) & (0 <= j) & (j < cols)
+            cuts[i[on] * cols + j[on]] = True
+        self.blade = BladeSetting(float(target_elevation), cuts)
 
     def set_ripper(self, depth: float) -> None:
         if depth < 0.0:

@@ -309,9 +309,11 @@ def plan_pad_mission(
     # Radii from the full grid's own cell-center expression.
     R = np.hypot(origin[0] + (jj + 0.5) * pad.cell_size,
                  origin[1] + (ii + 0.5) * pad.cell_size)
-    # Each lane's cells outermost first; the sort is stable and the cells
-    # come in row-major order, so ties go by row then column.
-    order = np.lexsort((-R, lanes))
+    # Each lane's cells outermost first; the sorts are stable and the cells
+    # come in row-major order, so ties go by row then column.  Lane keys of
+    # 16 bits or fewer sort by radix.
+    order = np.argsort(-R, kind="stable")
+    order = order[np.argsort(lanes[order].astype(np.min_scalar_type(n_lanes)), kind="stable")]
     rows, cols, radii = ii[order], jj[order], R[order]
 
     # A lane's cells are cut in groups of cells_per_trip, the same groups

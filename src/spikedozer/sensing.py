@@ -11,6 +11,7 @@ NaN marking cells never touched.
 from __future__ import annotations
 
 import csv
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -73,21 +74,28 @@ def penetration_trace(
 
     The probe reads the weakest material in its immediate neighborhood,
     so the sample at each step is the minimum profile resistance over the
-    probe point and four laterally offset points.
+    probe point and four laterally offset points.  Without noise the
+    samples are a shared read-only array.
     """
     if depth <= 0.0:
         raise ValueError("trace depth must be positive")
-    steps = max(1, round(depth / SAMPLE_STEP))
     offsets = ((0.0, 0.0), (SAMPLE_STEP, 0.0), (-SAMPLE_STEP, 0.0),
                (0.0, SAMPLE_STEP), (0.0, -SAMPLE_STEP))
-    profiles = [field.profile_at(x + ox, y + oy) for ox, oy in offsets]
-    out = np.empty(steps)
-    for k in range(steps):
-        d = (k + 1) * depth / steps
-        out[k] = min(p.resistance_at(d) for p in profiles)
+    out = _clean_trace(tuple(field.profile_at(x + ox, y + oy) for ox, oy in offsets), depth)
     if rng is not None and noise_rel > 0.0:
-        out = out * (1.0 + rng.uniform(-noise_rel, noise_rel, steps))
+        out = out * (1.0 + rng.uniform(-noise_rel, noise_rel, len(out)))
         np.maximum(out, 1.0, out=out)
+    return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _clean_trace(profiles: tuple, depth: float) -> np.ndarray:
+    """The noise-free samples of `penetration_trace` through the probed
+    `profiles`, read-only as every caller shares them."""
+    steps = max(1, round(depth / SAMPLE_STEP))
+    out = np.array([min(p.resistance_at((k + 1) * depth / steps) for p in profiles)
+                    for k in range(steps)])
+    out.flags.writeable = False
     return out
 
 

@@ -22,7 +22,10 @@ measures.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,12 +176,25 @@ class SpikeGeometry:
             raise ValueError("required force must be non-negative")
         if force == 0.0:
             return 0.0
-        steps = round(self.max_depth / DEPTH_INCREMENT)
-        for i in range(1, steps + 1):
-            depth = i * DEPTH_INCREMENT
-            if self.holding_capacity(depth, profile) >= force:
-                return depth
-        return None
+        depths, most = _capacity_table(self, profile)
+        # a NaN force fails this test too
+        if not (most and force <= most[-1]):
+            return None
+        # the first depth whose capacity reacts the force is the first at
+        # which the most capacity so far does
+        return depths[bisect_left(most, force)]
+
+
+@functools.lru_cache(maxsize=64)
+def _capacity_table(spike: SpikeGeometry, profile: SoilProfile) -> tuple[tuple, tuple]:
+    """The seating depths, every `DEPTH_INCREMENT` down to the spike's
+    `max_depth`, and the most capacity any depth down to each holds in
+    `profile`: a capacity may fall with depth where the profile allows
+    inversion."""
+    steps = round(spike.max_depth / DEPTH_INCREMENT)
+    depths = tuple(i * DEPTH_INCREMENT for i in range(1, steps + 1))
+    capacities = (spike.holding_capacity(depth, profile) for depth in depths)
+    return depths, tuple(itertools.accumulate(capacities, max))
 
 
 REFERENCE_GEOMETRY = SpikeGeometry.from_thrust_angles()

@@ -149,6 +149,67 @@ class TestTerrainGrid:
             else:
                 assert divmod(int(cells[k]), cols) == cell
 
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_weights_equal_the_clamped_formula_inside_and_across_the_edge(self, data):
+        # A batch wholly half a cell or more inside the map skips the
+        # clamps; one point nearer the edge, or a NaN, takes them all.
+        rows = data.draw(st.integers(2, 8), label="rows")
+        cols = data.draw(st.integers(2, 8), label="cols")
+        size = data.draw(st.sampled_from([0.1, 0.125, 0.25, 0.3, 1.0]), label="size")
+        ox = data.draw(st.floats(-5.0, 5.0), label="ox")
+        oy = data.draw(st.floats(-5.0, 5.0), label="oy")
+        t = Terrain((rows, cols), cell_size=size, origin=(ox, oy))
+        t.bank_floor[:] = np.reshape(data.draw(st.lists(
+            st.floats(-2.0, 2.0), min_size=rows * cols, max_size=rows * cols)), (rows, cols))
+
+        def inner(lo, n):
+            return st.floats(lo + 0.5 * size, lo + (n - 0.5) * size, exclude_max=True)
+
+        def near_edge(lo, n):
+            return st.one_of(st.floats(lo - size, lo + size),
+                             st.floats(lo + (n - 1) * size, lo + (n + 1) * size))
+
+        m = data.draw(st.integers(1, 20), label="m")
+        points = data.draw(st.lists(st.tuples(inner(ox, cols), inner(oy, rows)),
+                                    min_size=2 * m, max_size=2 * m), label="points")
+        kind = data.draw(st.sampled_from(["inside", "straddle", "nan"]), label="kind")
+        if kind != "inside":
+            k = data.draw(st.integers(0, 2 * m - 1), label="k")
+            if kind == "nan":
+                points[k] = data.draw(st.sampled_from(
+                    [(math.nan, points[k][1]), (points[k][0], math.nan)]), label="nan")
+            else:
+                points[k] = data.draw(st.one_of(
+                    st.tuples(near_edge(ox, cols), inner(oy, rows)),
+                    st.tuples(inner(ox, cols), near_edge(oy, rows))), label="edge")
+        xs = np.array([p[0] for p in points])
+        ys = np.array([p[1] for p in points])
+        if data.draw(st.booleans(), label="as rows"):  # the shape a stroke samples
+            xs, ys = xs.reshape(2, m), ys.reshape(2, m)
+
+        # the clamped formula, as every batch took it before
+        fx = (xs - ox) / size - 0.5
+        fy = (ys - oy) / size - 0.5
+        j0 = np.fmin(np.fmax(np.floor(fx), 0.0), cols - 1)
+        i0 = np.fmin(np.fmax(np.floor(fy), 0.0), rows - 1)
+        j1 = np.fmin(j0 + 1.0, cols - 1)
+        i1 = np.fmin(i0 + 1.0, rows - 1)
+        expected = (
+            np.stack((i0 * cols + j0, i0 * cols + j1, i1 * cols + j0,
+                      i1 * cols + j1)).astype(np.intp),
+            np.fmin(np.fmax(fx - j0, 0.0), 1.0),
+            np.fmin(np.fmax(fy - i0, 0.0), 1.0),
+            (ox <= xs) & (xs < ox + cols * size) & (oy <= ys) & (ys < oy + rows * size))
+        got = t.bilinear_weights(xs, ys)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+        heights = t.blend(*got[:3]).ravel()
+        for h, x, y in zip(heights, xs.ravel().tolist(), ys.ravel().tolist()):
+            if t.contains(x, y):
+                assert h == t.height_at(x, y)
+
     def test_initial_surface_copied_not_aliased(self):
         init = np.ones((3, 3))
         t = Terrain((3, 3), initial_surface=init)

@@ -861,6 +861,55 @@ class TestBlade:
         assert {tuple(c) for c in np.argwhere(cut).tolist()} == set(cells)
         assert np.all(terrain.bank_floor[cut] == pytest.approx(-0.05))
 
+    @pytest.mark.parametrize("extra", ["none", "off the map", "empty"])
+    def test_mask_cuts_its_cells_and_leaves_raised_cells_outside_it(self, extra):
+        terrain = flat()
+        m = Machine(REFERENCE, terrain, MOON)
+        i, j = terrain.cell_of(*m.blade_point())
+        # raised cells in the blade's path, across the rows under its span
+        terrain.bank_floor[i - 2:i + 3, j:j + 8] = 0.03
+        before = terrain.bank_floor.copy()
+        cells = frozenset((i, j + k) for k in range(1, 5))
+        mask = cells
+        if extra == "off the map":
+            # a lookup that wrapped these indices would reach (i + 1, j + k)
+            # and the row after
+            mask = cells | {(i, j + k + GRID) for k in range(1, 5)} \
+                | {(i + 1 - GRID, j + k) for k in range(1, 5)} | {(-1, -1), (GRID, GRID)}
+        elif extra == "empty":
+            mask, cells = frozenset(), frozenset()
+        m.set_blade(-0.05, mask=mask)
+        m.half_cycle()
+        cut = terrain.bank_floor != before
+        assert {tuple(c) for c in np.argwhere(cut).tolist()} == set(cells)
+        assert np.all(terrain.bank_floor[cut] == pytest.approx(-0.05))
+        if not cells:
+            assert m.prism == 0.0
+
+    def test_masked_stroke_that_slips_mid_cut_matches_an_unmasked_one(self):
+        # Only the strip stands above the target, so the unmasked blade
+        # cuts the cells the mask names; it also works every crossing the
+        # masked blade drops.
+        def run(masked):
+            terrain = flat(surface=np.full((GRID, GRID), -0.05))
+            m = Machine(REFERENCE, terrain, MOON)
+            i, j = terrain.cell_of(*m.blade_point())
+            strip = frozenset((i + di, j + dj) for di in (-1, 0, 1) for dj in range(3, 7))
+            for cell in strip:
+                terrain.bank_floor[cell] = 0.03
+            m.set_blade(-0.05, mask=strip if masked else None)
+            m.advance(2.0)
+            return m
+
+        masked, unmasked = run(True), run(False)
+        # the anchor seats unloaded, so any slip is a deepening mid-cut
+        assert any(c.mode == "expand" and c.slip > 0.0 for c in masked.cycles)
+        assert [astuple(c) for c in masked.cycles] == [astuple(c) for c in unmasked.cycles]
+        assert np.array_equal(masked.terrain.bank_floor, unmasked.terrain.bank_floor)
+        assert np.array_equal(masked.terrain.loose_depth, unmasked.terrain.loose_depth)
+        assert (masked.x, masked.y, masked.separation, masked.prism) \
+            == (unmasked.x, unmasked.y, unmasked.separation, unmasked.prism)
+
     def test_clearing_the_blade(self):
         m = Machine(REFERENCE, flat(), MOON)
         m.set_blade(-0.05)

@@ -198,9 +198,23 @@ def outcome(seed, counts):
         return out
 
     m._seat_frame = counted_seat
+    blade_cells = m._blade_cells
+    mask = None
+
+    def counted_blade_cells(px, py):
+        bands = blade_cells(px, py)
+        if mask is not None:
+            cols = m.terrain.shape[1]
+            counts["masked crossings off the mask"] += sum(
+                not any(c >= 0 and divmod(c, cols) in mask for c in band) for band in bands)
+        return bands
+
+    m._blade_cells = counted_blade_cells
     error = None
     try:
         for op in ops:
+            if op[0] == "blade":
+                mask = op[2]
             before = len(m.cycles)
             run(m, op)
             for record in m.cycles[before:]:
@@ -247,10 +261,12 @@ DIGESTS = [
 # At least about four in five of what the corpus reaches now: 127 slips
 # while cutting, 282 seats held by friction (in 108 scripts), 114 spills,
 # 262 ripping strokes, 267 runs off the map, 116 stalls and 22 flips,
-# over 3,149 half-cycles.
+# over 3,149 half-cycles, and 2,444 masked blade crossings laid out with
+# no mask cell under the blade.
 MIN_COUNTS = {
     "slips while cutting": 100,
     "seats by friction": 220,
+    "masked crossings off the mask": 1950,
     "spills": 90,
     "ripping strokes": 200,
     "off the map": 200,

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spikedozer.soils import HARD, MEDIUM, SOFT
+from spikedozer.locomotion import CONSTRUCTION
+from spikedozer.soils import HARD, MEDIUM, SOFT, SoilLayer, SoilProfile
 from spikedozer.traction import (
+    DEPTH_INCREMENT,
     REFERENCE_GEOMETRY,
     SpikeGeometry,
     anchoring_slip,
@@ -22,6 +24,14 @@ from spikedozer.traction import (
 
 angles = st.floats(min_value=1.0, max_value=89.0)
 forces = st.floats(min_value=0.0, max_value=1e6)
+
+LAYERED = SoilProfile(
+    name="layered", anchor_work_slope=0.1,
+    layers=(SoilLayer(0.07, 200e3), SoilLayer(0.12, 900e3), SoilLayer(10.0, 2.5e6)))
+# capacity falls at 0.1 m and passes its shallow peak again from 0.3 m
+INVERTED = SoilProfile(
+    name="inverted", anchor_work_slope=0.1,
+    layers=(SoilLayer(0.1, 2e6), SoilLayer(10.0, 600e3)), allow_inversion=True)
 
 
 class TestPullWeightRatio:
@@ -144,6 +154,31 @@ class TestHoldingCapacity:
         depth = REFERENCE_GEOMETRY.depth_for_capacity(force, SOFT)
         assert depth is not None
         assert REFERENCE_GEOMETRY.holding_capacity(depth, SOFT) >= force
+
+    @pytest.mark.parametrize("spike", [REFERENCE_GEOMETRY, CONSTRUCTION.spike,
+                                       SpikeGeometry.from_thrust_angles(max_depth=0.237)],
+                             ids=["reference", "construction", "odd_max_depth"])
+    @pytest.mark.parametrize("profile", [SOFT, MEDIUM, HARD, LAYERED, INVERTED],
+                             ids=lambda p: p.name)
+    def test_depth_for_capacity_is_the_first_of_the_1cm_walk(self, spike, profile):
+        def walk(force):
+            # every depth down from the surface, 1 cm at a time
+            for i in range(1, round(spike.max_depth / DEPTH_INCREMENT) + 1):
+                depth = i * DEPTH_INCREMENT
+                if spike.holding_capacity(depth, profile) >= force:
+                    return depth
+            return None
+
+        capacities = [spike.holding_capacity(i * DEPTH_INCREMENT, profile)
+                      for i in range(1, round(spike.max_depth / DEPTH_INCREMENT) + 1)]
+        forces = [1e-9, 1e9, math.inf, math.nan]
+        for c, d in zip(capacities, capacities[1:] + capacities[-1:]):
+            forces += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf), 0.5 * (c + d)]
+        for force in forces:
+            got = spike.depth_for_capacity(force, profile)
+            assert got == walk(force), force
+            assert got is None or type(got) is float
+
 
 
 class TestAnchoringEnergetics:
