@@ -101,7 +101,13 @@ class Terrain:
     """Square-cell heightfield with bank, spoil, and crust state.
 
     Row index i maps to y, column index j to x; cell (0, 0) has its center
-    at (origin_x + cell/2, origin_y + cell/2).
+    at (origin_x + cell/2, origin_y + cell/2).  The tools name a cell by
+    its flat index i * cols + j.
+
+    The soil of a cell is the profile at its center, and it does not
+    change during a run, so it is looked up once for the whole map:
+    `cell_soils` holds the field's profiles and a raster of the index of
+    each cell's profile among them, None where the field is uniform.
     """
 
     def __init__(
@@ -118,6 +124,7 @@ class Terrain:
         if rows < 1 or cols < 1:
             raise ValueError("terrain needs at least one cell")
         self.cell_size = float(cell_size)
+        self.cell_area = self.cell_size * self.cell_size
         self.origin = (float(origin[0]), float(origin[1]))
         if isinstance(soil, SoilProfile):
             soil = SoilField(soil)
@@ -125,6 +132,7 @@ class Terrain:
             from .soils import SOFT
             soil = SoilField(SOFT)
         self.soil = soil
+        self.cell_soils = soil.profiles_on_grid(shape, self.cell_size, self.origin)
 
         if initial_surface is None:
             self.bank_floor = np.zeros(shape, dtype=float)
@@ -133,6 +141,8 @@ class Terrain:
                 raise ValueError("initial surface shape mismatch")
             self.bank_floor = initial_surface.astype(float).copy()
         self.loose_depth = np.zeros(shape, dtype=float)
+        # the same two maps by flat cell, for the tools' writes
+        self._bank, self._loose = self.bank_floor.reshape(-1), self.loose_depth.reshape(-1)
         self.crust_broken = np.zeros(shape, dtype=bool)
         self._initial_bank = self.bank_floor.copy()
         # Spoil removed from the map surface and not yet put back (blade
@@ -142,10 +152,6 @@ class Terrain:
     @property
     def shape(self) -> tuple[int, int]:
         return self.bank_floor.shape
-
-    @property
-    def cell_area(self) -> float:
-        return self.cell_size * self.cell_size
 
     # ------------------------------------------------------------------
     # Coordinates
@@ -190,9 +196,6 @@ class Terrain:
     def surface(self) -> np.ndarray:
         return self.bank_floor + self.loose_depth
 
-    def surface_at_cell(self, i: int, j: int) -> float:
-        return float(self.bank_floor[i, j] + self.loose_depth[i, j])
-
     def height_at(self, x: float, y: float) -> float:
         """Walking surface height, bilinear between cell centers.
 
@@ -214,94 +217,98 @@ class Terrain:
         return bilinear([bank.item(i, j) + loose.item(i, j) for i in (i0, i1) for j in (j0, j1)],
                         tx, ty)
 
-    def bilinear_weights(self, xs: np.ndarray, ys: np.ndarray) -> tuple[
-            np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def bilinear_weights(self, points: np.ndarray) -> tuple[
+            np.ndarray, np.ndarray, np.ndarray | None]:
         """The cells and weights `height_at` blends at each point.
 
-        Returns (corners, tx, ty, inside): `corners` stacks the flat
-        indices of the (i0, j0), (i0, j1), (i1, j0) and (i1, j1) cells on
-        a new first axis.  They depend on the points alone, so `blend`
-        can read the heights afresh after the terrain changes.  Points
-        off the map get `inside` False and weights clamped onto the map.
+        `points` stacks the x and the y coordinates on its first axis, and
+        every step below works on both at once.  Returns (corners, t,
+        inside): `corners` stacks the flat indices of the (i0, j0),
+        (i0, j1), (i1, j0) and (i1, j1) cells on a new first axis, and `t`
+        the fractions tx from j0 toward j1 and ty from i0 toward i1.  They
+        depend on the points alone, so `blend` can read the heights afresh
+        after the terrain changes.  `inside` is False at points off the
+        map, whose weights are clamped onto it.
 
         When every point lies half a cell or more inside the map, as its
-        (i0, j0) cell shows, no clamp changes anything and none is applied.
+        (i0, j0) cell shows, no clamp changes anything and none is applied,
+        and `inside` is None: every point is on the map.
         """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+        points = np.asarray(points, dtype=float)
         rows, cols = self.shape
-        ox, oy = self.origin
         size = self.cell_size
-        fx = (xs - ox) / size - 0.5
-        fy = (ys - oy) / size - 0.5
-        j0 = np.floor(fx)
-        i0 = np.floor(fy)
-        # a NaN fails every one of these tests
-        if (xs.size and 0.0 <= j0.min() and j0.max() <= cols - 2
-                and 0.0 <= i0.min() and i0.max() <= rows - 2):
-            corner = (i0 * cols + j0).astype(np.intp)
-            return (np.add.outer((0, 1, cols, cols + 1), corner), fx - j0, fy - i0,
-                    np.ones(xs.shape, dtype=bool))
-        inside = ((ox <= xs) & (xs < ox + cols * size)
-                  & (oy <= ys) & (ys < oy + rows * size))
+        at = (slice(None),) + (None,) * (points.ndim - 1)  # one value per axis
+        origin = np.array(self.origin)[at]
+        f = (points - origin) / size - 0.5
+        c0 = np.floor(f)
+        if points[0].size:
+            # the lowest and highest (j0, i0); a NaN fails every test below
+            flat = c0.reshape(2, -1)
+            (j_lo, i_lo), (j_hi, i_hi) = flat.min(axis=1).tolist(), flat.max(axis=1).tolist()
+            if 0.0 <= j_lo and j_hi <= cols - 2 and 0.0 <= i_lo and i_hi <= rows - 2:
+                corner = (c0[1] * cols + c0[0]).astype(np.intp)
+                return np.add.outer((0, 1, cols, cols + 1), corner), f - c0, None
+        last = np.array((cols - 1.0, rows - 1.0))[at]
+        inside = (origin <= points) & (points < origin + np.array((cols, rows))[at] * size)
         # fmax and fmin clamp even a NaN coordinate onto the map
-        j0 = np.fmin(np.fmax(j0, 0.0), cols - 1)
-        i0 = np.fmin(np.fmax(i0, 0.0), rows - 1)
-        tx = np.fmin(np.fmax(fx - j0, 0.0), 1.0)
-        ty = np.fmin(np.fmax(fy - i0, 0.0), 1.0)
-        row0 = i0 * cols
-        row1 = np.fmin(i0 + 1.0, rows - 1) * cols
-        j1 = np.fmin(j0 + 1.0, cols - 1)
+        c0 = np.fmin(np.fmax(c0, 0.0), last)
+        t = np.fmin(np.fmax(f - c0, 0.0), 1.0)
+        (j0, i0), (j1, i1) = c0, np.fmin(c0 + 1.0, last)
+        row0, row1 = i0 * cols, i1 * cols
         corners = np.stack((row0 + j0, row0 + j1, row1 + j0, row1 + j1)).astype(np.intp)
-        return corners, tx, ty, inside
+        return corners, t, inside[0] & inside[1]
 
-    def blend(self, corners: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    def blend(self, corners: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Surface heights at points given by `bilinear_weights`."""
-        return bilinear(self.bank_floor.take(corners) + self.loose_depth.take(corners), tx, ty)
+        return bilinear(self.bank_floor.take(corners) + self.loose_depth.take(corners), *t)
 
-    def profile_at_cell(self, i: int, j: int) -> SoilProfile:
-        x, y = self.cell_center(i, j)
-        return self.soil.profile_at(x, y)
+    def profile_at_cell(self, cell: int) -> SoilProfile:
+        """The soil profile at the flat `cell`'s center, read from `cell_soils`."""
+        profiles, index = self.cell_soils
+        return profiles[0] if index is None else profiles[index.item(cell)]
 
     # ------------------------------------------------------------------
     # Cut, fill, rip
 
-    def rip(self, i: int, j: int, depth_below_surface: float) -> float:
-        """Loosen bank under the cell down to `depth_below_surface`.
+    def rip(self, cell: int, depth_below_surface: float) -> float:
+        """Loosen bank under the flat `cell` down to `depth_below_surface`.
 
         Tines pass through existing spoil for free; only bank below it is
         converted.  Returns the bank thickness loosened (m).
         """
         if depth_below_surface < 0.0:
             raise ValueError("ripping depth must be non-negative")
-        bank_cut = max(0.0, depth_below_surface - float(self.loose_depth[i, j]))
+        loose = self.loose_depth.item(cell)
+        bank_cut = max(0.0, depth_below_surface - loose)
         if bank_cut > 0.0:
-            self.bank_floor[i, j] -= bank_cut
-            self.loose_depth[i, j] += bank_cut * SWELL_FACTOR
+            self._bank[cell] = self.bank_floor.item(cell) - bank_cut
+            self._loose[cell] = loose + bank_cut * SWELL_FACTOR
         return bank_cut
 
-    def excavate(self, i: int, j: int, thickness: float) -> tuple[float, float]:
-        """Remove `thickness` of material from the cell surface downward.
+    def excavate(self, cell: int, thickness: float) -> tuple[float, float]:
+        """Remove `thickness` of material from the flat `cell`'s surface
+        downward.
 
         Spoil is taken first, then bank.  Returns (loose_m3, bank_m3); the
         caller now carries loose_m3 + bank_m3 * SWELL_FACTOR of spoil.
         """
         if thickness < 0.0:
             raise ValueError("cut thickness must be non-negative")
-        loose_cut = min(thickness, float(self.loose_depth[i, j]))
+        loose = self.loose_depth.item(cell)
+        loose_cut = min(thickness, loose)
         bank_cut = thickness - loose_cut
-        self.loose_depth[i, j] -= loose_cut
-        self.bank_floor[i, j] -= bank_cut
+        self._loose[cell] = loose - loose_cut
+        self._bank[cell] = self.bank_floor.item(cell) - bank_cut
         loose_m3 = loose_cut * self.cell_area
         bank_m3 = bank_cut * self.cell_area
         self.carried_out += loose_m3 + bank_m3 * SWELL_FACTOR
         return loose_m3, bank_m3
 
-    def deposit(self, i: int, j: int, loose_m3: float) -> None:
-        """Return carried spoil to the map at the cell."""
+    def deposit(self, cell: int, loose_m3: float) -> None:
+        """Return carried spoil to the map at the flat `cell`."""
         if loose_m3 < 0.0:
             raise ValueError("deposited volume must be non-negative")
-        self.loose_depth[i, j] += loose_m3 / self.cell_area
+        self._loose[cell] = self.loose_depth.item(cell) + loose_m3 / self.cell_area
         self.carried_out -= loose_m3
 
     # ------------------------------------------------------------------
@@ -346,11 +353,14 @@ class Terrain:
         unsettled: list = [None] * rows + [bytearray(width + 1)]
         # Per window row, the columns that hold or have held spoil, in
         # order, a flag per column listed or outside the window, and per
-        # column its soil's neighbour tests, looked up on its first visit.
-        # Only cells with spoil are visited, and during a row's scan only
-        # the east neighbour of the visited cell can gain spoil ahead of
-        # it.  Rim rows list nothing.
-        spoil, listed, tests = [None] * rows, [None] * rows, [None] * rows
+        # column the index of its soil in `cell_soils`, whose neighbour
+        # tests `by_soil` holds.  Only cells with spoil are visited, and
+        # during a row's scan only the east neighbour of the visited cell
+        # can gain spoil ahead of it.  Rim rows list nothing.
+        spoil, listed, soil = [None] * rows, [None] * rows, [None] * rows
+        profiles, index = self.cell_soils
+        by_soil = [_neighbour_tests(p.repose_angle_deg, self.cell_size) for p in profiles]
+        uniform = [0] * width
         outside = bytearray(b"\x01") * (width + 1)
         outside[j_lo - c_lo:j_hi - c_lo] = bytes(j_hi - j_lo)
 
@@ -366,7 +376,7 @@ class Terrain:
             listed[r] = bytearray(outside)
             for c in spoil[r]:
                 listed[r][c] = 1
-            tests[r] = [None] * width
+            soil[r] = uniform if index is None else index[r, c_lo:c_hi].tolist()
 
         for sweeps in range(1, MAX_RELAX_PASSES + 1):
             moved = False
@@ -378,18 +388,14 @@ class Terrain:
                     if height[r] is None:
                         take_up(r)
                 bank_row, loose_row, height_row = bank[i], loose[i], height[i]
-                unsettled_row, tests_row, behind = unsettled[i], tests[i], []
+                unsettled_row, soil_row, behind = unsettled[i], soil[i], []
                 # a column inserted ahead of j is the next this loop visits
                 for j in spoil[i]:
                     if loose_row[j] <= 0.0 or not unsettled_row[j]:
                         continue
                     unsettled_row[j] = 0
-                    cell_tests = tests_row[j]
-                    if cell_tests is None:
-                        cell_tests = tests_row[j] = _neighbour_tests(
-                            self.profile_at_cell(i, j + c_lo).repose_angle_deg, self.cell_size)
                     h_c = height_row[j]
-                    for di, dj, trigger, repose in cell_tests:
+                    for di, dj, trigger, repose in by_soil[soil_row[j]]:
                         drop = h_c - height[i + di][j + dj]
                         if drop <= trigger:
                             continue

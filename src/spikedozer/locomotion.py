@@ -309,13 +309,13 @@ def price_steps(rise, level, density, friction, face, rip, prism,
     bits it has priced alone.  `rise` is the fore-minus-aft height
     difference, along the travel direction, of samples half a footprint
     either side of the center, so the rigid machine bridges single-cell
-    steps; where `level` the footprint is off the map.  `density` is the
-    loose density under the center (None when no prism can be carried)
-    and `friction` the seated frame's skid friction, which reacts draft
-    in parallel with its spikes.  `face` (plus the prism's ground drag)
-    and `rip` are the blade and tine forces, None for a raised tool.
-    `prism` is the blade load, per step or one float for all, and
-    `extra_draft` the tow load.
+    steps; where `level` the footprint is off the map, and it is None
+    for a run wholly on the map.  `density` is the loose density under
+    the center (None when no prism can be carried) and `friction` the
+    seated frame's skid friction, which reacts draft in parallel with its
+    spikes.  `face` (plus the prism's ground drag) and `rip` are the
+    blade and tine forces, None for a raised tool.  `prism` is the blade
+    load, per step or one float for all, and `extra_draft` the tow load.
 
     Returns (drafts, held, clears): the drafts (N, floored at 0); how many
     steps the anchor holds before the first it cannot, all of them with
@@ -332,7 +332,7 @@ def price_steps(rise, level, density, friction, face, rip, prism,
         hyp = np.full(rise.shape, gauge)  # hypot(gauge, 0) is gauge
         tilted = rise.nonzero()[0]
         hyp[tilted] = [math.hypot(gauge, d) for d in rise[tilted].tolist()]
-        grade = np.where(level, 0.0, rise / hyp)
+        grade = rise / hyp if level is None else np.where(level, 0.0, rise / hyp)
     total = extra_draft + spec.loaded_weight(prism, density, g) * grade
     if face is not None:
         total = total + (face + spec.prism_drag(prism, density, g))
@@ -348,7 +348,8 @@ def price_steps(rise, level, density, friction, face, rip, prism,
         event = clears | spec.flips(drafts, anchor.tan_beta, g, rip is not None)
     if one:
         return drafts, int(not event), clears
-    return drafts, int(event.argmax()) if event.any() else len(drafts), clears
+    first = int(event.argmax())
+    return drafts, first if event[first] else len(drafts), clears
 
 
 class _StrokePath:
@@ -360,10 +361,14 @@ class _StrokePath:
     full `STEP` follow by running sums: the same additions, in the same
     order, as moving one step at a time.  `ds` holds the length of each
     step to be taken: the `n` full ones, then step `n` trimmed to the
-    travel left, unless that travel is a rounding error.  The fore and
-    aft grade samples of every step are located once, and so are the
-    skid friction and loose density under the center, which `price_steps`
-    takes along with the heights.
+    travel left, unless that travel is a rounding error.  The layout is
+    one array of four running sums.  The fore and aft grade samples of
+    every step are located once, as `footprint`, by one pass of
+    `Terrain.bilinear_weights` over the stacked (x, y) x (fore, aft)
+    sample array; `level` marks the steps whose footprint leaves the map,
+    and is None when none does.  The skid friction and loose density
+    under the center are found once too, and `price_steps` takes them
+    along with the heights.
 
     This is the one place that finds the cells the tools enter, each as
     its flat index i * cols + j, -1 off the map: `cells` holds the cell
@@ -407,9 +412,10 @@ class _StrokePath:
         signed = motion * STEP
         d_sep = signed if move_frame == "front" else -signed
         # travel, center and separation before each step, as running sums
-        lay = np.repeat([[travelled, STEP], [machine.x, 0.5 * signed * ux],
-                         [machine.y, 0.5 * signed * uy], [machine.separation, d_sep]],
-                        [1, bound], axis=1).cumsum(axis=1)
+        lay = np.empty((4, bound + 1))
+        lay[:, 0] = travelled, machine.x, machine.y, machine.separation
+        lay[:, 1:] = [[STEP], [0.5 * signed * ux], [0.5 * signed * uy], [d_sep]]
+        lay.cumsum(axis=1, out=lay)
         ts = lay[0]
         n = int(np.count_nonzero(advance_total - ts >= STEP))
         self.machine, self.cutting, self.ripping = machine, cutting, ripping
@@ -441,8 +447,9 @@ class _StrokePath:
         # the fore and aft grade samples of each step, stacked as (x, y)
         hx, hy = machine._grade_offset()
         self.footprint = terrain.bilinear_weights(
-            *(lay[1:3, None] + np.array([[[hx], [-hx]], [[hy], [-hy]]])))
-        self.level = ~(self.footprint[3][0] & self.footprint[3][1])
+            lay[1:3, None] + np.array((hx, -hx, hy, -hy)).reshape(2, 2, 1))
+        inside = self.footprint[2]
+        self.level = None if inside is None else ~(inside[0] & inside[1])
         # the soil under the machine center before each step: its skid
         # friction capacity, and the loose density of a prism carried on it
         profiles, at = terrain.soil.profiles_at(self.xs, self.ys)
@@ -521,8 +528,8 @@ class _StrokePath:
 
     def _step_rise(self, step: int) -> float:
         """Fore-minus-aft height of `step` on the map as it stands."""
-        corners, tx, ty, _ = self.footprint
-        fore, aft = self.machine.terrain.blend(corners[..., step], tx[:, step], ty[:, step])
+        corners, t, _ = self.footprint
+        fore, aft = self.machine.terrain.blend(corners[..., step], t[..., step])
         return self.motion * float(fore - aft)
 
     def _holds(self, step: int, rise: float, prism: float, anchor: AnchorState) -> bool:
@@ -530,7 +537,7 @@ class _StrokePath:
         alone: its grade and blade load before the cut, its face after."""
         machine = self.machine
         return bool(price_steps(
-            rise, bool(self.level[step]), float(self.density[step]),
+            rise, self.level is not None and bool(self.level[step]), float(self.density[step]),
             float(self.friction[step]), machine._face_force, None, prism,
             machine.extra_draft, machine.spec, machine.env.gravity, anchor)[1])
 
@@ -540,7 +547,7 @@ class _StrokePath:
         crossing or a later one holds the value that write found."""
         terrain, journal = self.machine.terrain, self.machine._journal
         k, last = self.k, self.last
-        corners, tx, ty, _ = self.footprint
+        corners, t, _ = self.footprint
         corners = corners[..., k:last + 1]
         bank = terrain.bank_floor.take(corners)
         loose = terrain.loose_depth.take(corners)
@@ -559,15 +566,16 @@ class _StrokePath:
             hit &= cells[order][found] == corners  # and not the next cell's first write
             bank = np.where(hit, old_bank[order][found], bank)
             loose = np.where(hit, old_loose[order][found], loose)
-        fore, aft = bilinear(bank + loose, tx[:, k:last + 1], ty[:, k:last + 1])
+        fore, aft = bilinear(bank + loose, *t[..., k:last + 1])
         return fore - aft
 
     def price(self, i: int, anchor: AnchorState):
         """`price_steps` over steps `i`..`last` of the span, held by `anchor`."""
         machine, a, b = self.machine, i - self.k, self.last + 1
-        density = self.density
+        density, level = self.density, self.level
         return price_steps(
-            self.rise[a:], self.level[i:b], None if density is None else density[i:b],
+            self.rise[a:], None if level is None else level[i:b],
+            None if density is None else density[i:b],
             self.friction[i:b], None if self.face is None else self.face[a:],
             None if self.rip is None else self.rip[a:],
             self.prism[a:] if self.cutting else self.prism, machine.extra_draft,
@@ -860,47 +868,44 @@ class Machine:
         """Cut the flat `band` cells under the blade as its center enters
         a new cell.  True when anything was cut.
 
-        Every not yet visited cell under the blade span is cut in one
-        pass.  The cut work is spread over one cell length of travel as a
-        constant face force, which for a full-width uniform cut reduces to
+        Every not yet visited cell under the blade span takes one blade
+        pass, down to the target and at most the cut limit, in one loop
+        that reads each cell by its flat index.  Its cut work is cutting
+        resistance times material volume, and material beyond the prism
+        capacity is cast off the blade ends.  The work is spread over one
+        cell length of travel as a constant face force, which for a
+        full-width uniform cut reduces to
 
             F = k_b * w * (d_loose * q_loose + d_bank * q_bank)
         """
+        terrain, spec, visited = self.terrain, self.spec, self._stroke_cut
+        bank, loose, area = terrain.bank_floor, terrain.loose_depth, terrain.cell_area
+        target = self.blade.target_elevation
         work = 0.0
-        for band_cell in band:
-            if band_cell in self._stroke_cut:
+        for cell in band:
+            if cell in visited:
                 continue
-            self._stroke_cut[band_cell] = None
-            work += self._cut_cell(band_cell)
+            visited[cell] = None
+            bank_d, loose_d = bank.item(cell), loose.item(cell)
+            thickness = bank_d + loose_d - target
+            if thickness <= 1e-12:
+                continue
+            self._journal.append((cell, bank_d, loose_d))
+            loose_m3, bank_m3 = terrain.excavate(cell, min(thickness, spec.blade_max_cut))
+            self.prism += loose_m3 + bank_m3 * SWELL_FACTOR
+            excess = self.prism - spec.blade_capacity
+            if excess > 1e-12:
+                self.prism -= excess
+                self._spill(excess, cell)
+            loose_cut, bank_cut = loose_m3 / area, bank_m3 / area
+            profile = terrain.profile_at_cell(cell)
+            q_bank = profile.resistance_at(bank_cut) if bank_cut > 0.0 else 0.0
+            work += spec.blade_cut_coeff * area * (
+                loose_cut * profile.loose_resistance + bank_cut * q_bank)
         if work <= 0.0:
             return False
-        self._face_force = work / self.terrain.cell_size
+        self._face_force = work / terrain.cell_size
         return True
-
-    def _cut_cell(self, cell: int) -> float:
-        """Take one blade pass, down to the target and at most the cut
-        limit, from the flat `cell`, one the blade setting lets it cut,
-        and return its cut work: cutting resistance times material volume
-        (J).  Material beyond the prism capacity is cast off the blade
-        ends."""
-        terrain = self.terrain
-        i, j = divmod(cell, terrain.shape[1])
-        thickness = terrain.surface_at_cell(i, j) - self.blade.target_elevation
-        if thickness <= 1e-12:
-            return 0.0
-        thickness = min(thickness, self.spec.blade_max_cut)
-        self._note(cell)
-        loose_m3, bank_m3 = terrain.excavate(i, j, thickness)
-        self.prism += loose_m3 + bank_m3 * SWELL_FACTOR
-        excess = self.prism - self.spec.blade_capacity
-        if excess > 1e-12:
-            self.prism -= excess
-            self._spill(excess, cell)
-        loose_cut, bank_cut = loose_m3 / terrain.cell_area, bank_m3 / terrain.cell_area
-        profile = terrain.profile_at_cell(i, j)
-        q_bank = profile.resistance_at(bank_cut) if bank_cut > 0.0 else 0.0
-        return self.spec.blade_cut_coeff * terrain.cell_area * (
-            loose_cut * profile.loose_resistance + bank_cut * q_bank)
 
     def _spill(self, volume: float, fallback_cell: int) -> None:
         """Cast overflow spoil half to each cell just beyond the blade ends,
@@ -913,10 +918,11 @@ class Machine:
         for side in (1.0, -1.0):
             try:
                 i, j = terrain.cell_of(bx - side * off * uy, by + side * off * ux)
+                cell = i * cols + j
             except ValueError:
-                i, j = divmod(fallback_cell, cols)  # keep the volume on the map
-            self._note(i * cols + j)
-            terrain.deposit(i, j, 0.5 * volume)
+                cell = fallback_cell  # keep the volume on the map
+            self._note(cell)
+            terrain.deposit(cell, 0.5 * volume)
         self._stroke_spill += volume
 
     def _note(self, cell: int) -> None:
@@ -949,9 +955,9 @@ class Machine:
         The tine force for a cell is set by its composition as the tines
         enter it and held for the whole traverse of that cell.
         """
-        i, j = divmod(cell, self.terrain.shape[1])
-        profile = self.terrain.profile_at_cell(i, j)
-        loose_d = float(self.terrain.loose_depth[i, j])
+        terrain = self.terrain
+        profile = terrain.profile_at_cell(cell)
+        loose_d = terrain.loose_depth.item(cell)
         bank_d = max(0.0, self.rip_depth - loose_d)
         q_bank = profile.resistance_at(bank_d) if bank_d > 0.0 else 0.0
         face = ripper_draft(self.spec.ripper_width, bank_d, q_bank,
@@ -961,7 +967,7 @@ class Machine:
                             profile.loose_resistance,
                             self.spec.ripper_cut_coeff) if loose_d > 0.0 else 0.0
         self._note(cell)
-        self.terrain.rip(i, j, self.rip_depth)
+        terrain.rip(cell, self.rip_depth)
         self._rip_face = face + drag
 
     def _check_flip(self, seat_frame: str, draft: float, ripping: bool) -> None:
@@ -1364,7 +1370,7 @@ class Machine:
             return 0.0
         i, j = self._cell_on_map("dump point", *self.blade_point())
         volume = self.prism
-        self.terrain.deposit(i, j, volume)
+        self.terrain.deposit(i * self.terrain.shape[1] + j, volume)
         self.prism = 0.0
         pad = 12
         self.terrain.relax(window=(i - pad, j - pad, i + pad + 1, j + pad + 1))

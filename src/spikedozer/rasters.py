@@ -38,13 +38,29 @@ def fmt(value) -> str:
     return str(value)
 
 
+# `%` conversions that give `fmt`'s text for a value of exactly this type
+_CONVERSION = {int: "%d", float: "%.9g", str: "%s"}
+
+
 def write_table(path: str, fields: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """CSV with a header row; one line per row, fields comma-joined."""
+    """CSV with a header row; one line per row, its values `fmt`ed and
+    comma-joined.
+
+    A row whose values are all exactly int, float or str is formatted by
+    one `%` template, made once per sequence of value types; any other
+    row goes value by value through `fmt`.
+    """
     lines = [",".join(fields)]
+    templates: dict[tuple, str | None] = {}
     for row in rows:
         if len(row) != len(fields):
             raise ValueError("row width does not match the header")
-        lines.append(",".join(fmt(v) for v in row))
+        types = tuple(map(type, row))
+        if types not in templates:
+            conversions = [_CONVERSION.get(t) for t in types]
+            templates[types] = None if None in conversions else ",".join(conversions)
+        template = templates[types]
+        lines.append(",".join(map(fmt, row)) if template is None else template % tuple(row))
     write_text(path, "\n".join(lines) + "\n")
 
 

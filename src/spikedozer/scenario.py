@@ -234,7 +234,10 @@ def _profile(node, where: str = "soil") -> SoilProfile:
 
 def _patch(node, where: str) -> SoilPatch:
     given = _read(node, _PATCH, where)
-    return SoilPatch(profile=given.pop("soil"), **given)
+    try:
+        return SoilPatch(profile=given.pop("soil"), **given)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _soil(node) -> tuple[SoilField, SoilProfile]:

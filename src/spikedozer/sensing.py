@@ -124,8 +124,8 @@ class PenetrationRecorder:
         event = PenetrationEvent(
             index=len(self.events),
             x=x, y=y, depth=depth,
-            min_q=float(np.min(trace)),
-            mean_q=float(np.mean(trace)),
+            min_q=float(trace.min()),
+            mean_q=float(trace.mean()),
             temperature_K=temperature,
         )
         self.events.append(event)

@@ -174,8 +174,8 @@ class SoilField:
     """Maps plan position to a strength profile.
 
     The base class is uniform; subclasses may vary the profile laterally.
-    Simulation code calls `profile_at` for one point and `profiles_at`
-    for the steps of a stroke.
+    Simulation code calls `profile_at` for one point, `profiles_at` for
+    the steps of a stroke and `profiles_on_grid` for the cells of a map.
     """
 
     def __init__(self, base: SoilProfile):
@@ -189,6 +189,12 @@ class SoilField:
         `profile_at` returns there."""
         return [self.base], np.zeros(np.shape(xs), dtype=np.intp)
 
+    def profiles_on_grid(self, shape: tuple[int, int], cell_size: float,
+                         origin: tuple[float, float]) -> tuple[list[SoilProfile], np.ndarray | None]:
+        """The field's profiles, and a raster of the index of the one at
+        each cell center of the grid, None when every cell has the first."""
+        return [self.base], None
+
 
 @dataclass(frozen=True)
 class SoilPatch:
@@ -199,6 +205,12 @@ class SoilPatch:
     x_max: float
     y_max: float
     profile: SoilProfile
+
+    def __post_init__(self) -> None:
+        if not self.x_min <= self.x_max:
+            raise ValueError(f"x_min {self.x_min} exceeds x_max {self.x_max}")
+        if not self.y_min <= self.y_max:
+            raise ValueError(f"y_min {self.y_min} exceeds y_max {self.y_max}")
 
     def contains(self, x: float, y: float) -> bool:
         return (self.x_min <= x <= self.x_max) and (self.y_min <= y <= self.y_max)
@@ -225,3 +237,21 @@ class PatchSoilField(SoilField):
             p = self.patches[n - 1]
             at[(p.x_min <= xs) & (xs <= p.x_max) & (p.y_min <= ys) & (ys <= p.y_max)] = n
         return [self.base] + [p.profile for p in self.patches], at
+
+    def profiles_on_grid(self, shape: tuple[int, int], cell_size: float,
+                         origin: tuple[float, float]) -> tuple[list[SoilProfile], np.ndarray | None]:
+        # A patch holds the cell centers of a block of rows and columns, as
+        # centers rise along each axis.  The patches fill their blocks in
+        # reverse so the first holding a center wins, as in `profile_at`.
+        if not self.patches:
+            return [self.base], None
+        rows, cols = shape
+        xs = origin[0] + (np.arange(cols) + 0.5) * cell_size
+        ys = origin[1] + (np.arange(rows) + 0.5) * cell_size
+        index = np.zeros(shape, dtype=np.min_scalar_type(len(self.patches)))
+        for n in range(len(self.patches), 0, -1):
+            p = self.patches[n - 1]
+            i0, i1 = np.searchsorted(ys, p.y_min), np.searchsorted(ys, p.y_max, side="right")
+            j0, j1 = np.searchsorted(xs, p.x_min), np.searchsorted(xs, p.x_max, side="right")
+            index[i0:i1, j0:j1] = n
+        return [self.base] + [p.profile for p in self.patches], index

@@ -50,6 +50,16 @@ def run_cli(argv, timeout=60.0, max_memory=None):
     return proc.returncode, proc.stderr
 
 
+def test_the_package_runs_as_a_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "spikedozer", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60.0)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: spikedozer ")
+
+
 def write_scenario(tmp_path, doc):
     """Write a scenario document, or JSON text verbatim; returns its path."""
     path = tmp_path / "scenario.json"
@@ -365,10 +375,18 @@ class TestSimulate:
          "unknown vehicle preset 'nope'; have ['construction', 'reference']"),
         (None, "No such file or directory"),
         ({"terrain": {"surface_raster": "absent.csv"}}, "absent.csv"),
+        ({"soil": {"patches": [
+            {"x_min": -1.0, "x_max": 1.0, "y_min": -1.0, "y_max": 1.0, "soil": "hard"},
+            {"x_min": 3, "x_max": -3, "y_min": -1.0, "y_max": 1.0, "soil": "hard"}]}},
+         "soil.patches[1]: x_min 3.0 exceeds x_max -3.0"),
+        ({"soil": {"patches": [
+            {"x_min": -1.0, "x_max": 1.0, "y_min": 2, "y_max": 1.5, "soil": "medium"}]}},
+         "soil.patches[0]: y_min 2.0 exceeds y_max 1.5"),
     ], ids=["surface_K", "gravity", "allow_inversion", "seed_fraction", "seed_text",
             "layer_thickness", "layer_density", "crust_thickness", "start_x", "spike", "spike_text", "spike_offsets", "shape",
             "oversize_shape", "oversize_extent", "overflowing_extent",
-            "vehicle_preset", "missing_scenario", "missing_raster"])
+            "vehicle_preset", "missing_scenario", "missing_raster",
+            "inverted_patch_x", "inverted_patch_y"])
     def test_input_hole_exits_1(self, tmp_path, doc, key):
         path = tmp_path / "scenario.json"
         if doc is not None:

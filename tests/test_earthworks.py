@@ -19,10 +19,13 @@ from spikedozer.locomotion import CONSTRUCTION, price_steps
 from spikedozer.soils import (
     EARTH,
     HARD,
+    MEDIUM,
     MOON,
     SOFT,
     PatchSoilField,
+    SoilField,
     SoilPatch,
+    SoilProfile,
 )
 
 
@@ -132,8 +135,8 @@ class TestTerrainGrid:
                                     min_size=1, max_size=40), label="points")
         xs = np.array([p[0] for p in points])
         ys = np.array([p[1] for p in points])
-        corners, tx, ty, inside = t.bilinear_weights(xs, ys)
-        h = t.blend(corners, tx, ty)
+        corners, w, inside = t.bilinear_weights(np.stack((xs, ys)))
+        h = t.blend(corners, w)
         cells = t.cells_of(xs, ys)
         for k, (x, y) in enumerate(points):
             try:
@@ -141,7 +144,7 @@ class TestTerrainGrid:
             except ValueError:
                 assert not inside[k]
             else:
-                assert inside[k] and h[k] == expected
+                assert (inside is None or inside[k]) and h[k] == expected
             try:
                 cell = t.cell_of(x, y)
             except ValueError:
@@ -185,30 +188,79 @@ class TestTerrainGrid:
                     st.tuples(inner(ox, cols), near_edge(oy, rows))), label="edge")
         xs = np.array([p[0] for p in points])
         ys = np.array([p[1] for p in points])
-        if data.draw(st.booleans(), label="as rows"):  # the shape a stroke samples
+        if data.draw(st.booleans(), label="as a stroke"):  # (fore, aft) x steps
             xs, ys = xs.reshape(2, m), ys.reshape(2, m)
 
-        # the clamped formula, as every batch took it before
+        # the clamped formula, coordinate by coordinate, as every batch took it before
         fx = (xs - ox) / size - 0.5
         fy = (ys - oy) / size - 0.5
         j0 = np.fmin(np.fmax(np.floor(fx), 0.0), cols - 1)
         i0 = np.fmin(np.fmax(np.floor(fy), 0.0), rows - 1)
         j1 = np.fmin(j0 + 1.0, cols - 1)
         i1 = np.fmin(i0 + 1.0, rows - 1)
-        expected = (
-            np.stack((i0 * cols + j0, i0 * cols + j1, i1 * cols + j0,
-                      i1 * cols + j1)).astype(np.intp),
-            np.fmin(np.fmax(fx - j0, 0.0), 1.0),
-            np.fmin(np.fmax(fy - i0, 0.0), 1.0),
-            (ox <= xs) & (xs < ox + cols * size) & (oy <= ys) & (ys < oy + rows * size))
-        got = t.bilinear_weights(xs, ys)
-        for a, b in zip(got, expected):
+        corners = np.stack((i0 * cols + j0, i0 * cols + j1, i1 * cols + j0,
+                            i1 * cols + j1)).astype(np.intp)
+        w = np.stack((np.fmin(np.fmax(fx - j0, 0.0), 1.0), np.fmin(np.fmax(fy - i0, 0.0), 1.0)))
+        inside = (ox <= xs) & (xs < ox + cols * size) & (oy <= ys) & (ys < oy + rows * size)
+        # the clamps change nothing just when every (i0, j0) is at least
+        # one cell from the far edges; a NaN never is
+        unclamped = bool(np.all((0.0 <= np.floor(fx)) & (np.floor(fx) <= cols - 2)
+                                & (0.0 <= np.floor(fy)) & (np.floor(fy) <= rows - 2)))
+
+        got_corners, got_w, got_inside = t.bilinear_weights(np.stack((xs, ys)))
+        for a, b in ((got_corners, corners), (got_w, w)):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(a, b)
-        heights = t.blend(*got[:3]).ravel()
+        if unclamped:
+            assert got_inside is None and inside.all()
+        else:
+            assert got_inside.dtype == inside.dtype and got_inside.shape == inside.shape
+            assert np.array_equal(got_inside, inside)
+        heights = t.blend(got_corners, got_w).ravel()
         for h, x, y in zip(heights, xs.ravel().tolist(), ys.ravel().tolist()):
             if t.contains(x, y):
                 assert h == t.height_at(x, y)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_soil_index_is_the_profile_at_every_cell_center(self, data):
+        rows = data.draw(st.integers(1, 8), label="rows")
+        cols = data.draw(st.integers(1, 8), label="cols")
+        size = data.draw(st.sampled_from([0.1, 0.125, 0.25, 0.3, 1.0]), label="size")
+        ox = data.draw(st.floats(-5.0, 5.0), label="ox")
+        oy = data.draw(st.floats(-5.0, 5.0), label="oy")
+
+        def bound(lo, n):
+            return st.one_of(
+                st.integers(0, n - 1).map(lambda k: lo + (k + 0.5) * size),  # on a center
+                st.integers(-1, n + 1).map(lambda k: lo + k * size),  # on a cell edge
+                st.floats(lo - 2.0 * size, lo + (n + 2) * size),  # off the map too
+                st.sampled_from([-1e9, 1e9]))  # past either side
+
+        def span(lo, n):  # a zero width when both ends are drawn alike
+            return st.lists(bound(lo, n), min_size=2, max_size=2).map(sorted)
+
+        # HARD's twin is equal to HARD but another object, so `is` tells them apart
+        twin = SoilProfile(name="hard", layers=HARD.layers,
+                           anchor_work_slope=HARD.anchor_work_slope)
+        patches = data.draw(st.lists(st.builds(
+            lambda x, y, p: SoilPatch(x[0], y[0], x[1], y[1], p),
+            span(ox, cols), span(oy, rows), st.sampled_from([HARD, MEDIUM, twin])),
+            max_size=6), label="patches")
+        soil = data.draw(st.sampled_from([PatchSoilField(SOFT, patches), SoilField(SOFT)]),
+                         label="field")
+        t = Terrain((rows, cols), cell_size=size, origin=(ox, oy), soil=soil)
+        profiles, index = t.cell_soils
+        if not getattr(soil, "patches", None):  # a uniform field
+            assert profiles == [SOFT] and index is None
+        else:
+            assert index.shape == (rows, cols)
+            assert index.dtype == np.min_scalar_type(len(patches))
+        for i in range(rows):
+            for j in range(cols):
+                want = soil.profile_at(*t.cell_center(i, j))
+                assert t.profile_at_cell(i * cols + j) is want
+                assert profiles[0 if index is None else index[i, j]] is want
 
     def test_initial_surface_copied_not_aliased(self):
         init = np.ones((3, 3))
@@ -221,7 +273,7 @@ class TestTerrainGrid:
 class TestCutFillAudit:
     def test_rip_swells_bank_into_spoil(self):
         t = Terrain((3, 3))
-        cut = t.rip(1, 1, 0.2)
+        cut = t.rip(4, 0.2)  # cell (1, 1), flat index 1 * 3 + 1
         assert cut == pytest.approx(0.2)
         assert t.bank_floor[1, 1] == pytest.approx(-0.2)
         assert t.loose_depth[1, 1] == pytest.approx(0.2 * SWELL_FACTOR)
@@ -229,27 +281,27 @@ class TestCutFillAudit:
 
     def test_rip_passes_through_existing_spoil(self):
         t = Terrain((3, 3))
-        t.rip(1, 1, 0.2)
+        t.rip(4, 0.2)
         loose0 = float(t.loose_depth[1, 1])
         # tines reach 0.1 below the surface; that is all spoil already
-        assert t.rip(1, 1, 0.1) == 0.0
+        assert t.rip(4, 0.1) == 0.0
         assert t.loose_depth[1, 1] == loose0
 
     def test_excavate_takes_spoil_before_bank(self):
         t = Terrain((3, 3))
-        t.rip(1, 1, 0.1)  # 0.13 of loose on top
-        loose_m3, bank_m3 = t.excavate(1, 1, 0.2)
+        t.rip(4, 0.1)  # 0.13 of loose on top
+        loose_m3, bank_m3 = t.excavate(4, 0.2)
         assert loose_m3 == pytest.approx(0.13 * t.cell_area)
         assert bank_m3 == pytest.approx(0.07 * t.cell_area)
 
     def test_carry_and_deposit_closes_the_books(self):
         t = Terrain((5, 5))
-        _, bank_m3 = t.excavate(2, 2, 0.3)
+        _, bank_m3 = t.excavate(12, 0.3)  # cell (2, 2)
         carried = bank_m3 * SWELL_FACTOR
         audit = t.audit()
         assert audit.loose_carried == pytest.approx(carried)
         assert audit.residual < 1e-12
-        t.deposit(0, 0, carried)
+        t.deposit(0, carried)
         audit = t.audit()
         assert audit.loose_carried == pytest.approx(0.0)
         assert audit.residual < 1e-12
@@ -257,7 +309,7 @@ class TestCutFillAudit:
     def test_deposit_negative_rejected(self):
         t = Terrain((3, 3))
         with pytest.raises(ValueError):
-            t.deposit(0, 0, -0.1)
+            t.deposit(0, -0.1)
 
     @given(st.lists(
         st.tuples(st.integers(0, 4), st.integers(0, 4),
@@ -268,9 +320,9 @@ class TestCutFillAudit:
         t = Terrain((5, 5))
         carried = 0.0
         for i, j, thick in ops:
-            loose_m3, bank_m3 = t.excavate(i, j, thick)
+            loose_m3, bank_m3 = t.excavate(i * 5 + j, thick)
             carried += loose_m3 + bank_m3 * SWELL_FACTOR
-        t.deposit(0, 4, carried)
+        t.deposit(4, carried)
         assert t.audit().residual < 1e-9
 
 
@@ -348,7 +400,7 @@ def reference_relax(t, window=None):
                 for j in range(j_lo, j_hi):
                     if loose[i][j] <= 0.0:
                         continue
-                    profile = t.profile_at_cell(i, j)
+                    profile = t.profile_at_cell(i * cols + j)
                     tan_repose = math.tan(math.radians(profile.repose_angle_deg))
                     tan_trigger = math.tan(math.radians(
                         profile.repose_angle_deg + earthworks.REPOSE_SLACK_DEG))
@@ -418,9 +470,9 @@ def piled_with_audit(shape=(14, 14), pile=(7, 7), dug=tuple((1, j) for j in rang
     t = Terrain(shape, cell_size=0.125, soil=soil)
     carried = 0.0
     for i, j in dug:
-        loose_m3, bank_m3 = t.excavate(i, j, 0.4)
+        loose_m3, bank_m3 = t.excavate(i * shape[1] + j, 0.4)
         carried += loose_m3 + bank_m3 * SWELL_FACTOR
-    t.deposit(*pile, carried)
+    t.deposit(pile[0] * shape[1] + pile[1], carried)
     return t
 
 

@@ -483,7 +483,7 @@ class TestExecution:
     def test_pit_reaches_grade(self, small_result):
         plan, result = small_result
         i, j = result.terrain.cell_of(1.0, 0.5)
-        assert result.terrain.surface_at_cell(i, j) == pytest.approx(-0.4)
+        assert result.terrain.surface()[i, j] == pytest.approx(-0.4)
 
     def test_energy_ledger_is_sane(self, small_result):
         plan, result = small_result

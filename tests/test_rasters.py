@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spikedozer.rasters import fmt, read_raster, write_raster, write_text
+from spikedozer.rasters import fmt, read_raster, write_raster, write_table, write_text
 
 # decimal values one digit past the 9 that %.9g keeps, ending in 5: the
 # rounding edge, as near as a double can sit to it
@@ -112,6 +112,45 @@ class TestWriteRaster:
     def test_rejects_a_grid_that_is_not_two_dimensional(self, tmp_path):
         with pytest.raises(ValueError, match="two-dimensional"):
             write_raster(str(tmp_path / "line.csv"), np.zeros(3), 0.25)
+
+
+# every kind of value `fmt` takes, numpy scalars among them
+TABLE_VALUES = st.one_of(
+    st.booleans(), st.integers(), st.integers(-2**70, 2**70), st.floats(), SPECIAL, ROUNDING_EDGE,
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),  # '%' too
+    st.sampled_from(["%s", "%d", "%%", ""]),
+    st.booleans().map(np.bool_), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(-128, 127).map(np.int8), st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32))
+
+
+class TestWriteTable:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 5))
+    @example(data=None, width=4)
+    def test_same_bytes_as_formatting_each_value(self, data, width):
+        if data is None:  # one table whose value types change partway
+            rows = [(1, 0.5, "a", -0.0), (True, np.float64(0.5), "a", np.True_),
+                    (2, float("nan"), "%d", float("-inf")), (2**80, 3, np.int64(-7), "")]
+        else:
+            rows = data.draw(st.lists(st.tuples(*[TABLE_VALUES] * width), max_size=8),
+                             label="rows")
+        fields = [f"c{k}" for k in range(width)]
+        expected = "\n".join([",".join(fields)] + [",".join(fmt(v) for v in row)
+                                                    for row in rows]) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.csv")
+            write_table(path, fields, rows)
+            with open(path, "rb") as fh:
+                assert fh.read() == expected.encode("utf-8")
+
+    def test_numpy_bool_prints_as_text(self):
+        # `fmt` reads a bool as 0 or 1, but numpy's bool is no bool
+        assert fmt(True) == "1" and fmt(np.True_) == "True"
+
+    def test_rejects_a_row_of_the_wrong_width(self, tmp_path):
+        with pytest.raises(ValueError, match="row width"):
+            write_table(str(tmp_path / "t.csv"), ("a", "b"), [(1, 2), (3,)])
 
 
 class TestReadRaster:
