@@ -24,6 +24,7 @@ reconstructed from the pin position, so the anchor point cannot drift.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -377,9 +378,9 @@ class _StrokePath:
     change the terrain and its load.  `blade_cells` gives the cells under
     the blade span at each crossing that the blade may cut; a blade
     crossing with none is dropped, as working it would change nothing.
-    `settle` and `roll_back` leave the machine's last tool cell, which
-    the next path starts from, as the last cell of `cells` on the map
-    up to their step.  `stop` is the step that ends the
+    The path starts from the tools' last cell, and `settle` leaves it as
+    the last cell of `cells` on the map up to its step, where there is
+    one.  `stop` is the step that ends the
     path: step `n`, or an earlier step that would collide the frames and
     so raises; the machine takes it by moving itself, not by being
     placed.  `k` is the next step to take.  A slip shoves the seated
@@ -398,15 +399,15 @@ class _StrokePath:
     see that are priced alone in the same order: a step reads the
     heights and the blade load left by the crossings before it, and the
     face and tine forces left by the crossings up to and including it.
-    The terrain writes go to the machine's journal, so the heights each
+    The terrain writes go to the tools' journal, so the heights each
     step read are found again from the map as the span left it, and
-    `roll_back` can take back the work past any step.
+    `settle` can take back the work past any step.
     """
 
     def __init__(self, machine: Machine, move_frame: str, motion: float,
                  travelled: float, advance_total: float,
                  cutting: bool, ripping: bool):
-        terrain = machine.terrain
+        terrain, tools = machine.terrain, machine.tools
         ux, uy = machine._unit()
         bound = int((advance_total - travelled) / STEP) + 2
         signed = motion * STEP
@@ -418,7 +419,7 @@ class _StrokePath:
         lay.cumsum(axis=1, out=lay)
         ts = lay[0]
         n = int(np.count_nonzero(advance_total - ts >= STEP))
-        self.machine, self.cutting, self.ripping = machine, cutting, ripping
+        self.machine, self.tools, self.cutting, self.ripping = machine, tools, cutting, ripping
         self.motion = motion
         self.travelled, self.xs, self.ys, self.seps = lay = lay[:, :n + 1]
         collide = (self.seps[1:] <= 0.0).nonzero()[0]
@@ -427,7 +428,6 @@ class _StrokePath:
         self.ds[n:] = advance_total - ts[n]
         self.crossings = []
         self.cells = None
-        self.start_cell = machine._last_tool_cell
         if cutting or ripping:
             # the working tool's edge at the end of each step
             taken = len(self.ds)
@@ -438,10 +438,10 @@ class _StrokePath:
             self.cells = terrain.cells_of(px, py)
             on = (self.cells >= 0).nonzero()[0]
             seq = self.cells[on]
-            prev = np.concatenate(([self.start_cell], seq[:-1]))
+            prev = np.concatenate(([tools.last_cell], seq[:-1]))
             self.crossings = on[seq != prev].tolist()
             if cutting:
-                bands = machine._blade_cells(px[self.crossings], py[self.crossings])
+                bands = tools.blade_cells(px[self.crossings], py[self.crossings])
                 self.blade_cells = {c: band for c, band in zip(self.crossings, bands) if band}
                 self.crossings = list(self.blade_cells)
         # the fore and aft grade samples of each step, stacked as (x, y)
@@ -456,7 +456,7 @@ class _StrokePath:
         g = machine.env.gravity
         self.friction = np.array([machine.spec.skid_friction(p, g) for p in profiles])[at]
         self.density = None
-        if cutting or machine.prism > 0.0:
+        if cutting or tools.prism > 0.0:
             self.density = np.array([p.loose_density for p in profiles])[at]
         self.k = 0
 
@@ -471,32 +471,32 @@ class _StrokePath:
         """Work the crossings of the span from step `k` and return its last
         step; `may_slip` is the seated anchor when the blade works and it
         can still slip.  This leaves the per-step inputs of `price`."""
-        machine, cutting, k = self.machine, self.cutting, self.k
-        machine._journal.clear()
+        tools, cutting, k = self.tools, self.cutting, self.k
+        tools.journal.clear()
         # the tool state as the span starts, then after each crossing
-        self.states = [machine._tool_state()]
+        self.states = [tools.snapshot()]
         self.crossed, cut = [], []  # the crossings worked, and those that cut, from k
         last = min(self.stop, len(self.ds) - 1)
         crossings = self.crossings
         for c in crossings[bisect_left(crossings, k):bisect_right(crossings, last)]:
             gives = False
             if cutting:
-                seen = None if may_slip is None else (self._step_rise(c), machine.prism)
+                seen = None if may_slip is None else (self._step_rise(c), tools.prism)
                 self.place(c)
-                if machine._enter_blade_cell(self.blade_cells[c]):
+                if tools.enter_blade_cell(self.blade_cells[c]):
                     cut.append(c - k)
                     gives = seen is not None and not self._holds(c, *seen, may_slip)
             else:
-                machine._enter_ripper_cell(int(self.cells[c]))
+                tools.enter_ripper_cell(int(self.cells[c]))
             self.crossed.append(c - k)
-            self.states.append(machine._tool_state())
+            self.states.append(tools.snapshot())
             if gives:
                 last = c
                 break
         self.last = last
 
         self.rise = self.motion * self._heights()
-        self.prism, self.face, self.rip, self.run = machine.prism, None, None, None
+        self.prism, self.face, self.rip, self.run = tools.prism, None, None, None
         if not (cutting or self.ripping):
             return last
         steps = np.arange(last - k + 1)
@@ -513,9 +513,9 @@ class _StrokePath:
         # from the last cut at or before each step, else from the run the
         # span started with.
         down = np.full(len(steps), -STEP)
-        down[0] = machine.terrain.cell_size
+        down[0] = self.machine.terrain.cell_size
         since_cut = down.cumsum()
-        down[0] = machine._face_run
+        down[0] = tools.face_run
         self.run = down.cumsum()
         last_cut = np.full(len(steps), -1)
         last_cut[cut] = cut
@@ -538,14 +538,14 @@ class _StrokePath:
         machine = self.machine
         return bool(price_steps(
             rise, self.level is not None and bool(self.level[step]), float(self.density[step]),
-            float(self.friction[step]), machine._face_force, None, prism,
+            float(self.friction[step]), self.tools.face_force, None, prism,
             machine.extra_draft, machine.spec, machine.env.gravity, anchor)[1])
 
     def _heights(self):
         """Fore-minus-aft height of every step of the span, from the map as
         each step saw it: a cell the journal shows written at the step's
         crossing or a later one holds the value that write found."""
-        terrain, journal = self.machine.terrain, self.machine._journal
+        terrain, journal = self.machine.terrain, self.tools.journal
         k, last = self.k, self.last
         corners, t, _ = self.footprint
         corners = corners[..., k:last + 1]
@@ -581,22 +581,18 @@ class _StrokePath:
             self.prism[a:] if self.cutting else self.prism, machine.extra_draft,
             machine.spec, machine.env.gravity, anchor)
 
-    def roll_back(self, step: int) -> None:
-        """Take back the work of the span's crossings after `step`, and
-        leave the face run and the last tool cell as taking `step` leaves
-        them."""
-        self.machine._restore_tool_state(self.states[bisect_right(self.crossed, step - self.k)])
-        self.settle(step)
-
     def settle(self, step: int) -> None:
-        """Leave the face run and the last tool cell as taking `step`
-        leaves them."""
-        machine = self.machine
+        """Leave the tools as taking `step` leaves them: take back the work
+        of the span's crossings after it, and set the face run and the
+        last tool cell."""
+        tools = self.tools
+        tools.restore(self.states[bisect_right(self.crossed, step - self.k)])
         if self.run is not None:
-            machine._face_run = float(self.run[step - self.k]) - float(self.ds[step])
+            tools.face_run = float(self.run[step - self.k]) - float(self.ds[step])
         if self.cells is not None:
             on = np.flatnonzero(self.cells[:step + 1] >= 0)
-            machine._last_tool_cell = int(self.cells[on[-1]]) if on.size else self.start_cell
+            if on.size:
+                tools.last_cell = int(self.cells[on[-1]])
 
 
 class _ToolState(NamedTuple):
@@ -609,6 +605,158 @@ class _ToolState(NamedTuple):
     carried_out: float  # the terrain's
     spill: float
     visited: int  # band cells the blade has visited
+
+
+class _Tools:
+    """The blade and the ripper tines: their settings, the spoil on the
+    blade, and what they have done this stroke.
+
+    A stroke resets the tools once, works them crossing by crossing, and
+    takes work back with `snapshot` and `restore`; before each terrain
+    write they journal the cell as (flat cell, bank, loose).  The tools
+    ride on `machine`, whose pose places them, and hold it weakly, so
+    that no cycle keeps a machine and its terrain alive.
+    """
+
+    def __init__(self, machine: Machine):
+        spec, terrain = machine.spec, machine.terrain
+        self.machine, self.spec, self.terrain = weakref.proxy(machine), spec, terrain
+        self.blade: BladeSetting | None = None
+        self.rip_depth = 0.0
+        self.prism = 0.0  # m^3 loose, carried on the blade
+        self.journal: list[tuple[int, float, float]] = []
+        # blade width sampled finely enough that no covered cell is missed
+        half_w = 0.5 * spec.blade_width
+        n_samples = max(2, int(round(spec.blade_width / (0.5 * terrain.cell_size))) + 1)
+        self.band_offsets = np.array(
+            [-half_w + k * spec.blade_width / (n_samples - 1) for k in range(n_samples)])
+        self.reset()
+
+    def reset(self) -> None:
+        """Start a stroke with nothing cut, ripped, spilled or entered."""
+        # the blade's face force from its last cut and the travel left over
+        # which it acts, which `_StrokePath` runs down; the tines' force
+        self.face_force = 0.0
+        self.face_run = 0.0
+        self.rip_face = 0.0
+        # the band cells the blade has visited, a dict used as an ordered
+        # set so that taking back tool work can pop the newest
+        self.visited: dict[int, None] = {}
+        self.spill = 0.0  # m^3 cast off the blade ends
+        # flat index of the cell the working tool last entered, kept by
+        # `_StrokePath`; `Machine._phase` never works the blade and the
+        # ripper in one half-cycle
+        self.last_cell = -1
+
+    def blade_cells(self, px: np.ndarray, py: np.ndarray) -> list[list[int]]:
+        """For each blade center (px, py): the flat cells under the blade
+        span that the blade setting lets it cut, in order along the span."""
+        ux, uy = self.machine._unit()
+        band = self.band_offsets
+        cells = self.terrain.cells_of(px[:, None] - band * uy, py[:, None] + band * ux)
+        cuts = self.blade.cuts[cells]
+        kept = cells[cuts].tolist()
+        ends = cuts.sum(axis=1).cumsum().tolist()
+        return [kept[a:b] for a, b in zip([0] + ends, ends)]
+
+    def enter_blade_cell(self, band: list[int]) -> bool:
+        """Cut the flat `band` cells under the blade as its center enters
+        a new cell.  True when anything was cut.
+
+        Every not yet visited cell under the blade span takes one blade
+        pass, down to the target and at most the cut limit, in one loop
+        that reads each cell by its flat index.  Its cut work is cutting
+        resistance times material volume, and material beyond the prism
+        capacity is cast off the blade ends.  The work is spread over one
+        cell length of travel as a constant face force, which for a
+        full-width uniform cut reduces to
+
+            F = k_b * w * (d_loose * q_loose + d_bank * q_bank)
+        """
+        terrain, spec, visited = self.terrain, self.spec, self.visited
+        bank, loose, area = terrain.bank_floor, terrain.loose_depth, terrain.cell_area
+        target = self.blade.target_elevation
+        work = 0.0
+        for cell in band:
+            if cell in visited:
+                continue
+            visited[cell] = None
+            bank_d, loose_d = bank.item(cell), loose.item(cell)
+            thickness = bank_d + loose_d - target
+            if thickness <= 1e-12:
+                continue
+            self.journal.append((cell, bank_d, loose_d))
+            loose_m3, bank_m3 = terrain.excavate(cell, min(thickness, spec.blade_max_cut))
+            self.prism += loose_m3 + bank_m3 * SWELL_FACTOR
+            excess = self.prism - spec.blade_capacity
+            if excess > 1e-12:
+                self.prism -= excess
+                self._spill(excess, cell)
+            loose_cut, bank_cut = loose_m3 / area, bank_m3 / area
+            profile = terrain.profile_at_cell(cell)
+            q_bank = profile.resistance_at(bank_cut) if bank_cut > 0.0 else 0.0
+            work += spec.blade_cut_coeff * area * (
+                loose_cut * profile.loose_resistance + bank_cut * q_bank)
+        if work <= 0.0:
+            return False
+        self.face_force = work / terrain.cell_size
+        return True
+
+    def _spill(self, volume: float, fallback_cell: int) -> None:
+        """Cast overflow spoil half to each cell just beyond the blade ends,
+        or to the flat `fallback_cell` where that is off the map."""
+        terrain = self.terrain
+        bx, by = self.machine.blade_point()
+        ux, uy = self.machine._unit()
+        off = (0.5 * self.spec.blade_width + 0.5 * terrain.cell_size) * np.array((1.0, -1.0))
+        for cell in terrain.cells_of(bx - off * uy, by + off * ux).tolist():
+            cell = cell if cell >= 0 else fallback_cell  # keep the volume on the map
+            self._note(cell)
+            terrain.deposit(cell, 0.5 * volume)
+        self.spill += volume
+
+    def _note(self, cell: int) -> None:
+        """Journal the flat `cell` as it stands before the tools write it."""
+        terrain = self.terrain
+        self.journal.append((cell, terrain.bank_floor.item(cell), terrain.loose_depth.item(cell)))
+
+    def enter_ripper_cell(self, cell: int) -> None:
+        """Loosen the flat `cell` as the ripper tines enter it.
+
+        The tine force for a cell is set by its composition as the tines
+        enter it and held for the whole traverse of that cell.
+        """
+        terrain, spec, depth = self.terrain, self.spec, self.rip_depth
+        loose_d = terrain.loose_depth.item(cell)
+        self._note(cell)
+        bank_d = terrain.rip(cell, depth)
+        profile = terrain.profile_at_cell(cell)
+        q_bank = profile.resistance_at(bank_d) if bank_d > 0.0 else 0.0
+        face = ripper_draft(spec.ripper_width, bank_d, q_bank,
+                            spec.ripper_cut_coeff) if bank_d > 0.0 else 0.0
+        drag = ripper_draft(spec.ripper_width, min(depth, loose_d),
+                            profile.loose_resistance,
+                            spec.ripper_cut_coeff) if loose_d > 0.0 else 0.0
+        self.rip_face = face + drag
+
+    def snapshot(self) -> _ToolState:
+        """What the tools have left so far this stroke."""
+        return _ToolState(len(self.journal), self.prism, self.face_force, self.rip_face,
+                          self.terrain.carried_out, self.spill, len(self.visited))
+
+    def restore(self, state: _ToolState) -> None:
+        """Take back the tool work done since `state` was taken: the
+        journaled writes, newest first, and the tool state."""
+        bank, loose = self.terrain.bank_floor.flat, self.terrain.loose_depth.flat
+        for cell, old_bank, old_loose in reversed(self.journal[state.journal:]):
+            bank[cell] = old_bank
+            loose[cell] = old_loose
+        del self.journal[state.journal:]
+        while len(self.visited) > state.visited:
+            self.visited.popitem()
+        self.prism, self.face_force = state.prism, state.face_force
+        self.rip_face, self.spill = state.rip_face, state.spill
+        self.terrain.carried_out = state.carried_out
 
 
 class Machine:
@@ -634,9 +782,6 @@ class Machine:
         # each frame's seated spikes; unseating a frame sets None at no
         # charge, as each spike's pull-out was charged when it seated
         self.anchors: dict[str, AnchorState | None] = {"front": None, "rear": None}
-        self.prism = 0.0  # m^3 loose, carried on the blade
-        self.blade: BladeSetting | None = None
-        self.rip_depth: float = 0.0
         self.extra_draft: float = 0.0
         self.cycles: list[CycleRecord] = []
         self.recorder = recorder
@@ -644,26 +789,7 @@ class Machine:
         self._expanded = False
         self._unit_for = float("nan")
         self._unit_vec = (1.0, 0.0)
-        # the blade's face force from its last cut and the travel left over
-        # which it acts, which `_StrokePath` runs down; the tines' force
-        self._face_force = 0.0
-        self._face_run = 0.0
-        self._rip_face = 0.0
-        # the band cells the blade has visited this stroke, a dict used as
-        # an ordered set so that taking back tool work can pop the newest
-        self._stroke_cut: dict[int, None] = {}
-        self._stroke_spill = 0.0
-        # (flat cell, bank, loose) before each terrain write of the tools
-        self._journal: list[tuple[int, float, float]] = []
-        # flat index of the cell the working tool last entered this stroke,
-        # kept by `_StrokePath`; `_phase` never works the blade and the
-        # ripper in one half-cycle
-        self._last_tool_cell = -1
-        # blade width sampled finely enough that no covered cell is missed
-        half_w = 0.5 * spec.blade_width
-        n_samples = max(2, int(round(spec.blade_width / (0.5 * terrain.cell_size))) + 1)
-        self._band_offsets = np.array(
-            [-half_w + k * spec.blade_width / (n_samples - 1) for k in range(n_samples)])
+        self.tools = _Tools(self)
 
     # ------------------------------------------------------------------
     # Pose helpers
@@ -721,13 +847,6 @@ class Machine:
 
     # ------------------------------------------------------------------
     # Anchoring
-
-    def _cell_on_map(self, what: str, x: float, y: float) -> tuple[int, int]:
-        """Cell under a point the machine works at; off the map is a runtime failure."""
-        try:
-            return self.terrain.cell_of(x, y)
-        except ValueError:
-            raise SimulationError(f"{what} ({x:.2f}, {y:.2f}) is off the map") from None
 
     def _spike_ground(self, frame: str, offset: float):
         """A spike's ground at the surface, read once for seating and for
@@ -830,16 +949,9 @@ class Machine:
         ux, uy = self._unit()
         return half * ux, half * uy
 
-    def _fresh_draft(self, cutting: bool, ripping: bool, motion: float) -> float:
-        """Clear the per-stroke tool state and return the draft at the
-        present pose over a zero-length step, before any face is cut."""
-        self._last_tool_cell = -1
-        if cutting:
-            self._stroke_cut.clear()
-            self._face_force = 0.0
-            self._face_run = 0.0
-        if ripping:
-            self._rip_face = 0.0
+    def _fresh_draft(self, cutting: bool, motion: float) -> float:
+        """The draft at the present pose over a zero-length step, before
+        any face is cut or any cell is ripped."""
         hx, hy = self._grade_offset()
         x, y = self.x, self.y
         try:
@@ -850,125 +962,8 @@ class Machine:
             rise, level = 0.0, True
         density = self.terrain.soil.profile_at(self.x, self.y).loose_density
         return price_steps(rise, level, density, None, 0.0 if cutting else None,
-                           0.0 if ripping else None, self.prism, self.extra_draft,
+                           None, self.tools.prism, self.extra_draft,
                            self.spec, self.env.gravity, None)[0]
-
-    def _blade_cells(self, px: np.ndarray, py: np.ndarray) -> list[list[int]]:
-        """For each blade center (px, py): the flat cells under the blade
-        span that the blade setting lets it cut, in order along the span."""
-        ux, uy = self._unit()
-        band = self._band_offsets
-        cells = self.terrain.cells_of(px[:, None] - band * uy, py[:, None] + band * ux)
-        cuts = self.blade.cuts[cells]
-        kept = cells[cuts].tolist()
-        ends = cuts.sum(axis=1).cumsum().tolist()
-        return [kept[a:b] for a, b in zip([0] + ends, ends)]
-
-    def _enter_blade_cell(self, band: list[int]) -> bool:
-        """Cut the flat `band` cells under the blade as its center enters
-        a new cell.  True when anything was cut.
-
-        Every not yet visited cell under the blade span takes one blade
-        pass, down to the target and at most the cut limit, in one loop
-        that reads each cell by its flat index.  Its cut work is cutting
-        resistance times material volume, and material beyond the prism
-        capacity is cast off the blade ends.  The work is spread over one
-        cell length of travel as a constant face force, which for a
-        full-width uniform cut reduces to
-
-            F = k_b * w * (d_loose * q_loose + d_bank * q_bank)
-        """
-        terrain, spec, visited = self.terrain, self.spec, self._stroke_cut
-        bank, loose, area = terrain.bank_floor, terrain.loose_depth, terrain.cell_area
-        target = self.blade.target_elevation
-        work = 0.0
-        for cell in band:
-            if cell in visited:
-                continue
-            visited[cell] = None
-            bank_d, loose_d = bank.item(cell), loose.item(cell)
-            thickness = bank_d + loose_d - target
-            if thickness <= 1e-12:
-                continue
-            self._journal.append((cell, bank_d, loose_d))
-            loose_m3, bank_m3 = terrain.excavate(cell, min(thickness, spec.blade_max_cut))
-            self.prism += loose_m3 + bank_m3 * SWELL_FACTOR
-            excess = self.prism - spec.blade_capacity
-            if excess > 1e-12:
-                self.prism -= excess
-                self._spill(excess, cell)
-            loose_cut, bank_cut = loose_m3 / area, bank_m3 / area
-            profile = terrain.profile_at_cell(cell)
-            q_bank = profile.resistance_at(bank_cut) if bank_cut > 0.0 else 0.0
-            work += spec.blade_cut_coeff * area * (
-                loose_cut * profile.loose_resistance + bank_cut * q_bank)
-        if work <= 0.0:
-            return False
-        self._face_force = work / terrain.cell_size
-        return True
-
-    def _spill(self, volume: float, fallback_cell: int) -> None:
-        """Cast overflow spoil half to each cell just beyond the blade ends,
-        or to the flat `fallback_cell` where that is off the map."""
-        terrain = self.terrain
-        cols = terrain.shape[1]
-        bx, by = self.blade_point()
-        ux, uy = self._unit()
-        off = 0.5 * self.spec.blade_width + 0.5 * terrain.cell_size
-        for side in (1.0, -1.0):
-            try:
-                i, j = terrain.cell_of(bx - side * off * uy, by + side * off * ux)
-                cell = i * cols + j
-            except ValueError:
-                cell = fallback_cell  # keep the volume on the map
-            self._note(cell)
-            terrain.deposit(cell, 0.5 * volume)
-        self._stroke_spill += volume
-
-    def _note(self, cell: int) -> None:
-        """Journal the flat `cell` as it stands before the tools write it."""
-        terrain = self.terrain
-        self._journal.append((cell, terrain.bank_floor.item(cell), terrain.loose_depth.item(cell)))
-
-    def _tool_state(self) -> _ToolState:
-        """What the tools have left so far this stroke."""
-        return _ToolState(len(self._journal), self.prism, self._face_force, self._rip_face,
-                          self.terrain.carried_out, self._stroke_spill, len(self._stroke_cut))
-
-    def _restore_tool_state(self, state: _ToolState) -> None:
-        """Take back the tool work done since `state` was taken: the
-        journaled writes, newest first, and the tool state."""
-        bank, loose = self.terrain.bank_floor.flat, self.terrain.loose_depth.flat
-        for cell, old_bank, old_loose in reversed(self._journal[state.journal:]):
-            bank[cell] = old_bank
-            loose[cell] = old_loose
-        del self._journal[state.journal:]
-        while len(self._stroke_cut) > state.visited:
-            self._stroke_cut.popitem()
-        self.prism, self._face_force = state.prism, state.face_force
-        self._rip_face, self._stroke_spill = state.rip_face, state.spill
-        self.terrain.carried_out = state.carried_out
-
-    def _enter_ripper_cell(self, cell: int) -> None:
-        """Loosen the flat `cell` as the ripper tines enter it.
-
-        The tine force for a cell is set by its composition as the tines
-        enter it and held for the whole traverse of that cell.
-        """
-        terrain = self.terrain
-        profile = terrain.profile_at_cell(cell)
-        loose_d = terrain.loose_depth.item(cell)
-        bank_d = max(0.0, self.rip_depth - loose_d)
-        q_bank = profile.resistance_at(bank_d) if bank_d > 0.0 else 0.0
-        face = ripper_draft(self.spec.ripper_width, bank_d, q_bank,
-                            self.spec.ripper_cut_coeff) if bank_d > 0.0 else 0.0
-        drag = ripper_draft(self.spec.ripper_width,
-                            min(self.rip_depth, loose_d),
-                            profile.loose_resistance,
-                            self.spec.ripper_cut_coeff) if loose_d > 0.0 else 0.0
-        self._note(cell)
-        terrain.rip(cell, self.rip_depth)
-        self._rip_face = face + drag
 
     def _check_flip(self, seat_frame: str, draft: float, ripping: bool) -> None:
         """Raise FlipInstability when `draft` flips the seated frame."""
@@ -996,10 +991,11 @@ class Machine:
         the steps left in order, keeping a journal of what it writes, and
         then prices the whole span in one pass, each step on the terrain,
         blade load and tool forces it would meet taken alone.  The steps
-        are taken up to the first the seated frame cannot simply hold.  There the anchor deepens first, then the machine
-        flips or the frame slides; a deepening that does not slip prices
-        the rest of the span again with the deeper anchor, since no tool
-        work depends on the anchor.  A slip shoves the seated frame off
+        are taken up to the first the seated frame cannot simply hold.
+        There the anchor deepens first, then the machine flips or the
+        frame slides; a deepening that does not slip prices the rest of
+        the span again with the deeper anchor, since no tool work
+        depends on the anchor.  A slip shoves the seated frame off
         the path, and a flip or a stall ends the stroke, so each first
         takes back the tool work past its step.  An anchor seated
         unloaded slips at its first deepening, so while it can, a cutting
@@ -1017,19 +1013,19 @@ class Machine:
         stroke = min(stroke, self.spec.stroke_length, self.ram_travel(expand))
         if stroke <= 0.0:
             raise ValueError("ram is at its stop for this phase")
-        if reverse and (self.blade is not None or self.rip_depth > 0.0):
+        if reverse and (self.tools.blade is not None or self.tools.rip_depth > 0.0):
             raise ValueError("tools must be raised to drive in reverse")
 
         motion = -1.0 if reverse else 1.0
         move_frame = "front" if seat_frame == "rear" else "rear"
-        self._stroke_spill = 0.0
+        self.tools.reset()
 
         self.anchors[move_frame] = None
 
         x0, y0 = self.x, self.y
         ux, uy = self._unit()
 
-        draft = self._fresh_draft(cutting, ripping, motion) if _draft is None else _draft
+        draft = self._fresh_draft(cutting, motion) if _draft is None else _draft
         slip, anchor_work = self._seat_frame(seat_frame, draft, slip_allowed=True)
         slip = min(slip, stroke)
         slip_total = slip
@@ -1082,17 +1078,15 @@ class Machine:
                             slipped = True
                     self._check_flip(seat_frame, draft, ripping)
                 except (SimulationError, ValueError):
-                    path.roll_back(step)
+                    path.settle(step)
                     raise
                 draft_peak = max(draft_peak, draft)
                 useful += draft * float(path.ds[step])
                 if slipped:
                     break
                 step += 1
-            if slipped:
-                path.roll_back(step)
-            else:
-                path.settle(last)
+            path.settle(step if slipped else last)
+            if not slipped:
                 # The path goes on in a new span, or what is left of it is
                 # a rounding error.
                 if last < path.stop:
@@ -1113,15 +1107,15 @@ class Machine:
         return self._log("expand" if expand else "contract", motion * travelled,
                          (self.x - x0) * ux + (self.y - y0) * uy, draft_peak,
                          self.anchors[seat_frame].depth, slip_total, useful,
-                         anchor_work, self._stroke_spill)
+                         anchor_work, self.tools.spill)
 
     def _phase(self, reverse: bool) -> tuple[bool, str, bool, bool]:
         """The next half-cycle's phase: whether it expands, which frame
         seats, and whether the blade cuts and the ripper rips."""
         expand = not self._expanded
         seat_frame = "rear" if expand != reverse else "front"
-        cutting = not reverse and expand and self.blade is not None
-        ripping = not reverse and not expand and self.rip_depth > 0.0
+        cutting = not reverse and expand and self.tools.blade is not None
+        ripping = not reverse and not expand and self.tools.rip_depth > 0.0
         return expand, seat_frame, cutting, ripping
 
     def _log(self, mode: str, free_advance: float, center_advance: float,
@@ -1132,7 +1126,7 @@ class Machine:
         record = CycleRecord(
             len(self.cycles), mode, self.x, self.y, self.heading_deg,
             free_advance, center_advance, draft_peak, seat_depth, slip, useful,
-            anchor_work, self.spec.extraction_ratio * anchor_work, self.prism, spill)
+            anchor_work, self.spec.extraction_ratio * anchor_work, self.tools.prism, spill)
         self.cycles.append(record)
         return record
 
@@ -1173,11 +1167,11 @@ class Machine:
             if budget < 0:
                 raise VehicleStuck(
                     "half-cycle budget exhausted without reaching the target")
-            expand, seat_frame, cutting, ripping = self._phase(reverse)
+            expand, seat_frame, cutting, _ = self._phase(reverse)
             # Predict the seating slip as the half-cycle will seat: from
             # the same zero-length draft and the same reading of the ground
             # at the spike point; a frame held by friction does not slip.
-            draft0 = self._fresh_draft(cutting, ripping, -1.0 if reverse else 1.0)
+            draft0 = self._fresh_draft(cutting, -1.0 if reverse else 1.0)
             _, _, profile, resists = self._spike_ground(seat_frame, self.spec.spike_offsets[0])
             slip = 0.0 if resists else anchoring_slip(draft0, profile)
             # A phase whose remaining ram travel cannot beat its own
@@ -1347,7 +1341,7 @@ class Machine:
         or anywhere on the map when it is None; mask cells off the map
         are ignored.  A `target_elevation` of None raises the blade."""
         if target_elevation is None:
-            self.blade = None
+            self.tools.blade = None
             return
         rows, cols = self.terrain.shape
         cuts = np.zeros(rows * cols + 1, dtype=bool)
@@ -1357,21 +1351,25 @@ class Machine:
             i, j = np.array(list(mask), dtype=np.intp).reshape(-1, 2).T
             on = (0 <= i) & (i < rows) & (0 <= j) & (j < cols)
             cuts[i[on] * cols + j[on]] = True
-        self.blade = BladeSetting(float(target_elevation), cuts)
+        self.tools.blade = BladeSetting(float(target_elevation), cuts)
 
     def set_ripper(self, depth: float) -> None:
         if depth < 0.0:
             raise ValueError("ripping depth must be non-negative")
-        self.rip_depth = float(depth)
+        self.tools.rip_depth = float(depth)
 
     def dump_prism(self) -> float:
         """Deposit the carried spoil at the blade and settle it."""
-        if self.prism <= 0.0:
+        if self.tools.prism <= 0.0:
             return 0.0
-        i, j = self._cell_on_map("dump point", *self.blade_point())
-        volume = self.prism
+        x, y = self.blade_point()
+        try:
+            i, j = self.terrain.cell_of(x, y)
+        except ValueError:
+            raise SimulationError(f"dump point ({x:.2f}, {y:.2f}) is off the map") from None
+        volume = self.tools.prism
         self.terrain.deposit(i * self.terrain.shape[1] + j, volume)
-        self.prism = 0.0
+        self.tools.prism = 0.0
         pad = 12
         self.terrain.relax(window=(i - pad, j - pad, i + pad + 1, j + pad + 1))
         return volume

@@ -67,18 +67,21 @@ _KINDS = {
     str: ("a string", lambda v: type(v) is str),
     float | None: ("a number or null",
                    lambda v: v is None or type(v) is float or type(v) is int),
+    "positive": ("a positive number", lambda v: type(v) in (float, int) and v > 0),
+    "non-negative": ("a non-negative number", lambda v: type(v) in (float, int) and v >= 0),
 }
 
-# drive op -> the kind of each key it takes besides "op"
+# drive op -> the kind of each key it takes besides "op"; a value out of a
+# command's range is refused when the scenario is read, not when it runs
 DRIVE_KEYS = {
-    "advance": {"distance": float, "halves": int, "stroke": float,
+    "advance": {"distance": "positive", "halves": int, "stroke": "positive",
                 "reverse": bool},
     "turn_to": {"heading_deg": float},
     "turn_by": {"delta_deg": float},
     "blade": {"target_elevation": float | None},
-    "ripper": {"depth": float},
+    "ripper": {"depth": "non-negative"},
     "dump": {},
-    "tow": {"force": float},
+    "tow": {"force": "non-negative"},
     "relax": {},
 }
 # drive ops that cannot run without one of these keys
@@ -432,6 +435,10 @@ def _build_scenario(doc: dict, seed_override: int | None,
         start = (0.0, 0.0, 0.0)
     else:
         drive = _objects(_command)(doc["drive"], "drive")
+        for n, cmd in enumerate(drive):
+            if cmd.get("stroke", 0.0) > vehicle.stroke_length:
+                raise ValueError(f"drive[{n}]: 'stroke' must be at most the ram stroke "
+                                 f"{vehicle.stroke_length:g}, got {_got(cmd['stroke'])}")
         shape, cell, origin, surface = _parse_terrain(
             _section(doc, "terrain", {}), base_dir)
         given = _read(_section(doc, "start", {}), _START, "start")
@@ -478,10 +485,7 @@ def _run_command(machine: Machine, terrain: Terrain, cmd: dict) -> None:
     elif op == "dump":
         machine.dump_prism()
     elif op == "tow":
-        force = cmd.get("force", 0.0)
-        if force < 0.0:
-            raise ValueError("tow force must be non-negative")
-        machine.extra_draft = force
+        machine.extra_draft = cmd.get("force", 0.0)
     else:  # relax, the last op DRIVE_KEYS names
         terrain.relax()
 

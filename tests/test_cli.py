@@ -326,15 +326,23 @@ class TestSimulate:
         assert f"drive[0]: '{cmd['op']}' needs one of" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd, message", [
-        ({"op": "advance", "distance": [1]}, "'distance' must be a number, got list"),
-        ({"op": "advance", "distance": True}, "'distance' must be a number, got bool"),
+        ({"op": "advance", "distance": [1]}, "'distance' must be a positive number, got list"),
+        ({"op": "advance", "distance": True}, "'distance' must be a positive number, got bool"),
         ({"op": "advance", "halves": -1}, "'halves' must be a non-negative int, got -1"),
         ({"op": "advance", "halves": 1.5}, "'halves' must be a non-negative int, got 1.5"),
         ({"op": "advance", "distance": 1.0, "reverse": "yes"},
          "'reverse' must be a bool, got str"),
         ({"op": "blade", "target_elevation": "low"},
          "'target_elevation' must be a number or null, got str"),
-        ({"op": "tow", "force": None}, "'force' must be a number, got null"),
+        ({"op": "tow", "force": None}, "'force' must be a non-negative number, got null"),
+        # values of the right type that no command could run with
+        ({"op": "tow", "force": -5}, "'force' must be a non-negative number, got -5"),
+        ({"op": "ripper", "depth": -0.1}, "'depth' must be a non-negative number, got -0.1"),
+        ({"op": "advance", "distance": -1}, "'distance' must be a positive number, got -1"),
+        ({"op": "advance", "halves": 1, "stroke": 0.0},
+         "'stroke' must be a positive number, got 0.0"),
+        ({"op": "advance", "halves": 1, "stroke": 9.0},
+         "'stroke' must be at most the ram stroke 4, got 9.0"),
     ])
     def test_drive_value_of_wrong_type_exits_1(self, tmp_path, cmd, message):
         path = write_scenario(tmp_path, {"name": "typed", "drive": [cmd]})
@@ -342,7 +350,8 @@ class TestSimulate:
                            "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "Traceback" not in err
-        assert f"drive[0]: {message}" in err
+        assert f"{path}: drive[0]: {message}" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("doc, key", [
         ({"sensing": {"surface_K": "nan"}}, "'surface_K' must be a number, got str"),

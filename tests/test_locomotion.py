@@ -1,9 +1,11 @@
 """Half-cycle mechanics, compound moves, turning, and the stuck/flip guards."""
 
+import gc
 import hashlib
 import json
 import math
 import re
+import weakref
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -237,18 +239,27 @@ class TestAdvance:
     @pytest.mark.parametrize("parked, skipped", [(False, 0), (True, 1)])
     def test_prices_each_zero_length_draft_once(self, parked, skipped):
         # advance prices a phase's zero-length draft to predict its slip
-        # and hands it to the half-cycle; a skipped phase prices its own
+        # and hands it to the half-cycle; a skipped phase prices its own.
+        # Pricing it leaves the tools as it finds them.
         m = Machine(REFERENCE, flat(), EARTH)
         if parked:
             m.separation = REFERENCE.base_separation + REFERENCE.stroke_length
         m.set_blade(-0.02)
         fresh_draft, calls = m._fresh_draft, []
-        m._fresh_draft = lambda *args: calls.append(args) or fresh_draft(*args)
+
+        def spy(*args):
+            before = (m.tools.snapshot(), m.tools.face_run, m.tools.last_cell)
+            draft = fresh_draft(*args)
+            calls.append(before == (m.tools.snapshot(), m.tools.face_run, m.tools.last_cell))
+            return draft
+
+        m._fresh_draft = spy
         m.advance(3.0)
         assert len(calls) == len(m.cycles) + skipped
         m.set_blade(None)
         m.half_cycle()
         assert len(calls) == len(m.cycles) + skipped
+        assert all(calls)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.05, max_value=9.0))
@@ -636,8 +647,8 @@ class TestFailureState:
         t = m.terrain
         arrays = {name: hashlib.sha256(getattr(t, name).tobytes()).hexdigest()
                   for name in ("bank_floor", "loose_depth", "crust_broken")}
-        return (arrays, astuple(t.audit()), (m.x, m.y, m.heading, m.separation), m.prism,
-                m._stroke_spill)
+        return (arrays, astuple(t.audit()), (m.x, m.y, m.heading, m.separation), m.tools.prism,
+                m.tools.spill)
 
     def test_a_flip_partway_through_a_cutting_stroke(self):
         # Oblique on medium ground: the blade overflows and spills, then
@@ -670,6 +681,67 @@ class TestFailureState:
             m.half_cycle()
         assert str(failure.value) == STUCK_TEXT
         assert self.state(m) == STUCK_STATE
+
+
+class TestTools:
+    """The machine's tools, called directly."""
+
+    @staticmethod
+    def state(m):
+        """The terrain the tools write and every tool field, as bytes or values."""
+        t, tools = m.terrain, m.tools
+        return {"bank_floor": t.bank_floor.tobytes(), "loose_depth": t.loose_depth.tobytes(),
+                "carried_out": t.carried_out, "target": tools.blade.target_elevation,
+                "cuts": tools.blade.cuts.tobytes(), "rip_depth": tools.rip_depth,
+                "prism": tools.prism, "face_force": tools.face_force,
+                "face_run": tools.face_run, "rip_face": tools.rip_face,
+                "visited": list(tools.visited), "spill": tools.spill,
+                "journal": list(tools.journal), "last_cell": tools.last_cell,
+                "band_offsets": tools.band_offsets.tobytes()}
+
+    def test_a_dropped_machine_frees_its_terrain(self):
+        # the tools hold their machine weakly, so no reference cycle keeps
+        # a map alive until the cyclic collector runs
+        terrain = flat()
+        m = Machine(REFERENCE, terrain, MOON)
+        m.set_blade(-0.05)
+        m.half_cycle()
+        dropped = weakref.ref(terrain)
+        gc.disable()
+        try:
+            del m, terrain
+            assert dropped() is None
+        finally:
+            gc.enable()
+
+    def test_restore_takes_back_cuts_spills_and_rips_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        terrain = flat(surface=rng.uniform(0.0, 0.04, (GRID, GRID)))
+        terrain.loose_depth[:] = rng.uniform(0.0, 0.02, (GRID, GRID))
+        m = Machine(replace(REFERENCE, blade_capacity=0.05), terrain, MOON)
+        m.set_blade(-0.05)
+        m.set_ripper(0.1)
+        tools = m.tools
+        bx, by = m.blade_point()
+        bands = tools.blade_cells(bx + CELL * np.arange(6), np.full(6, by))
+        # work before the snapshot, so that it holds no fresh tool state
+        tools.enter_blade_cell(bands[0])
+        tools.enter_ripper_cell(int(terrain.cells_of(bx, by - 2.0)))
+        tools.face_run, tools.last_cell = 0.3, 5
+        snap, before = tools.snapshot(), self.state(m)
+        assert 0.0 < tools.prism < 0.05 and tools.spill == 0.0
+        for band in bands[1:]:
+            assert tools.enter_blade_cell(band)
+        for j in range(4):
+            tools.enter_ripper_cell(int(terrain.cells_of(bx + CELL * j, by + 2.0)))
+        after = self.state(m)
+        assert tools.spill > 0.0 and tools.prism == 0.05
+        assert {key for key in before if before[key] != after[key]} == {
+            "bank_floor", "loose_depth", "carried_out", "prism", "face_force", "rip_face",
+            "visited", "spill", "journal"}
+        tools.restore(snap)
+        assert self.state(m) == before
+        assert tools.snapshot() == snap
 
 
 class TestHoldRules:
@@ -822,10 +894,10 @@ class TestBlade:
         m = Machine(REFERENCE, terrain, MOON)
         m.set_blade(-0.05)
         rec = m.half_cycle()
-        assert m.prism > 0.0
-        assert rec.prism_volume == m.prism
+        assert m.tools.prism > 0.0
+        assert rec.prism_volume == m.tools.prism
         audit = terrain.audit()
-        carried_bank = (audit.loose_present + m.prism) / SWELL_FACTOR
+        carried_bank = (audit.loose_present + m.tools.prism) / SWELL_FACTOR
         assert audit.bank_removed == pytest.approx(carried_bank, rel=1e-12)
 
     def test_blade_cuts_only_on_expansion(self):
@@ -844,10 +916,10 @@ class TestBlade:
         m.set_blade(-0.05)
         m.advance(4.0)
         spilled = sum(c.spill_volume for c in m.cycles)
-        assert m.prism == pytest.approx(0.15)
+        assert m.tools.prism == pytest.approx(0.15)
         assert spilled > 0.0
         audit = terrain.audit()
-        carried_bank = (audit.loose_present + m.prism) / SWELL_FACTOR
+        carried_bank = (audit.loose_present + m.tools.prism) / SWELL_FACTOR
         assert audit.bank_removed == pytest.approx(carried_bank, rel=1e-12)
 
     def test_mask_limits_the_cut_to_its_cells(self):
@@ -884,7 +956,7 @@ class TestBlade:
         assert {tuple(c) for c in np.argwhere(cut).tolist()} == set(cells)
         assert np.all(terrain.bank_floor[cut] == pytest.approx(-0.05))
         if not cells:
-            assert m.prism == 0.0
+            assert m.tools.prism == 0.0
 
     def test_masked_stroke_that_slips_mid_cut_matches_an_unmasked_one(self):
         # Only the strip stands above the target, so the unmasked blade
@@ -907,14 +979,14 @@ class TestBlade:
         assert [astuple(c) for c in masked.cycles] == [astuple(c) for c in unmasked.cycles]
         assert np.array_equal(masked.terrain.bank_floor, unmasked.terrain.bank_floor)
         assert np.array_equal(masked.terrain.loose_depth, unmasked.terrain.loose_depth)
-        assert (masked.x, masked.y, masked.separation, masked.prism) \
-            == (unmasked.x, unmasked.y, unmasked.separation, unmasked.prism)
+        assert (masked.x, masked.y, masked.separation, masked.tools.prism) \
+            == (unmasked.x, unmasked.y, unmasked.separation, unmasked.tools.prism)
 
     def test_clearing_the_blade(self):
         m = Machine(REFERENCE, flat(), MOON)
         m.set_blade(-0.05)
         m.set_blade(None)
-        assert m.blade is None
+        assert m.tools.blade is None
 
     @pytest.mark.parametrize("spec,soil,target", [
         (REFERENCE, SOFT, -0.05),
@@ -958,9 +1030,9 @@ class TestDumpAndLedger:
     def test_dump_returns_spoil_to_the_ground(self):
         terrain = flat()
         m = Machine(REFERENCE, terrain, MOON)
-        m.prism = 0.4
+        m.tools.prism = 0.4
         assert m.dump_prism() == pytest.approx(0.4)
-        assert m.prism == 0.0
+        assert m.tools.prism == 0.0
         on_ground = float(np.sum(terrain.loose_depth)) * terrain.cell_area
         assert on_ground == pytest.approx(0.4, rel=1e-12)
 
@@ -970,7 +1042,7 @@ class TestDumpAndLedger:
 
     def test_dump_off_the_map_is_a_runtime_failure(self):
         m = Machine(REFERENCE, flat(), MOON, x=39.5)
-        m.prism = 0.4
+        m.tools.prism = 0.4
         with pytest.raises(SimulationError, match=r"dump point \(40\.30, 0\.00\) is off the map"):
             m.dump_prism()
 

@@ -185,7 +185,7 @@ def outcome(seed, counts):
 
     def counted_deepen(frame, force):
         slip, work = deepen(frame, force)
-        if slip > 0.0 and m.blade is not None and not m._expanded:
+        if slip > 0.0 and m.tools.blade is not None and not m._expanded:
             counts["slips while cutting"] += 1
         return slip, work
 
@@ -198,7 +198,7 @@ def outcome(seed, counts):
         return out
 
     m._seat_frame = counted_seat
-    blade_cells = m._blade_cells
+    blade_cells = m.tools.blade_cells
     mask = None
 
     def counted_blade_cells(px, py):
@@ -209,7 +209,7 @@ def outcome(seed, counts):
                 not any(c >= 0 and divmod(c, cols) in mask for c in band) for band in bands)
         return bands
 
-    m._blade_cells = counted_blade_cells
+    m.tools.blade_cells = counted_blade_cells
     error = None
     try:
         for op in ops:
@@ -219,7 +219,7 @@ def outcome(seed, counts):
             run(m, op)
             for record in m.cycles[before:]:
                 counts["spills"] += record.spill_volume > 0.0
-                counts["ripping strokes"] += record.mode == "contract" and m.rip_depth > 0.0
+                counts["ripping strokes"] += record.mode == "contract" and m.tools.rip_depth > 0.0
     except (SimulationError, ValueError) as err:
         error = (type(err).__name__, str(err))
         kind = ("off the map" if "off the map" in str(err) else type(err).__name__)
@@ -231,7 +231,7 @@ def outcome(seed, counts):
         repr([astuple(c) for c in m.cycles]).encode(),
         repr([e.as_row() for e in recorder.events]).encode(),
         t.bank_floor.tobytes(), t.loose_depth.tobytes(), t.crust_broken.tobytes(),
-        repr((t.carried_out, m.x, m.y, m.heading, m.separation, anchors, m.prism,
+        repr((t.carried_out, m.x, m.y, m.heading, m.separation, anchors, m.tools.prism,
               error)).encode()))
 
 
