@@ -145,6 +145,10 @@ class VehicleSpec:
             raise ValueError("ripper rake must be in [0, 90) degrees")
         if not 0.0 < self.heading_tolerance_deg <= 10.0:
             raise ValueError("heading tolerance must be in (0, 10] degrees")
+        if min(self.blade_cut_coeff, self.ripper_cut_coeff,
+               self.prism_friction) < 0.0:
+            raise ValueError("cutting coefficients and prism friction must be "
+                             "non-negative")
 
     # The draft, skid friction and hold terms below are shared by the
     # simulator, the planner's energy budget and its validator.  Seated spikes

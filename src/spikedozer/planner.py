@@ -47,6 +47,7 @@ MAX_PAD_DEPTH = 0.50
 # never lets a lane edge escape the blade.
 LANE_ALIGNMENT_MARGIN = 1.0
 LANE_HEADING_TOL_DEG = 0.02
+CLAIM_MARGIN = 1e-6  # lanes an arc end clears; see _claim_lanes
 
 
 @dataclass(frozen=True)
@@ -187,13 +188,20 @@ def _claim_lanes(local_half: int, cell_size: float, radius: float,
 
     A wedge is the half-strip of half-width h = lane_width / 2 along the
     lane's azimuth, so it holds a cell at radius r > h only if that
-    azimuth lies within asin(h / r) of the cell's bearing.  A cell with
-    r > 2h, where that arc is under 30 degrees wide on each side, is
-    tested against the lanes in the arc only, widened by one whole lane
-    on each side so that no rounding of the bearing decides which lanes
-    are tested.  Every lane that holds the cell is among them, so the
-    lowest one that passes is the first lane overall.  The few cells
-    with r <= 2h are tested against every lane."""
+    azimuth lies within asin(h / r) of the cell's bearing.  In lanes, a
+    cell with r > 2h (an arc under 30 degrees on each side) and bearing b
+    in [0, n_lanes) is held by the lanes in [b - s, b + s], the lowest
+    being ceil(b - s).  That lane is taken by arithmetic when the low end
+    is more than `CLAIM_MARGIN` from a whole lane, the lane is more than
+    the margin below the high end, and the arc clears the lane-0 seam by
+    the margin at both ends.  The 1e-6 lane margin is a sideways offset
+    of over 8e-7 lane_width^2 / radius at the cell; the bearing, the arc,
+    the lane azimuths and the wedge's products round by a few ulp of the
+    angle or of r, and with 0.5 m lanes on a 25 m pad the margin is over
+    1e5 times that.  Every other such cell is tested with the wedge
+    against the lanes of its arc, widened by one lane each side and
+    wrapped past n_lanes - 1, and the lowest lane that holds it wins.
+    Cells with r <= 2h are tested against every lane."""
     coord = -local_half * cell_size \
         + (np.arange(2 * local_half) + 0.5) * cell_size
     R = np.hypot(coord[np.newaxis, :], coord[:, np.newaxis])
@@ -218,22 +226,24 @@ def _claim_lanes(local_half: int, cell_size: float, radius: float,
     far = np.flatnonzero(R > lane_width)
     per_radian = n_lanes / (2.0 * math.pi)
     bearing = np.arctan2(Y[far], X[far]) * per_radian
+    bearing[bearing < 0.0] += n_lanes
     spread = np.arcsin(0.5 * lane_width / R[far]) * per_radian
-    first = np.ceil(bearing - spread).astype(np.intp) - 1
-    count = np.floor(bearing + spread).astype(np.intp) + 2 - first
-    # Sorted by candidate count, the cells that have a k-th candidate
-    # are a tail of the arrays.  Lane numbers wrap past n_lanes - 1, and
-    # the lowest lane that holds a cell wins.
-    order = np.argsort(count)
-    far, first, count = far[order], first[order], count[order]
-    x, y = X[far], Y[far]
-    best = np.full(len(far), n_lanes, dtype=np.intp)
+    low, high = bearing - spread, bearing + spread
+    first = np.ceil(low)
+    sure = (np.abs(low - np.rint(low)) > CLAIM_MARGIN) \
+        & (first < high - CLAIM_MARGIN) \
+        & (low > CLAIM_MARGIN) & (high < n_lanes - CLAIM_MARGIN)
+    lanes[far[sure]] = first[sure]
+
+    rest = far[~sure]
+    first = first[~sure].astype(np.intp) - 1
+    count = np.floor(high[~sure]).astype(np.intp) + 2 - first
+    x, y, best = X[rest], Y[rest], np.full(len(rest), n_lanes, dtype=np.intp)
     for k in range(int(count.max(initial=0))):
-        tail = slice(np.searchsorted(count, k, side="right"), None)
-        lane = (first[tail] + k) % n_lanes
-        held = wedge(x[tail], y[tail], DX[lane], DY[lane])
-        np.minimum(best[tail], np.where(held, lane, n_lanes), out=best[tail])
-    lanes[far] = best
+        lane = (first + k) % n_lanes
+        held = wedge(x, y, DX[lane], DY[lane]) & (k < count)
+        np.minimum(best, np.where(held, lane, n_lanes), out=best)
+    lanes[rest] = best
     if np.any(lanes == n_lanes):
         raise SimulationError("lane claiming left pad cells unowned")
     return ii, jj, lanes

@@ -436,6 +436,9 @@ def _build_scenario(doc: dict, seed_override: int | None,
     else:
         drive = _objects(_command)(doc["drive"], "drive")
         for n, cmd in enumerate(drive):
+            if "stroke" in cmd and "halves" not in cmd:
+                raise ValueError(f"drive[{n}]: 'stroke' sets the length of each of "
+                                 "'halves'; an advance by 'distance' takes none")
             if cmd.get("stroke", 0.0) > vehicle.stroke_length:
                 raise ValueError(f"drive[{n}]: 'stroke' must be at most the ram stroke "
                                  f"{vehicle.stroke_length:g}, got {_got(cmd['stroke'])}")

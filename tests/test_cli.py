@@ -343,6 +343,10 @@ class TestSimulate:
          "'stroke' must be a positive number, got 0.0"),
         ({"op": "advance", "halves": 1, "stroke": 9.0},
          "'stroke' must be at most the ram stroke 4, got 9.0"),
+        # a stroke that an advance by distance would drop
+        ({"op": "advance", "distance": 2.0, "stroke": 1.0},
+         "'stroke' sets the length of each of 'halves'; an advance by "
+         "'distance' takes none"),
     ])
     def test_drive_value_of_wrong_type_exits_1(self, tmp_path, cmd, message):
         path = write_scenario(tmp_path, {"name": "typed", "drive": [cmd]})
@@ -351,6 +355,23 @@ class TestSimulate:
         assert rc == 1
         assert "Traceback" not in err
         assert f"{path}: drive[0]: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["blade_cut_coeff", "ripper_cut_coeff",
+                                     "prism_friction"])
+    def test_negative_cutting_coefficient_exits_1(self, tmp_path, key):
+        # A negative coefficient would let the blade or ripper cut for free.
+        path = write_scenario(tmp_path, {
+            "name": "free", "vehicle": {"preset": "reference", key: -0.01},
+            "drive": [{"op": "blade", "target_elevation": -0.05},
+                      {"op": "ripper", "depth": 0.05},
+                      {"op": "advance", "distance": 2.0}]})
+        rc, err = run_cli(["simulate", "--scenario", str(path),
+                           "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "Traceback" not in err
+        assert err == (f"error: {path}: cutting coefficients and prism "
+                       "friction must be non-negative\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("doc, key", [

@@ -80,6 +80,16 @@ class TestVehicleSpec:
         with pytest.raises(ValueError):
             replace(REFERENCE, ripper_rake_deg=-1.0)
 
+    @pytest.mark.parametrize("key", ["blade_cut_coeff", "ripper_cut_coeff",
+                                     "prism_friction"])
+    def test_rejects_negative_cutting_coefficients(self, key):
+        # A negative coefficient prices a cut or a pushed prism below zero.
+        with pytest.raises(ValueError, match="must be non-negative"):
+            replace(REFERENCE, **{key: -0.01})
+        with pytest.raises(ValueError, match="must be non-negative"):
+            replace(CONSTRUCTION, **{key: -1e-300})
+        assert getattr(replace(REFERENCE, **{key: 0.0}), key) == 0.0
+
     def test_shared_draft_terms(self):
         assert CONSTRUCTION.gauge == 0.8 + 0.5 * 4.0
         assert CONSTRUCTION.loaded_weight(0.0, None, 9.81) == 3000.0 * 9.81

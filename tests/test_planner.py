@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from spikedozer.earthworks import SWELL_FACTOR
 from spikedozer import planner
 from spikedozer.locomotion import CONSTRUCTION, REFERENCE, price_steps
+from spikedozer.errors import SimulationError
 from spikedozer.planner import (
+    CLAIM_MARGIN,
     LANE_ALIGNMENT_MARGIN,
     PadSpec,
     Trip,
@@ -281,7 +283,7 @@ class TestLayoutOracle:
 def claim_per_lane(local_half, cell_size, radius, n_lanes, lane_width):
     """The claim pass done the slow way: every pad cell of the window is
     tested against every lane in lane order, and the first lane whose
-    wedge holds it keeps it."""
+    wedge holds it keeps it.  A cell no wedge holds keeps lane -1."""
     coord = -local_half * cell_size \
         + (np.arange(2 * local_half) + 0.5) * cell_size
     ii, jj = np.nonzero(np.hypot(coord[np.newaxis, :],
@@ -296,16 +298,50 @@ def claim_per_lane(local_half, cell_size, radius, n_lanes, lane_width):
         wedge = (lanes < 0) & (along >= 0.0) \
             & (np.abs(perp) <= 0.5 * lane_width)
         lanes[wedge] = lane
-    assert np.all(lanes >= 0)
     return ii, jj, lanes
 
 
-def assert_claims_match_per_lane(radius, cell_size, n_lanes, lane_width):
-    args = (math.ceil((radius + cell_size) / cell_size), cell_size, radius,
+def window_of(radius, cell_size, n_lanes, lane_width):
+    """`_claim_lanes`' arguments for a pad, over the planner's window."""
+    return (math.ceil((radius + cell_size) / cell_size), cell_size, radius,
             n_lanes, lane_width)
+
+
+def assert_claims_match_per_lane(radius, cell_size, n_lanes, lane_width):
+    args = window_of(radius, cell_size, n_lanes, lane_width)
     got, want = _claim_lanes(*args), claim_per_lane(*args)
+    assert np.all(want[2] >= 0)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+def arc_ends(radius, cell_size, n_lanes, lane_width):
+    """The arc of lanes [b - s, b + s] that may hold each pad cell beyond
+    one lane width of the center, with the bearing b in [0, n_lanes), and
+    the cell radii."""
+    local_half = math.ceil((radius + cell_size) / cell_size)
+    coord = -local_half * cell_size \
+        + (np.arange(2 * local_half) + 0.5) * cell_size
+    x, y = np.meshgrid(coord, coord)
+    r = np.hypot(x, y)
+    far = (r <= radius) & (r > lane_width)
+    x, y, r = x[far], y[far], r[far]
+    per_radian = n_lanes / (2.0 * math.pi)
+    bearing = np.arctan2(y, x) * per_radian
+    bearing = np.where(bearing < 0.0, bearing + n_lanes, bearing)
+    spread = np.arcsin(0.5 * lane_width / r) * per_radian
+    return bearing - spread, bearing + spread, r
+
+
+def off_by(ends, whole):
+    """How far each arc end lies from the whole lane `whole`, or from the
+    nearest whole lane."""
+    return np.abs(ends - (np.rint(ends) if whole is None else whole))
+
+
+def lanes_of(radius, cell_size, n_lanes):
+    """A pad and its lane count, with the lane width the planner gives it."""
+    return radius, cell_size, n_lanes, 2.0 * math.pi * radius / n_lanes
 
 
 @st.composite
@@ -317,25 +353,72 @@ def pad_lanes(draw):
     cell_size = draw(st.sampled_from([0.1, 0.125, 0.2, 0.25, 0.3, 0.35, 0.5]))
     n_lanes = max(4, math.ceil(2.0 * math.pi * radius
                                / draw(st.floats(0.5, 6.0))))
-    return radius, cell_size, n_lanes, 2.0 * math.pi * radius / n_lanes
+    return lanes_of(radius, cell_size, n_lanes)
+
+
+# Pads with a cell whose arc ends within CLAIM_MARGIN of a whole lane but
+# not on it, so the claim pass must test that cell with the wedge: rim
+# cells away from the seam, and cells whose arc touches the lane-0 seam
+# from above (low end near lane 0) and from below (high end near lane
+# n_lanes), with even and odd lane counts.
+NEAR_A_LANE = [lanes_of(22.353658, 0.125, 72), lanes_of(18.202369, 0.1, 25),
+               lanes_of(13.344606, 0.25, 98)]
+NEAR_THE_SEAM = [lanes_of(21.48595, 0.1, 54), lanes_of(14.212512, 0.1, 47),
+                 lanes_of(3.501411, 0.25, 8)]
 
 
 class TestClaimLanes:
     @given(case=pad_lanes())
-    @settings(deadline=None, max_examples=150)
+    @settings(deadline=None, max_examples=400)
     def test_claims_match_the_per_lane_reference(self, case):
+        assert_claims_match_per_lane(*case)
+
+    @pytest.mark.parametrize("case", NEAR_A_LANE)
+    def test_rim_cell_within_the_margin_of_a_lane(self, case):
+        low, high, r = arc_ends(*case)
+        rim = r > case[0] - case[1]
+        near = [off_by(ends[rim], None) for ends in (low, high)]
+        assert any(np.any((1e-12 < d) & (d < CLAIM_MARGIN)) for d in near)
+        assert_claims_match_per_lane(*case)
+
+    @pytest.mark.parametrize("case", NEAR_THE_SEAM)
+    def test_arcs_within_the_margin_of_the_seam(self, case):
+        low, high, _ = arc_ends(*case)
+        for d in (off_by(low, 0), off_by(high, case[2])):
+            assert np.any((1e-12 < d) & (d < CLAIM_MARGIN))
         assert_claims_match_per_lane(*case)
 
     # Half a lane width is an odd number of half cells, so rows and
     # columns of cell centres lie exactly on the strip edges of the lanes
-    # along the axes, with the lane count whole at that width.
+    # along the axes, with the lane count whole at that width.  The rows
+    # at y = +-h put arc ends on the lane-0 seam from either side, and odd
+    # lane counts have no lane along the negative x axis.
     @pytest.mark.parametrize("n_lanes, lane_width, cell_size", [
         (16, 2.25, 0.25), (40, 2.25, 0.25), (68, 2.25, 0.25),
-        (20, 2.5, 0.5), (100, 0.75, 0.25), (200, 0.3, 0.1)])
+        (20, 2.5, 0.5), (100, 0.75, 0.25), (200, 0.3, 0.1),
+        (17, 2.25, 0.25), (18, 2.25, 0.25), (41, 2.25, 0.25),
+        (25, 2.5, 0.5), (101, 0.75, 0.25), (201, 0.3, 0.1)])
     def test_cell_centres_on_strip_edges(self, n_lanes, lane_width,
                                          cell_size):
         radius = n_lanes * lane_width / (2.0 * math.pi)
+        low, high, _ = arc_ends(radius, cell_size, n_lanes, lane_width)
+        assert np.any(off_by(low, 0) < 1e-12)
+        assert np.any(off_by(high, n_lanes) < 1e-12)
         assert_claims_match_per_lane(radius, cell_size, n_lanes, lane_width)
+
+    # Lanes narrower than their pitch leave rim cells that no wedge holds.
+    # The pass must refuse them, not give them the lane after the arc.
+    @pytest.mark.parametrize("radius, cell_size, share", [
+        (5.0, 0.1, 0.97), (8.0, 0.25, 0.95), (9.5, 0.125, 0.98),
+        (12.0, 0.1, 0.99)])
+    def test_cells_between_narrowed_lanes_are_refused(self, radius,
+                                                     cell_size, share):
+        n_lanes = math.ceil(2.0 * math.pi * radius / 2.0)
+        args = window_of(radius, cell_size, n_lanes,
+                         share * 2.0 * math.pi * radius / n_lanes)
+        assert np.any(claim_per_lane(*args)[2] < 0)
+        with pytest.raises(SimulationError, match="unowned"):
+            _claim_lanes(*args)
 
 
 class TestTripRows:
