@@ -79,12 +79,10 @@ def _write_plan_file(path: str, plan, violations: list[str]) -> None:
     write_text(path, text)
 
 
-def _run_one(path: str, out_dir: str, seed: int | None,
-             force_depth: bool) -> str:
+def _run_one(path: str, out_dir: str, seed: int | None) -> str:
     """Worker for one scenario run; returns a console summary line."""
     started = time.perf_counter()
-    scn = load_scenario(path, seed_override=seed,
-                        force_depth_override=force_depth)
+    scn = load_scenario(path, seed_override=seed)
     result = run_scenario(scn)
     write_run_artifacts(result, out_dir)
     elapsed = time.perf_counter() - started
@@ -112,14 +110,12 @@ def _cmd_simulate(args) -> int:
     if args.jobs > 1 and len(targets) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [
-                pool.submit(_run_one, p, out, args.seed,
-                            args.force_depth_override)
-                for p, out in targets]
+                pool.submit(_run_one, p, out, args.seed) for p, out in targets]
             for future in futures:
                 print(future.result())
     else:
         for p, out in targets:
-            print(_run_one(p, out, args.seed, args.force_depth_override))
+            print(_run_one(p, out, args.seed))
     return 0
 
 
@@ -128,8 +124,7 @@ def _cmd_plan(args) -> int:
     if len(args.scenario) > 1:
         raise ValueError(f"the plan subcommand plans one scenario; got "
                          f"{len(args.scenario)} --scenario files")
-    scn = load_scenario(args.scenario[0], seed_override=args.seed,
-                        force_depth_override=args.force_depth_override)
+    scn = load_scenario(args.scenario[0], seed_override=args.seed)
     if scn.pad is None:
         raise ValueError("the plan subcommand needs a scenario with a 'pad'")
     plan, violations = plan_and_validate(scn)
@@ -230,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-        p.add_argument("--force-depth-override", action="store_true",
-                       help="allow pad depths outside the 0.30-0.50 m band")
 
     p_sim = sub.add_parser("simulate", help="run scenarios, write artifacts")
     add_common(p_sim)

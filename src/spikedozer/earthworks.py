@@ -54,6 +54,14 @@ def check_grid_size(rows, cols, needs: str) -> None:
         raise ValueError(f"{needs}, over the {MAX_GRID_CELLS} cell limit")
 
 
+def on_grid(shape, cell_size: float, origin, x: float, y: float) -> bool:
+    """Whether (x, y) lies on a `shape` grid of `cell_size` cells whose
+    corner is at `origin`."""
+    rows, cols = shape
+    return (origin[0] <= x < origin[0] + cols * cell_size
+            and origin[1] <= y < origin[1] + rows * cell_size)
+
+
 def bilinear(s, tx, ty):
     """Blend corner heights stacked on the first axis of `s`, in the order
     (i0, j0), (i0, j1), (i1, j0), (i1, j1), at fractions `tx` from j0
@@ -184,11 +192,7 @@ class Terrain:
         )
 
     def contains(self, x: float, y: float) -> bool:
-        rows, cols = self.shape
-        return (
-            self.origin[0] <= x < self.origin[0] + cols * self.cell_size
-            and self.origin[1] <= y < self.origin[1] + rows * self.cell_size
-        )
+        return on_grid(self.shape, self.cell_size, self.origin, x, y)
 
     # ------------------------------------------------------------------
     # Heights
@@ -226,8 +230,8 @@ class Terrain:
         inside): `corners` stacks the flat indices of the (i0, j0),
         (i0, j1), (i1, j0) and (i1, j1) cells on a new first axis, and `t`
         the fractions tx from j0 toward j1 and ty from i0 toward i1.  They
-        depend on the points alone, so `blend` can read the heights afresh
-        after the terrain changes.  `inside` is False at points off the
+        depend on the points alone, so `bilinear` can blend heights read
+        afresh after the terrain changes.  `inside` is False at points off the
         map, whose weights are clamped onto it.
 
         When every point lies half a cell or more inside the map, as its
@@ -257,10 +261,6 @@ class Terrain:
         row0, row1 = i0 * cols, i1 * cols
         corners = np.stack((row0 + j0, row0 + j1, row1 + j0, row1 + j1)).astype(np.intp)
         return corners, t, inside[0] & inside[1]
-
-    def blend(self, corners: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Surface heights at points given by `bilinear_weights`."""
-        return bilinear(self.bank_floor.take(corners) + self.loose_depth.take(corners), *t)
 
     def profile_at_cell(self, cell: int) -> SoilProfile:
         """The soil profile at the flat `cell`'s center, read from `cell_soils`."""

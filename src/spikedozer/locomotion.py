@@ -399,13 +399,13 @@ class _StrokePath:
     Ripping spans run to the end and take back what a slip invalidates,
     since a crossing of the tines loosens one cell.
 
-    The map and the tool state after each crossing are what the steps
-    see that are priced alone in the same order: a step reads the
-    heights and the blade load left by the crossings before it, and the
-    face and tine forces left by the crossings up to and including it.
-    The terrain writes go to the tools' journal, so the heights each
-    step read are found again from the map as the span left it, and
-    `settle` can take back the work past any step.
+    The steps see what they would see priced alone in the same order: a
+    step reads the heights and the blade load left by the crossings
+    before it, and the face and tine forces left by the crossings up to
+    and including it.  `work` makes one forward pass that sets these as
+    it reaches each step, reading a step's heights before its crossing is
+    worked.  The tools' journal serves only `settle`, which takes back
+    the work past any step through `states` and `crossed`.
     """
 
     def __init__(self, machine: Machine, move_frame: str, motion: float,
@@ -476,65 +476,62 @@ class _StrokePath:
         step; `may_slip` is the seated anchor when the blade works and it
         can still slip.  This leaves the per-step inputs of `price`."""
         tools, cutting, k = self.tools, self.cutting, self.k
+        terrain, (corners, t, _) = self.machine.terrain, self.footprint
+        bank, loose = terrain.bank_floor, terrain.loose_depth
         tools.journal.clear()
         # the tool state as the span starts, then after each crossing
         self.states = [tools.snapshot()]
-        self.crossed, cut = [], []  # the crossings worked, and those that cut, from k
+        self.crossed = []  # the crossings worked, from k
         last = min(self.stop, len(self.ds) - 1)
+        n = last - k + 1
+        # Per step, as the work reaches it: the surface at its grade
+        # samples before its own crossing, the blade load before its cut,
+        # and the face or tine force after it.  The face run restarts at a
+        # cut and runs down by whole steps.
+        surface = np.empty((4, 2, n))
+        seen = k  # the first step whose surface is not yet read
+        prism = np.full(n, tools.prism)
+        force = np.full(n, tools.face_force if cutting else tools.rip_face)
+        down = np.full(n, -STEP)
+        down[0] = terrain.cell_size
+        since_cut = down.cumsum()
+        down[0] = tools.face_run
+        run = down.cumsum()
         crossings = self.crossings
         for c in crossings[bisect_left(crossings, k):bisect_right(crossings, last)]:
-            gives = False
+            i, at = c - k, corners[..., seen:c + 1]
+            surface[..., seen - k:i + 1] = bank.take(at) + loose.take(at)
+            seen, gives = c + 1, False
             if cutting:
-                seen = None if may_slip is None else (self._step_rise(c), tools.prism)
                 self.place(c)
                 if tools.enter_blade_cell(self.blade_cells[c]):
-                    cut.append(c - k)
-                    gives = seen is not None and not self._holds(c, *seen, may_slip)
+                    run[i:] = since_cut[:n - i]
+                    if may_slip is not None:
+                        fore, aft = bilinear(surface[..., i], *t[..., c])
+                        gives = not self._holds(c, self.motion * float(fore - aft),
+                                                float(prism[i]), may_slip)
+                prism[i + 1:] = tools.prism
+                force[i:] = tools.face_force
             else:
                 tools.enter_ripper_cell(int(self.cells[c]))
-            self.crossed.append(c - k)
+                force[i:] = tools.rip_face
+            self.crossed.append(i)
             self.states.append(tools.snapshot())
             if gives:
                 last = c
                 break
-        self.last = last
-
-        self.rise = self.motion * self._heights()
+        self.last, n = last, last - k + 1
+        at = corners[..., seen:last + 1]
+        surface[..., seen - k:n] = bank.take(at) + loose.take(at)
+        fore, aft = bilinear(surface[..., :n], *t[..., k:last + 1])
+        self.rise = self.motion * (fore - aft)
         self.prism, self.face, self.rip, self.run = tools.prism, None, None, None
-        if not (cutting or self.ripping):
-            return last
-        steps = np.arange(last - k + 1)
-        # per step, the tool state left by the crossings up to it
-        left = np.searchsorted(self.crossed, steps, side="right")
         if self.ripping:
-            rips = np.array([state.rip_face for state in self.states])
-            self.rip = np.where(self.cells[k:last + 1] >= 0, rips[left], 0.0)
-            return last
-        # the blade load before the step's own cut
-        self.prism = np.array([state.prism for state in self.states])[
-            np.searchsorted(self.crossed, steps, side="left")]
-        # The face run restarts at a cut and runs down by whole steps:
-        # from the last cut at or before each step, else from the run the
-        # span started with.
-        down = np.full(len(steps), -STEP)
-        down[0] = self.machine.terrain.cell_size
-        since_cut = down.cumsum()
-        down[0] = tools.face_run
-        self.run = down.cumsum()
-        last_cut = np.full(len(steps), -1)
-        last_cut[cut] = cut
-        np.maximum.accumulate(last_cut, out=last_cut)
-        after_cut = last_cut >= 0
-        self.run[after_cut] = since_cut[(steps - last_cut)[after_cut]]
-        forces = np.array([state.face_force for state in self.states])
-        self.face = np.where(self.run > 0.0, forces[left], 0.0)
+            self.rip = np.where(self.cells[k:last + 1] >= 0, force[:n], 0.0)
+        elif cutting:
+            self.prism, self.run = prism[:n], run[:n]
+            self.face = np.where(self.run > 0.0, force[:n], 0.0)
         return last
-
-    def _step_rise(self, step: int) -> float:
-        """Fore-minus-aft height of `step` on the map as it stands."""
-        corners, t, _ = self.footprint
-        fore, aft = self.machine.terrain.blend(corners[..., step], t[..., step])
-        return self.motion * float(fore - aft)
 
     def _holds(self, step: int, rise: float, prism: float, anchor: AnchorState) -> bool:
         """Whether `anchor` holds the step of a crossing that cut, priced
@@ -544,34 +541,6 @@ class _StrokePath:
             rise, self.level is not None and bool(self.level[step]), float(self.density[step]),
             float(self.friction[step]), self.tools.face_force, None, prism,
             machine.extra_draft, machine.spec, machine.env.gravity, anchor)[1])
-
-    def _heights(self):
-        """Fore-minus-aft height of every step of the span, from the map as
-        each step saw it: a cell the journal shows written at the step's
-        crossing or a later one holds the value that write found."""
-        terrain, journal = self.machine.terrain, self.tools.journal
-        k, last = self.k, self.last
-        corners, t, _ = self.footprint
-        corners = corners[..., k:last + 1]
-        bank = terrain.bank_floor.take(corners)
-        loose = terrain.loose_depth.take(corners)
-        if journal:
-            n = last - k + 1
-            cells, old_bank, old_loose = (np.array(col) for col in zip(*journal))
-            writes = np.diff([state.journal for state in self.states])
-            at = np.repeat(self.crossed, writes)
-            # the first write to each cell at or after each step
-            key = cells * n + at
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-            found = np.searchsorted(key, corners * n + np.arange(n))
-            hit = found < len(key)
-            found[~hit] = 0
-            hit &= cells[order][found] == corners  # and not the next cell's first write
-            bank = np.where(hit, old_bank[order][found], bank)
-            loose = np.where(hit, old_loose[order][found], loose)
-        fore, aft = bilinear(bank + loose, *t[..., k:last + 1])
-        return fore - aft
 
     def price(self, i: int, anchor: AnchorState):
         """`price_steps` over steps `i`..`last` of the span, held by `anchor`."""

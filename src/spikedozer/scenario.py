@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .earthworks import DEFAULT_CELL_SIZE, Terrain, check_grid_size
+from .earthworks import DEFAULT_CELL_SIZE, Terrain, check_grid_size, on_grid
 from .locomotion import VEHICLES, Machine, VehicleSpec
 from .planner import (
     MissionPlan,
@@ -68,6 +68,7 @@ _KINDS = {
     float | None: ("a number or null",
                    lambda v: v is None or type(v) is float or type(v) is int),
     "positive": ("a positive number", lambda v: type(v) in (float, int) and v > 0),
+    "positive int": ("a positive int", lambda v: type(v) is int and v > 0),
     "non-negative": ("a non-negative number", lambda v: type(v) in (float, int) and v >= 0),
 }
 
@@ -215,7 +216,7 @@ def _scalars(kind, length: int | None = None):
             count = "" if length is None else f"{length} "
             raise ValueError(f"{where} must be a list of {count}values, each "
                              f"{desc}, got {got}")
-        return tuple(float(v) if kind is float else v for v in value)
+        return tuple(float(v) if kind in (float, "positive") else v for v in value)
     return read
 
 
@@ -280,7 +281,7 @@ _SENSING = _Fields(GroundTemperatureField, noise_rel=float)
 _PAD = _Fields(PadSpec)
 _START = _Fields(x=float, y=float, heading_deg=float)
 _TERRAIN = _Fields(
-    extent=_scalars(float, 2), shape=_scalars(int, 2), cell_size=float,
+    extent=_scalars("positive", 2), shape=_scalars("positive int", 2), cell_size=float,
     origin=_scalars(float, 2), slope_deg=float, slope_azimuth_deg=float,
     surface_raster=str)
 
@@ -353,11 +354,7 @@ def _command(cmd, where: str) -> dict:
     return checked
 
 
-def load_scenario(
-    path: str,
-    seed_override: int | None = None,
-    force_depth_override: bool = False,
-) -> Scenario:
+def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     """Parse and validate one scenario file.
 
     Raises ValueError with a diagnostic for anything malformed, and for a
@@ -370,8 +367,7 @@ def load_scenario(
                             parse_constant=_reject_constant)
         if not isinstance(doc, dict):
             raise ValueError("scenario must be a JSON object")
-        return _build_scenario(doc, seed_override, force_depth_override,
-                               os.path.dirname(path))
+        return _build_scenario(doc, seed_override, os.path.dirname(path))
     except (OSError, KeyError, TypeError, ValueError, OverflowError) as err:
         raise ValueError(f"{path}: {err}") from err
 
@@ -397,8 +393,7 @@ def _reject_constant(name: str) -> float:
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
-def _build_scenario(doc: dict, seed_override: int | None,
-                    force_depth_override: bool, base_dir: str) -> Scenario:
+def _build_scenario(doc: dict, seed_override: int | None, base_dir: str) -> Scenario:
     _reject_unknown(doc, _TOP_KEYS, "scenario")
 
     has_drive = "drive" in doc
@@ -426,10 +421,7 @@ def _build_scenario(doc: dict, seed_override: int | None,
             raise ValueError(
                 "pad missions size their own terrain and place the machine; "
                 "drop the 'terrain' and 'start' sections")
-        given = _read(_section(doc, "pad", {}), _PAD, "pad")
-        if force_depth_override:
-            given["force_depth_override"] = True
-        pad = PadSpec(**given)
+        pad = PadSpec(**_read(_section(doc, "pad", {}), _PAD, "pad"))
         shape, cell, origin = (1, 1), pad.cell_size, (0.0, 0.0)
         surface = None
         start = (0.0, 0.0, 0.0)
@@ -447,6 +439,11 @@ def _build_scenario(doc: dict, seed_override: int | None,
         given = _read(_section(doc, "start", {}), _START, "start")
         start = (given.get("x", 0.0), given.get("y", 0.0),
                  given.get("heading_deg", 0.0))
+        if not on_grid(shape, cell, origin, start[0], start[1]):
+            (rows, cols), (x0, y0) = shape, origin
+            raise ValueError(
+                f"start ({start[0]:g}, {start[1]:g}) is off the terrain, which spans "
+                f"x [{x0:g}, {x0 + cols * cell:g}) and y [{y0:g}, {y0 + rows * cell:g})")
 
     return Scenario(
         name=_value(doc.get("name", "scenario"), str, "scenario", "name"),

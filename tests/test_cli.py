@@ -395,6 +395,12 @@ class TestSimulate:
          "vehicle.spike: 'hinge_height' must be a number, got str"),
         ({"vehicle": {"spike_offsets": 0.4}}, "vehicle.spike_offsets must be a list"),
         ({"terrain": {"shape": [1]}}, "terrain.shape must be a list of 2 values"),
+        ({"terrain": {"shape": [0, 5]}},
+         "terrain.shape must be a list of 2 values, each a positive int, got [0, 5]"),
+        ({"terrain": {"extent": [-10.0, 5.0]}},
+         "terrain.extent must be a list of 2 values, each a positive number, got [-10.0, 5.0]"),
+        ({"terrain": {"extent": [10.0, 10.0]}, "start": {"x": 100.0}},
+         "start (100, 0) is off the terrain, which spans x [-5, 5) and y [-5, 5)"),
         ({"terrain": {"shape": [100000000, 100000000]}},
          "terrain needs a 100000000 x 100000000 cell grid, over the 4194304 cell limit"),
         ({"terrain": {"extent": [1e7, 1e7], "cell_size": 0.001}},
@@ -413,8 +419,9 @@ class TestSimulate:
             {"x_min": -1.0, "x_max": 1.0, "y_min": 2, "y_max": 1.5, "soil": "medium"}]}},
          "soil.patches[0]: y_min 2.0 exceeds y_max 1.5"),
     ], ids=["surface_K", "gravity", "allow_inversion", "seed_fraction", "seed_text",
-            "layer_thickness", "layer_density", "crust_thickness", "start_x", "spike", "spike_text", "spike_offsets", "shape",
-            "oversize_shape", "oversize_extent", "overflowing_extent",
+            "layer_thickness", "layer_density", "crust_thickness", "start_x", "spike",
+            "spike_text", "spike_offsets", "shape", "empty_shape", "negative_extent",
+            "start_off_terrain", "oversize_shape", "oversize_extent", "overflowing_extent",
             "vehicle_preset", "missing_scenario", "missing_raster",
             "inverted_patch_x", "inverted_patch_y"])
     def test_input_hole_exits_1(self, tmp_path, doc, key):
@@ -532,9 +539,10 @@ class TestPlan:
                        "--out", str(tmp_path / "a")])
         assert rc == 1
         assert "depth" in capsys.readouterr().err
+        doc["pad"]["force_depth_override"] = True
+        path.write_text(json.dumps(doc))
         rc = cli.main(["plan", "--scenario", str(path),
-                       "--out", str(tmp_path / "b"),
-                       "--force-depth-override"])
+                       "--out", str(tmp_path / "b")])
         assert rc == 0
         assert (tmp_path / "b" / "plan.txt").is_file()
 

@@ -13,6 +13,7 @@ from spikedozer.earthworks import (
     SWELL_FACTOR,
     Terrain,
     VolumeAudit,
+    bilinear,
     ripper_draft,
 )
 from spikedozer.locomotion import CONSTRUCTION, price_steps
@@ -136,7 +137,7 @@ class TestTerrainGrid:
         xs = np.array([p[0] for p in points])
         ys = np.array([p[1] for p in points])
         corners, w, inside = t.bilinear_weights(np.stack((xs, ys)))
-        h = t.blend(corners, w)
+        h = bilinear(t.bank_floor.take(corners) + t.loose_depth.take(corners), *w)
         cells = t.cells_of(xs, ys)
         for k, (x, y) in enumerate(points):
             try:
@@ -216,7 +217,8 @@ class TestTerrainGrid:
         else:
             assert got_inside.dtype == inside.dtype and got_inside.shape == inside.shape
             assert np.array_equal(got_inside, inside)
-        heights = t.blend(got_corners, got_w).ravel()
+        heights = bilinear(t.bank_floor.take(got_corners) + t.loose_depth.take(got_corners),
+                           *got_w).ravel()
         for h, x, y in zip(heights, xs.ravel().tolist(), ys.ravel().tolist()):
             if t.contains(x, y):
                 assert h == t.height_at(x, y)
