@@ -115,7 +115,7 @@ class Terrain:
     The soil of a cell is the profile at its center, and it does not
     change during a run, so it is looked up once for the whole map:
     `cell_soils` holds the field's profiles and a raster of the index of
-    each cell's profile among them, None where the field is uniform.
+    each cell's profile among them.
     """
 
     def __init__(
@@ -265,7 +265,7 @@ class Terrain:
     def profile_at_cell(self, cell: int) -> SoilProfile:
         """The soil profile at the flat `cell`'s center, read from `cell_soils`."""
         profiles, index = self.cell_soils
-        return profiles[0] if index is None else profiles[index.item(cell)]
+        return profiles[index.item(cell)]
 
     # ------------------------------------------------------------------
     # Cut, fill, rip
@@ -360,7 +360,6 @@ class Terrain:
         spoil, listed, soil = [None] * rows, [None] * rows, [None] * rows
         profiles, index = self.cell_soils
         by_soil = [_neighbour_tests(p.repose_angle_deg, self.cell_size) for p in profiles]
-        uniform = [0] * width
         outside = bytearray(b"\x01") * (width + 1)
         outside[j_lo - c_lo:j_hi - c_lo] = bytes(j_hi - j_lo)
 
@@ -376,7 +375,7 @@ class Terrain:
             listed[r] = bytearray(outside)
             for c in spoil[r]:
                 listed[r][c] = 1
-            soil[r] = uniform if index is None else index[r, c_lo:c_hi].tolist()
+            soil[r] = index[r, c_lo:c_hi].tolist()
 
         for sweeps in range(1, MAX_RELAX_PASSES + 1):
             moved = False

@@ -150,6 +150,18 @@ class VehicleSpec:
             raise ValueError("cutting coefficients and prism friction must be "
                              "non-negative")
 
+    def spike_point(self, x: float, y: float, unit: tuple[float, float],
+                    separation: float, frame: str, offset: float,
+                    depth: float) -> tuple[float, float]:
+        """World position of a spike tip with the center at (x, y), heading
+        along `unit` and the frames `separation` apart: arm reach behind
+        `frame`'s ref, `offset` to the left of the axis."""
+        ux, uy = unit
+        sign = 0.5 if frame == "front" else -0.5
+        fx, fy = x + sign * separation * ux, y + sign * separation * uy
+        reach = self.spike.reach(depth)
+        return (fx - reach * ux - offset * uy, fy - reach * uy + offset * ux)
+
     # The draft, skid friction and hold terms below are shared by the
     # simulator, the planner's energy budget and its validator.  Seated spikes
     # and their frame's skid friction hold a draft up to their sum; the frame
@@ -162,12 +174,9 @@ class VehicleSpec:
 
     def loaded_weight(self, prism, density, g: float):
         """Weight of the machine plus `prism` m^3 of spoil at `density` (N).
-        `prism` and `density` are floats or arrays; with an empty blade
-        `density` may be None.  An empty blade adds exactly nothing, so
-        array entries at 0 come out as the float does."""
-        if isinstance(prism, np.ndarray) or prism > 0.0:
-            return (self.mass + prism * density) * g
-        return self.mass * g
+        `prism` and `density` are floats or arrays.  An empty blade adds
+        exactly nothing: at `prism` 0 this is `mass * g` to the bit."""
+        return (self.mass + prism * density) * g
 
     def prism_drag(self, prism, density, g: float):
         """Ground drag of `prism` m^3 of spoil at `density` on the blade (N)."""
@@ -304,7 +313,7 @@ class BladeSetting:
     cuts: np.ndarray
 
 
-def price_steps(rise, level, density, friction, face, rip, prism,
+def price_steps(rise, density, friction, face, rip, prism,
                 extra_draft: float, spec: VehicleSpec, g: float,
                 anchor: AnchorState | None):
     """Price straight steps: the draft of each and whether `anchor` holds it.
@@ -314,13 +323,13 @@ def price_steps(rise, level, density, friction, face, rip, prism,
     bits it has priced alone.  `rise` is the fore-minus-aft height
     difference, along the travel direction, of samples half a footprint
     either side of the center, so the rigid machine bridges single-cell
-    steps; where `level` the footprint is off the map, and it is None
-    for a run wholly on the map.  `density` is the loose density under
-    the center (None when no prism can be carried) and `friction` the
-    seated frame's skid friction, which reacts draft in parallel with its
-    spikes.  `face` (plus the prism's ground drag) and `rip` are the
-    blade and tine forces, None for a raised tool.  `prism` is the blade
-    load, per step or one float for all, and `extra_draft` the tow load.
+    steps; a step whose footprint leaves the map has a rise of 0, so it
+    prices as level ground.  `density` is the loose density under the
+    center and `friction` the seated frame's skid friction, which reacts
+    draft in parallel with its spikes.  `face` (plus the prism's ground
+    drag) and `rip` are the blade and tine forces, None for a raised
+    tool.  `prism` is the blade load, per step or one float for all, and
+    `extra_draft` the tow load.
 
     Returns (drafts, held, clears): the drafts (N, floored at 0); how many
     steps the anchor holds before the first it cannot, all of them with
@@ -332,12 +341,12 @@ def price_steps(rise, level, density, friction, face, rip, prism,
     one = isinstance(rise, float)
     gauge = spec.gauge
     if one:
-        grade = 0.0 if level else rise / math.hypot(gauge, rise)
+        grade = rise / math.hypot(gauge, rise)
     else:
         hyp = np.full(rise.shape, gauge)  # hypot(gauge, 0) is gauge
         tilted = rise.nonzero()[0]
         hyp[tilted] = [math.hypot(gauge, d) for d in rise[tilted].tolist()]
-        grade = rise / hyp if level is None else np.where(level, 0.0, rise / hyp)
+        grade = rise / hyp
     total = extra_draft + spec.loaded_weight(prism, density, g) * grade
     if face is not None:
         total = total + (face + spec.prism_drag(prism, density, g))
@@ -370,10 +379,11 @@ class _StrokePath:
     one array of four running sums.  The fore and aft grade samples of
     every step are located once, as `footprint`, by one pass of
     `Terrain.bilinear_weights` over the stacked (x, y) x (fore, aft)
-    sample array; `level` marks the steps whose footprint leaves the map,
-    and is None when none does.  The skid friction and loose density
-    under the center are found once too, and `price_steps` takes them
-    along with the heights.
+    sample array.  A step whose footprint leaves the map takes its fore
+    sample's cells and weights for its aft one too, so its rise is
+    exactly 0 and `price_steps` prices it as level ground.  The skid
+    friction and loose density under the center are found once too, and
+    `price_steps` takes them along with the heights.
 
     This is the one place that finds the cells the tools enter, each as
     its flat index i * cols + j, -1 off the map: `cells` holds the cell
@@ -450,18 +460,18 @@ class _StrokePath:
                 self.crossings = list(self.blade_cells)
         # the fore and aft grade samples of each step, stacked as (x, y)
         hx, hy = machine._grade_offset()
-        self.footprint = terrain.bilinear_weights(
+        corners, t, inside = terrain.bilinear_weights(
             lay[1:3, None] + np.array((hx, -hx, hy, -hy)).reshape(2, 2, 1))
-        inside = self.footprint[2]
-        self.level = None if inside is None else ~(inside[0] & inside[1])
+        if inside is not None:
+            off = ~(inside[0] & inside[1])
+            corners[:, 1, off], t[:, 1, off] = corners[:, 0, off], t[:, 0, off]
+        self.footprint = corners, t
         # the soil under the machine center before each step: its skid
         # friction capacity, and the loose density of a prism carried on it
         profiles, at = terrain.soil.profiles_at(self.xs, self.ys)
         g = machine.env.gravity
         self.friction = np.array([machine.spec.skid_friction(p, g) for p in profiles])[at]
-        self.density = None
-        if cutting or tools.prism > 0.0:
-            self.density = np.array([p.loose_density for p in profiles])[at]
+        self.density = np.array([p.loose_density for p in profiles])[at]
         self.k = 0
 
     def place(self, step: int) -> None:
@@ -476,7 +486,7 @@ class _StrokePath:
         step; `may_slip` is the seated anchor when the blade works and it
         can still slip.  This leaves the per-step inputs of `price`."""
         tools, cutting, k = self.tools, self.cutting, self.k
-        terrain, (corners, t, _) = self.machine.terrain, self.footprint
+        terrain, (corners, t) = self.machine.terrain, self.footprint
         bank, loose = terrain.bank_floor, terrain.loose_depth
         tools.journal.clear()
         # the tool state as the span starts, then after each crossing
@@ -538,17 +548,15 @@ class _StrokePath:
         alone: its grade and blade load before the cut, its face after."""
         machine = self.machine
         return bool(price_steps(
-            rise, self.level is not None and bool(self.level[step]), float(self.density[step]),
-            float(self.friction[step]), self.tools.face_force, None, prism,
+            rise, float(self.density[step]), float(self.friction[step]),
+            self.tools.face_force, None, prism,
             machine.extra_draft, machine.spec, machine.env.gravity, anchor)[1])
 
     def price(self, i: int, anchor: AnchorState):
         """`price_steps` over steps `i`..`last` of the span, held by `anchor`."""
         machine, a, b = self.machine, i - self.k, self.last + 1
-        density, level = self.density, self.level
         return price_steps(
-            self.rise[a:], None if level is None else level[i:b],
-            None if density is None else density[i:b],
+            self.rise[a:], self.density[i:b],
             self.friction[i:b], None if self.face is None else self.face[a:],
             None if self.rip is None else self.rip[a:],
             self.prism[a:] if self.cutting else self.prism, machine.extra_draft,
@@ -778,19 +786,10 @@ class Machine:
             self._unit_vec = (math.cos(self.heading), math.sin(self.heading))
         return self._unit_vec
 
-    def frame_ref(self, frame: str) -> tuple[float, float]:
-        ux, uy = self._unit()
-        sign = 0.5 if frame == "front" else -0.5
-        return (self.x + sign * self.separation * ux,
-                self.y + sign * self.separation * uy)
-
     def spike_point(self, frame: str, offset: float, depth: float) -> tuple[float, float]:
-        """World position of a spike tip: arm reach behind the frame ref,
-        `offset` to the left of the axis."""
-        fx, fy = self.frame_ref(frame)
-        ux, uy = self._unit()
-        reach = self.spec.spike.reach(depth)
-        return (fx - reach * ux - offset * uy, fy - reach * uy + offset * ux)
+        """World position of a spike tip at the present pose."""
+        return self.spec.spike_point(self.x, self.y, self._unit(), self.separation,
+                                     frame, offset, depth)
 
     def _tool_point(self, blade: bool, x, y, separation):
         """Working edge of the blade (`blade`) or of the ripper tines, with
@@ -930,11 +929,10 @@ class Machine:
         try:
             rise = motion * (self.terrain.height_at(x + hx, y + hy)
                              - self.terrain.height_at(x - hx, y - hy))
-            level = False
         except ValueError:
-            rise, level = 0.0, True
+            rise = 0.0  # off the map: level ground
         density = self.terrain.soil.profile_at(self.x, self.y).loose_density
-        return price_steps(rise, level, density, None, 0.0 if cutting else None,
+        return price_steps(rise, density, None, 0.0 if cutting else None,
                            None, self.tools.prism, self.extra_draft,
                            self.spec, self.env.gravity, None)[0]
 

@@ -419,7 +419,7 @@ def predict_peak_draft(vehicle: VehicleSpec, target_elevation: float,
     and the climb over the pit rim across the machine's support footprint."""
     face = vehicle.blade_cut_coeff * vehicle.blade_width * vehicle.blade_max_cut \
         * soil.resistance_at(vehicle.blade_max_cut)
-    return price_steps(-target_elevation, False, soil.loose_density, None, face, None,
+    return price_steps(-target_elevation, soil.loose_density, None, face, None,
                        volume_loose, 0.0, vehicle, env.gravity, None)[0]
 
 

@@ -15,6 +15,10 @@ Parsing is strict, so a typo cannot silently change an experiment:
   come from the dataclass the section fills (`Environment`,
   `SoilProfile`, `SoilLayer`, `Duricrust`, `VehicleSpec`,
   `GroundTemperatureField`, `PadSpec`);
+- no key may override another: a ``surface_raster`` sets the grid and
+  its heights alone, ``shape`` and ``extent`` exclude each other, and
+  ``slope_azimuth_deg`` needs ``slope_deg``;
+- a drive's start puts the machine and each of its spikes on the terrain;
 - a relative ``surface_raster`` path is relative to the scenario file.
 """
 
@@ -289,6 +293,14 @@ _TERRAIN = _Fields(
 def _parse_terrain(node: dict, base_dir: str) -> tuple[
         tuple[int, int], float, tuple[float, float], np.ndarray | None]:
     given = _read(node, _TERRAIN, "terrain")
+    # keys that another key would silently override, or that do nothing alone
+    if "surface_raster" in given and given.keys() - {"surface_raster"}:
+        raise ValueError("terrain: 'surface_raster' sets the grid and its heights; "
+                         f"drop {sorted(given.keys() - {'surface_raster'})}")
+    if "shape" in given and "extent" in given:
+        raise ValueError("terrain: give 'shape' or 'extent', not both")
+    if "slope_azimuth_deg" in given and "slope_deg" not in given:
+        raise ValueError("terrain: 'slope_azimuth_deg' needs 'slope_deg'")
 
     if "surface_raster" in given:
         path = os.path.join(base_dir, given["surface_raster"])
@@ -439,11 +451,7 @@ def _build_scenario(doc: dict, seed_override: int | None, base_dir: str) -> Scen
         given = _read(_section(doc, "start", {}), _START, "start")
         start = (given.get("x", 0.0), given.get("y", 0.0),
                  given.get("heading_deg", 0.0))
-        if not on_grid(shape, cell, origin, start[0], start[1]):
-            (rows, cols), (x0, y0) = shape, origin
-            raise ValueError(
-                f"start ({start[0]:g}, {start[1]:g}) is off the terrain, which spans "
-                f"x [{x0:g}, {x0 + cols * cell:g}) and y [{y0:g}, {y0 + rows * cell:g})")
+        _check_start(start, vehicle, shape, cell, origin)
 
     return Scenario(
         name=_value(doc.get("name", "scenario"), str, "scenario", "name"),
@@ -462,6 +470,29 @@ def _build_scenario(doc: dict, seed_override: int | None, base_dir: str) -> Scen
         drive=drive,
         pad=pad,
     )
+
+
+def _check_start(start: tuple[float, float, float], vehicle: VehicleSpec,
+                 shape: tuple[int, int], cell: float, origin: tuple[float, float]) -> None:
+    """Refuse a start pose whose center, or any spike of either frame as
+    the machine first stands (frames at the base separation, spikes at the
+    surface), is off the terrain.  The rear frame, which a forward drive
+    seats first, is tested first."""
+    x, y, heading_deg = start
+    (rows, cols), (x0, y0) = shape, origin
+    spans = (f"the terrain, which spans x [{x0:g}, {x0 + cols * cell:g}) "
+             f"and y [{y0:g}, {y0 + rows * cell:g})")
+    if not on_grid(shape, cell, origin, x, y):
+        raise ValueError(f"start ({x:g}, {y:g}) is off {spans}")
+    heading = math.radians(heading_deg)
+    unit = (math.cos(heading), math.sin(heading))
+    for frame in ("rear", "front"):
+        for offset in vehicle.spike_offsets:
+            px, py = vehicle.spike_point(x, y, unit, vehicle.base_separation,
+                                         frame, offset, 0.0)
+            if not on_grid(shape, cell, origin, px, py):
+                raise ValueError(f"start ({x:g}, {y:g}) puts the {frame} frame's spike "
+                                 f"point ({px:.2f}, {py:.2f}) off {spans}")
 
 
 def _run_command(machine: Machine, terrain: Terrain, cmd: dict) -> None:

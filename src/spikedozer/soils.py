@@ -173,10 +173,15 @@ SOILS = {p.name: p for p in (SOFT, MEDIUM, HARD)}
 class SoilField:
     """Maps plan position to a strength profile.
 
-    The base class is uniform; subclasses may vary the profile laterally.
+    The base class is uniform: it has no `patches`, and every point has
+    the base profile.  `PatchSoilField` adds rectangular patches.
     Simulation code calls `profile_at` for one point, `profiles_at` for
-    the steps of a stroke and `profiles_on_grid` for the cells of a map.
+    the steps of a stroke and `profiles_on_grid` for the cells of a map;
+    the last two serve both classes, as a uniform field is a patch field
+    with no patches.
     """
+
+    patches: tuple = ()
 
     def __init__(self, base: SoilProfile):
         self.base = base
@@ -185,15 +190,32 @@ class SoilField:
         return self.base
 
     def profiles_at(self, xs: np.ndarray, ys: np.ndarray) -> tuple[list[SoilProfile], np.ndarray]:
-        """The field's profiles, and for each point the index of the one
-        `profile_at` returns there."""
-        return [self.base], np.zeros(np.shape(xs), dtype=np.intp)
+        """The field's profiles, the base then each patch's, and for each
+        point the index of the one `profile_at` returns there."""
+        # masks go on in reverse so the first matching patch wins
+        at = np.zeros(np.shape(xs), dtype=np.intp)
+        for n in range(len(self.patches), 0, -1):
+            p = self.patches[n - 1]
+            at[(p.x_min <= xs) & (xs <= p.x_max) & (p.y_min <= ys) & (ys <= p.y_max)] = n
+        return [self.base] + [p.profile for p in self.patches], at
 
     def profiles_on_grid(self, shape: tuple[int, int], cell_size: float,
-                         origin: tuple[float, float]) -> tuple[list[SoilProfile], np.ndarray | None]:
-        """The field's profiles, and a raster of the index of the one at
-        each cell center of the grid, None when every cell has the first."""
-        return [self.base], None
+                         origin: tuple[float, float]) -> tuple[list[SoilProfile], np.ndarray]:
+        """The field's profiles, as `profiles_at` lists them, and a raster
+        of the index of the one at each cell center of the grid."""
+        # A patch holds the cell centers of a block of rows and columns, as
+        # centers rise along each axis.  The patches fill their blocks in
+        # reverse so the first holding a center wins, as in `profile_at`.
+        rows, cols = shape
+        xs = origin[0] + (np.arange(cols) + 0.5) * cell_size
+        ys = origin[1] + (np.arange(rows) + 0.5) * cell_size
+        index = np.zeros(shape, dtype=np.min_scalar_type(len(self.patches)))
+        for n in range(len(self.patches), 0, -1):
+            p = self.patches[n - 1]
+            i0, i1 = np.searchsorted(ys, p.y_min), np.searchsorted(ys, p.y_max, side="right")
+            j0, j1 = np.searchsorted(xs, p.x_min), np.searchsorted(xs, p.x_max, side="right")
+            index[i0:i1, j0:j1] = n
+        return [self.base] + [p.profile for p in self.patches], index
 
 
 @dataclass(frozen=True)
@@ -228,30 +250,3 @@ class PatchSoilField(SoilField):
             if patch.contains(x, y):
                 return patch.profile
         return self.base
-
-    def profiles_at(self, xs: np.ndarray, ys: np.ndarray) -> tuple[list[SoilProfile], np.ndarray]:
-        # the base, then each patch's profile; masks go on in reverse so
-        # the first matching patch wins
-        at = np.zeros(np.shape(xs), dtype=np.intp)
-        for n in range(len(self.patches), 0, -1):
-            p = self.patches[n - 1]
-            at[(p.x_min <= xs) & (xs <= p.x_max) & (p.y_min <= ys) & (ys <= p.y_max)] = n
-        return [self.base] + [p.profile for p in self.patches], at
-
-    def profiles_on_grid(self, shape: tuple[int, int], cell_size: float,
-                         origin: tuple[float, float]) -> tuple[list[SoilProfile], np.ndarray | None]:
-        # A patch holds the cell centers of a block of rows and columns, as
-        # centers rise along each axis.  The patches fill their blocks in
-        # reverse so the first holding a center wins, as in `profile_at`.
-        if not self.patches:
-            return [self.base], None
-        rows, cols = shape
-        xs = origin[0] + (np.arange(cols) + 0.5) * cell_size
-        ys = origin[1] + (np.arange(rows) + 0.5) * cell_size
-        index = np.zeros(shape, dtype=np.min_scalar_type(len(self.patches)))
-        for n in range(len(self.patches), 0, -1):
-            p = self.patches[n - 1]
-            i0, i1 = np.searchsorted(ys, p.y_min), np.searchsorted(ys, p.y_max, side="right")
-            j0, j1 = np.searchsorted(xs, p.x_min), np.searchsorted(xs, p.x_max, side="right")
-            index[i0:i1, j0:j1] = n
-        return [self.base] + [p.profile for p in self.patches], index

@@ -418,13 +418,38 @@ class TestSimulate:
         ({"soil": {"patches": [
             {"x_min": -1.0, "x_max": 1.0, "y_min": 2, "y_max": 1.5, "soil": "medium"}]}},
          "soil.patches[0]: y_min 2.0 exceeds y_max 1.5"),
+        ({"terrain": {"shape": [40, 40], "extent": [100.0, 100.0]}},
+         "terrain: give 'shape' or 'extent', not both"),
+        ({"terrain": {"extent": [10.0, 10.0], "slope_azimuth_deg": 30.0}},
+         "terrain: 'slope_azimuth_deg' needs 'slope_deg'"),
+        ({"terrain": {"surface_raster": "surface.csv", "slope_deg": 10.0}},
+         "terrain: 'surface_raster' sets the grid and its heights; drop ['slope_deg']"),
+        ({"terrain": {"surface_raster": "surface.csv", "cell_size": 0.5, "origin": [3, 3]}},
+         "terrain: 'surface_raster' sets the grid and its heights; "
+         "drop ['cell_size', 'origin']"),
+        ({"terrain": {"surface_raster": "surface.csv", "extent": [2.0, 2.0],
+                      "shape": [2, 3], "slope_azimuth_deg": 0.0}},
+         "drop ['extent', 'shape', 'slope_azimuth_deg']"),
+        ({"terrain": {"extent": [10.0, 10.0]}, "start": {"x": -4.9}},
+         "start (-4.9, 0) puts the rear frame's spike point (-5.77, 0.40) off the terrain, "
+         "which spans x [-5, 5) and y [-5, 5)"),
+        ({"terrain": {"extent": [10.0, 10.0]}, "start": {"y": 4.8},
+          "drive": [{"op": "turn_by", "delta_deg": 30.0}]},
+         "start (0, 4.8) puts the rear frame's spike point (-0.87, 5.20) off the terrain"),
+        ({"terrain": {"extent": [10.0, 10.0]}, "start": {"x": 4.9, "heading_deg": 180.0}},
+         "start (4.9, 0) puts the rear frame's spike point (5.77, -0.40) off the terrain"),
     ], ids=["surface_K", "gravity", "allow_inversion", "seed_fraction", "seed_text",
             "layer_thickness", "layer_density", "crust_thickness", "start_x", "spike",
             "spike_text", "spike_offsets", "shape", "empty_shape", "negative_extent",
             "start_off_terrain", "oversize_shape", "oversize_extent", "overflowing_extent",
             "vehicle_preset", "missing_scenario", "missing_raster",
-            "inverted_patch_x", "inverted_patch_y"])
+            "inverted_patch_x", "inverted_patch_y", "shape_and_extent",
+            "azimuth_without_slope", "raster_and_slope", "raster_and_header",
+            "raster_and_grid", "spike_off_terrain_x", "spike_off_terrain_y",
+            "spike_off_terrain_heading_back"])
     def test_input_hole_exits_1(self, tmp_path, doc, key):
+        # a raster the terrain cases may name, so that only their keys are wrong
+        (tmp_path / "surface.csv").write_text("# 2 3 0.5 -0.75 -0.5\n0,0.1,0\n0,0,0\n")
         path = tmp_path / "scenario.json"
         if doc is not None:
             path.write_text(json.dumps(
@@ -436,16 +461,25 @@ class TestSimulate:
         assert f"error: {path}: " in err and key in err
         assert not out.exists()
 
+    def test_start_with_every_spike_on_the_terrain_runs(self, tmp_path):
+        # 0.1 m from the edge of a 10 m map, but the spikes trail their frames
+        path = write_scenario(tmp_path, {
+            "name": "edge", "terrain": {"extent": [10.0, 10.0]}, "start": {"x": 4.9},
+            "drive": [{"op": "advance", "distance": 0.5}]})
+        rc, err = run_cli(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 0, err
+
     def test_relative_raster_loads_from_the_scenario_directory(self, tmp_path, monkeypatch):
+        # 2.5 m x 2 m: a map the machine's spikes stand on at the start
         (tmp_path / "maps").mkdir()
         (tmp_path / "maps" / "surface.csv").write_text(
-            "# 2 3 0.5 -0.75 -0.5\n0,0.1,0\n0,0,0\n")
+            "# 4 5 0.5 -1.25 -1.0\n0,0.1,0,0,0\n" + "0,0,0,0,0\n" * 3)
         path = write_scenario(tmp_path, {
             "name": "raster", "terrain": {"surface_raster": "maps/surface.csv"},
             "drive": [{"op": "relax"}]})
         monkeypatch.chdir(tmp_path / "maps")  # the raster is not at maps/maps/
         scn = load_scenario(str(path))
-        assert scn.terrain_shape == (2, 3)
+        assert scn.terrain_shape == (4, 5)
         assert scn.initial_surface[0, 1] == 0.1
 
     def test_spike_object_calibrates_from_thrust_angles(self, tmp_path):

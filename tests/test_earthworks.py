@@ -38,12 +38,12 @@ class TestBladeDraft:
         # k_b w (d_l q_l + d_b q_b) + mu rho V g on level ground
         face = 0.01 * 3.0 * (0.1 * 50e3 + 0.05 * 960e3)
         drag = 0.8 * 1200.0 * 0.5 * 9.81
-        draft, _, _ = price_steps(0.0, False, 1200.0, None, face, None, 0.5, 0.0,
+        draft, _, _ = price_steps(0.0, 1200.0, None, face, None, 0.5, 0.0,
                                   CONSTRUCTION, EARTH.gravity, None)
         assert draft == pytest.approx(face + drag)
 
     def test_empty_blade_off_the_ground_is_free(self):
-        draft, _, _ = price_steps(0.0, False, 1200.0, None, 0.0, None, 0.0, 0.0,
+        draft, _, _ = price_steps(0.0, 1200.0, None, 0.0, None, 0.0, 0.0,
                                   CONSTRUCTION, MOON.gravity, None)
         assert draft == 0.0
 
@@ -253,16 +253,14 @@ class TestTerrainGrid:
                          label="field")
         t = Terrain((rows, cols), cell_size=size, origin=(ox, oy), soil=soil)
         profiles, index = t.cell_soils
-        if not getattr(soil, "patches", None):  # a uniform field
-            assert profiles == [SOFT] and index is None
-        else:
-            assert index.shape == (rows, cols)
-            assert index.dtype == np.min_scalar_type(len(patches))
+        assert profiles == [SOFT] + [p.profile for p in soil.patches]
+        assert index.shape == (rows, cols)
+        assert index.dtype == np.min_scalar_type(len(soil.patches))
         for i in range(rows):
             for j in range(cols):
                 want = soil.profile_at(*t.cell_center(i, j))
                 assert t.profile_at_cell(i * cols + j) is want
-                assert profiles[0 if index is None else index[i, j]] is want
+                assert profiles[index[i, j]] is want
 
     def test_initial_surface_copied_not_aliased(self):
         init = np.ones((3, 3))

@@ -92,7 +92,7 @@ class TestVehicleSpec:
 
     def test_shared_draft_terms(self):
         assert CONSTRUCTION.gauge == 0.8 + 0.5 * 4.0
-        assert CONSTRUCTION.loaded_weight(0.0, None, 9.81) == 3000.0 * 9.81
+        assert CONSTRUCTION.loaded_weight(0.0, 1200.0, 9.81) == 3000.0 * 9.81
         assert CONSTRUCTION.loaded_weight(0.5, 1200.0, 9.81) == (3000.0 + 600.0) * 9.81
         assert CONSTRUCTION.prism_drag(0.5, 1200.0, 9.81) == 0.8 * 1200.0 * 0.5 * 9.81
 
@@ -829,11 +829,11 @@ class TestHoldRules:
         """`price_steps` on level ground with each draft as the tow load:
         one step for a float, a run for a list."""
         if isinstance(drafts, float):
-            zero, level = 0.0, True
+            zero = 0.0
         else:
             drafts, friction = np.array(drafts), np.array(friction)
-            zero, level = np.zeros(len(drafts)), np.ones(len(drafts), bool)
-        return price_steps(zero, level, None, friction, None, zero if ripping else None,
+            zero = np.zeros(len(drafts))
+        return price_steps(zero, SOFT.loose_density, friction, None, zero if ripping else None,
                            0.0, drafts, m.spec, m.env.gravity, m.anchors["rear"])
 
     @pytest.mark.parametrize("env", [MOON, EARTH])
@@ -869,7 +869,7 @@ class TestHoldRules:
         frictions = self.frictions(m)
         top = 1.5 * max(max(self.bounds(m, f, ripping)) for f in frictions)
         density = SOFT.loose_density
-        steps = []  # per step: rise, level, friction, face, rip, prism, tow
+        steps = []  # per step: rise, friction, face, rip, prism, tow
         for _ in range(data.draw(st.integers(1, 12))):
             f = data.draw(st.sampled_from(frictions))
             if data.draw(st.booleans()):
@@ -881,17 +881,16 @@ class TestHoldRules:
             face = data.draw(st.sampled_from([0.0, 0.0, 0.25 * top])) if cutting else None
             rip = data.draw(st.sampled_from([0.0, 0.0, 0.1 * top])) if ripping else None
             rise = data.draw(st.sampled_from([0.0, -0.0, 0.03, -0.2]))
-            level = data.draw(st.booleans())
             tools = ((face + spec.prism_drag(prism, density, g) if cutting else 0.0)
                      + (rip if ripping else 0.0))
-            steps.append((rise, level, f, face, rip, prism, draft - tools))
-        singles = [price_steps(rise, level, density, f, face, rip, prism, tow, spec, g,
+            steps.append((rise, f, face, rip, prism, draft - tools))
+        singles = [price_steps(rise, density, f, face, rip, prism, tow, spec, g,
                                m.anchors["rear"])
-                   for rise, level, f, face, rip, prism, tow in steps]
+                   for rise, f, face, rip, prism, tow in steps]
         held = next((i for i, step in enumerate(singles) if step[1] == 0), len(steps))
-        rise, level, f, face, rip, prism, tow = (np.array(col) for col in zip(*steps))
+        rise, f, face, rip, prism, tow = (np.array(col) for col in zip(*steps))
         run, run_held, clears = price_steps(
-            rise, level, np.full(len(steps), density), f, face if cutting else None,
+            rise, np.full(len(steps), density), f, face if cutting else None,
             rip if ripping else None, prism, tow, spec, g, m.anchors["rear"])
         assert run.tolist() == [step[0] for step in singles]
         assert run_held == held

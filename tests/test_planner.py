@@ -494,7 +494,7 @@ class TestPeakDraft:
             * SOFT.resistance_at(vehicle.blade_max_cut)
         for trip in (plan.trips[0], plan.trips[-1]):
             depth = -trip.target_elevation
-            simulated, _, _ = price_steps(depth, False, SOFT.loose_density, None, face, None,
+            simulated, _, _ = price_steps(depth, SOFT.loose_density, None, face, None,
                                           trip.volume_loose, 0.0, vehicle, env.gravity, None)
             assert predict_peak_draft(vehicle, trip.target_elevation,
                                       trip.volume_loose, env, SOFT) == simulated
