@@ -27,6 +27,7 @@ import math
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -318,7 +319,7 @@ def price_steps(rise, density, friction, face, rip, prism,
                 anchor: AnchorState | None):
     """Price straight steps: the draft of each and whether `anchor` holds it.
 
-    Per-step inputs are arrays over a run of steps, or floats for one
+    Per-step inputs are arrays over a run of steps, or numbers for one
     step, which stays scalar work; each step of a run comes out with the
     bits it has priced alone.  `rise` is the fore-minus-aft height
     difference, along the travel direction, of samples half a footprint
@@ -338,15 +339,17 @@ def price_steps(rise, density, friction, face, rip, prism,
     A step the anchor cannot hold and whose draft does not clear it
     flips the machine.
     """
-    one = isinstance(rise, float)
+    one = not isinstance(rise, np.ndarray) or rise.ndim == 0
     gauge = spec.gauge
     if one:
+        rise = float(rise)
         grade = rise / math.hypot(gauge, rise)
     else:
         hyp = np.full(rise.shape, gauge)  # hypot(gauge, 0) is gauge
         tilted = rise.nonzero()[0]
-        hyp[tilted] = [math.hypot(gauge, d) for d in rise[tilted].tolist()]
-        grade = rise / hyp
+        hyp[tilted] = np.fromiter(map(math.hypot, repeat(gauge), rise[tilted].tolist()),
+                                  float, tilted.size)
+        grade = np.divide(rise, hyp, out=hyp)
     total = extra_draft + spec.loaded_weight(prism, density, g) * grade
     if face is not None:
         total = total + (face + spec.prism_drag(prism, density, g))
@@ -376,14 +379,17 @@ class _StrokePath:
     order, as moving one step at a time.  `ds` holds the length of each
     step to be taken: the `n` full ones, then step `n` trimmed to the
     travel left, unless that travel is a rounding error.  The layout is
-    one array of four running sums.  The fore and aft grade samples of
-    every step are located once, as `footprint`, by one pass of
-    `Terrain.bilinear_weights` over the stacked (x, y) x (fore, aft)
-    sample array.  A step whose footprint leaves the map takes its fore
-    sample's cells and weights for its aft one too, so its rise is
-    exactly 0 and `price_steps` prices it as level ground.  The skid
-    friction and loose density under the center are found once too, and
-    `price_steps` takes them along with the heights.
+    one array: four running sums in one pass, and `ds` below them.  The
+    fore and aft grade samples of every step are located once, as
+    `footprint`, by one pass of `Terrain.bilinear_weights` over the
+    stacked (x, y) x (fore, aft) sample array.  A step whose footprint
+    leaves the map takes its fore sample's cells and weights for its aft
+    one too, so its rise is exactly 0 and `price_steps` prices it as
+    level ground.  The skid friction and loose density under the center
+    of each step are read once too, by one lookup in the machine's
+    `soil_terms` at the index `SoilField.profiles_at` gives the step.
+    That table has a column for each profile of `Terrain.cell_soils`, in
+    its order, so twin profiles that compare equal keep their own.
 
     This is the one place that finds the cells the tools enter, each as
     its flat index i * cols + j, -1 off the map: `cells` holds the cell
@@ -394,9 +400,9 @@ class _StrokePath:
     crossing with none is dropped, as working it would change nothing.
     The path starts from the tools' last cell, and `settle` leaves it as
     the last cell of `cells` on the map up to its step, where there is
-    one.  `stop` is the step that ends the
-    path: step `n`, or an earlier step that would collide the frames and
-    so raises; the machine takes it by moving itself, not by being
+    one.  `stop` is the step that ends the path: step `n`, or an earlier
+    step that would collide the frames and so raises, which only closing
+    frames can reach; the machine takes it by moving itself, not by being
     placed.  `k` is the next step to take.  A slip shoves the seated
     frame and so lays the path again.
 
@@ -426,19 +432,25 @@ class _StrokePath:
         bound = int((advance_total - travelled) / STEP) + 2
         signed = motion * STEP
         d_sep = signed if move_frame == "front" else -signed
-        # travel, center and separation before each step, as running sums
-        lay = np.empty((4, bound + 1))
-        lay[:, 0] = travelled, machine.x, machine.y, machine.separation
-        lay[:, 1:] = [[STEP], [0.5 * signed * ux], [0.5 * signed * uy], [d_sep]]
-        lay.cumsum(axis=1, out=lay)
-        ts = lay[0]
-        n = int(np.count_nonzero(advance_total - ts >= STEP))
+        # travel, center and separation before each step, as running sums,
+        # and below them the length of each step
+        lay = np.empty((5, bound + 1))
+        lay[:, 0] = travelled, machine.x, machine.y, machine.separation, STEP
+        lay[:, 1:] = [[STEP], [0.5 * signed * ux], [0.5 * signed * uy], [d_sep], [STEP]]
+        lay[:4].cumsum(axis=1, out=lay[:4])
+        # the travel left shrinks, so the n full steps end where it first falls short
+        ts, n = lay[0], bound - 2
+        while advance_total - ts.item(n) >= STEP:
+            n += 1
+        while n and advance_total - ts.item(n - 1) < STEP:
+            n -= 1
         self.machine, self.tools, self.cutting, self.ripping = machine, tools, cutting, ripping
         self.motion = motion
-        self.travelled, self.xs, self.ys, self.seps = lay = lay[:, :n + 1]
-        collide = (self.seps[1:] <= 0.0).nonzero()[0]
-        self.stop = int(collide[0]) if collide.size else n
-        self.ds = np.full(n + 1 if ts[n] < advance_total - 1e-12 else n, STEP)
+        self.travelled, self.xs, self.ys, self.seps = lay[:4, :n + 1]
+        # only closing frames can collide
+        closed = np.flatnonzero(self.seps[1:] <= 0.0) if d_sep < 0.0 else ()
+        self.stop = int(closed[0]) if len(closed) else n
+        self.ds = lay[4, :n + 1 if ts[n] < advance_total - 1e-12 else n]
         self.ds[n:] = advance_total - ts[n]
         self.crossings = []
         self.cells = None
@@ -461,17 +473,15 @@ class _StrokePath:
         # the fore and aft grade samples of each step, stacked as (x, y)
         hx, hy = machine._grade_offset()
         corners, t, inside = terrain.bilinear_weights(
-            lay[1:3, None] + np.array((hx, -hx, hy, -hy)).reshape(2, 2, 1))
+            lay[1:3, None, :n + 1] + np.array((hx, -hx, hy, -hy)).reshape(2, 2, 1))
         if inside is not None:
             off = ~(inside[0] & inside[1])
             corners[:, 1, off], t[:, 1, off] = corners[:, 0, off], t[:, 0, off]
         self.footprint = corners, t
         # the soil under the machine center before each step: its skid
         # friction capacity, and the loose density of a prism carried on it
-        profiles, at = terrain.soil.profiles_at(self.xs, self.ys)
-        g = machine.env.gravity
-        self.friction = np.array([machine.spec.skid_friction(p, g) for p in profiles])[at]
-        self.density = np.array([p.loose_density for p in profiles])[at]
+        at = terrain.soil.profiles_at(self.xs, self.ys)[1]
+        self.friction, self.density = machine.soil_terms.take(at, axis=1)
         self.k = 0
 
     def place(self, step: int) -> None:
@@ -484,7 +494,10 @@ class _StrokePath:
     def work(self, may_slip: AnchorState | None) -> int:
         """Work the crossings of the span from step `k` and return its last
         step; `may_slip` is the seated anchor when the blade works and it
-        can still slip.  This leaves the per-step inputs of `price`."""
+        can still slip.  This leaves the per-step inputs of `price`, built
+        only for the tool that `price` prices: a blade path builds the
+        blade load, face force and face run of each step, a ripping path
+        the tine force, and a path that works no tool none of them."""
         tools, cutting, k = self.tools, self.cutting, self.k
         terrain, (corners, t) = self.machine.terrain, self.footprint
         bank, loose = terrain.bank_floor, terrain.loose_depth
@@ -500,17 +513,19 @@ class _StrokePath:
         # cut and runs down by whole steps.
         surface = np.empty((4, 2, n))
         seen = k  # the first step whose surface is not yet read
-        prism = np.full(n, tools.prism)
-        force = np.full(n, tools.face_force if cutting else tools.rip_face)
-        down = np.full(n, -STEP)
-        down[0] = terrain.cell_size
-        since_cut = down.cumsum()
-        down[0] = tools.face_run
-        run = down.cumsum()
+        if self.cells is not None:
+            force = np.full(n, tools.face_force if cutting else tools.rip_face)
+        if cutting:
+            prism = np.full(n, tools.prism)
+            down = np.full(n, -STEP)
+            down[0] = terrain.cell_size
+            since_cut = down.cumsum()
+            down[0] = tools.face_run
+            run = down.cumsum()
         crossings = self.crossings
         for c in crossings[bisect_left(crossings, k):bisect_right(crossings, last)]:
             i, at = c - k, corners[..., seen:c + 1]
-            surface[..., seen - k:i + 1] = bank.take(at) + loose.take(at)
+            np.add(bank.take(at), loose.take(at), out=surface[..., seen - k:i + 1])
             seen, gives = c + 1, False
             if cutting:
                 self.place(c)
@@ -532,7 +547,7 @@ class _StrokePath:
                 break
         self.last, n = last, last - k + 1
         at = corners[..., seen:last + 1]
-        surface[..., seen - k:n] = bank.take(at) + loose.take(at)
+        np.add(bank.take(at), loose.take(at), out=surface[..., seen - k:n])
         fore, aft = bilinear(surface[..., :n], *t[..., k:last + 1])
         self.rise = self.motion * (fore - aft)
         self.prism, self.face, self.rip, self.run = tools.prism, None, None, None
@@ -771,6 +786,9 @@ class Machine:
         self._unit_for = float("nan")
         self._unit_vec = (1.0, 0.0)
         self.tools = _Tools(self)
+        # each soil profile's skid friction and loose density, by its index in `cell_soils`
+        self.soil_terms = np.array([(spec.skid_friction(p, env.gravity), p.loose_density)
+                                    for p in terrain.cell_soils[0]]).T
 
     # ------------------------------------------------------------------
     # Pose helpers
@@ -780,7 +798,7 @@ class Machine:
         return math.degrees(self.heading)
 
     def _unit(self) -> tuple[float, float]:
-        # memoized; the stroke integrator asks for this on every step it takes alone
+        # memoized; stroke paths and tool placements ask for it, and only turns change it
         if self._unit_for != self.heading:
             self._unit_for = self.heading
             self._unit_vec = (math.cos(self.heading), math.sin(self.heading))
@@ -1023,8 +1041,9 @@ class Machine:
                 drafts, held, clears = path.price(step, anchor)
                 if held:
                     taken = drafts[:held]
-                    useful = float(np.concatenate(([useful], taken * path.ds[step:step + held]))
-                                   .cumsum()[-1])
+                    worked = taken * path.ds[step:step + held]
+                    worked[0] += useful  # the running sum goes on from `useful`
+                    useful = float(worked.cumsum()[-1])
                     draft_peak = max(draft_peak, float(taken.max()))
                 step += held
                 if step > last:

@@ -10,7 +10,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spikedozer import locomotion
 from spikedozer.earthworks import SWELL_FACTOR, Terrain
@@ -405,26 +405,129 @@ class TestGradeDraft:
         assert level.half_cycle() != second
 
 
-class TestStrokePathSoil:
-    def test_density_and_friction_are_the_per_step_lookups(self):
-        def blade_path(soil):
-            m = Machine(REFERENCE, flat(soil), MOON)
-            m.set_blade(-0.05)
-            return m, _StrokePath(m, "front", 1.0, 0.0, REFERENCE.stroke_length,
-                                  cutting=True, ripping=False)
+def step_sums(n, start=0.0):
+    """`start` plus `n` steps, added one at a time."""
+    for _ in range(n):
+        start += locomotion.STEP
+    return start
 
-        # a patch whose near edge sits exactly on the center before step 37
-        _, plain = blade_path(SOFT)
-        edge = float(plain.xs[37])
+
+class TestStrokePathLayout:
+    """`_StrokePath`'s layout against moving one step at a time."""
+
+    @staticmethod
+    def stepped(m, move_frame, motion, travelled, advance_total):
+        """The layout as a plain loop makes it: each full step adds the same
+        increments in the same order, while a full step of travel is left."""
+        step = locomotion.STEP
+        ux, uy = m._unit()
+        signed = motion * step
+        d_sep = signed if move_frame == "front" else -signed
+        dx, dy = 0.5 * signed * ux, 0.5 * signed * uy
+        t, x, y, sep = travelled, m.x, m.y, m.separation
+        ts, xs, ys, seps = [t], [x], [y], [sep]
+        while advance_total - t >= step:
+            t, x, y, sep = t + step, x + dx, y + dy, sep + d_sep
+            ts.append(t)
+            xs.append(x)
+            ys.append(y)
+            seps.append(sep)
+        n = len(ts) - 1
+        ds = [step] * n + ([advance_total - t] if t < advance_total - 1e-12 else [])
+        stop = next((k for k in range(n) if seps[k + 1] <= 0.0), n)
+        return ts, xs, ys, seps, ds, stop
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_layout_is_the_step_by_step_sums(self, data):
+        m = Machine(REFERENCE, flat(), MOON, data.draw(st.floats(-5.0, 30.0)),
+                    data.draw(st.floats(-5.0, 30.0)), data.draw(st.floats(-360.0, 360.0)))
+        move_frame = data.draw(st.sampled_from(["front", "rear"]))
+        motion = data.draw(st.sampled_from([1.0, -1.0]))
+        # travel so far: whole steps, as a stroke's next span starts, or any
+        if data.draw(st.booleans()):
+            travelled = step_sums(data.draw(st.integers(1, 300)))
+        else:
+            travelled = data.draw(st.floats(1e-9, 3.0))
+        # the travel left ends on a step multiple, within 1e-12 of one, or anywhere
+        k = data.draw(st.integers(1, 400))
+        end = data.draw(st.sampled_from(["sum", "product", "near", "any"]))
+        if end == "sum":
+            advance_total = step_sums(k, travelled)
+        elif end == "product":
+            advance_total = travelled + k * locomotion.STEP
+        elif end == "near":
+            advance_total = (travelled + k * locomotion.STEP
+                             + data.draw(st.sampled_from([-1e-12, -5e-13, -1e-13, 1e-13,
+                                                          5e-13, 1e-12, 2e-12])))
+        else:
+            advance_total = travelled + data.draw(st.floats(2e-12, 4.0))
+        assume(advance_total > travelled + 1e-12)
+        # closing frames that may collide partway: separation under the travel
+        closing = (move_frame == "front") == (motion < 0.0)
+        if closing and data.draw(st.booleans()):
+            m.separation = (advance_total - travelled) * data.draw(st.floats(1e-3, 1.0))
+        else:
+            m.separation = data.draw(st.floats(0.05, 5.0))
+        path = _StrokePath(m, move_frame, motion, travelled, advance_total, False, False)
+        ts, xs, ys, seps, ds, stop = self.stepped(m, move_frame, motion, travelled,
+                                                  advance_total)
+        assert path.travelled.tolist() == ts
+        assert path.xs.tolist() == xs
+        assert path.ys.tolist() == ys
+        assert path.seps.tolist() == seps
+        assert path.ds.tolist() == ds
+        assert path.stop == stop
+
+    @pytest.mark.parametrize("move_frame,motion,stop", [
+        ("rear", 1.0, 50), ("front", -1.0, 50), ("front", 1.0, 99), ("rear", -1.0, 99)])
+    def test_only_closing_frames_collide(self, move_frame, motion, stop):
+        # 0.505 m apart, closing frames reach 0.005 m after 50 steps and
+        # collide on the 51st; opening ones take 99 full steps of the metre
+        # (100 sums of 0.01 overshoot it) and a trimmed last one
+        m = Machine(REFERENCE, flat(), MOON, 5.0, 5.0, 30.0)
+        m.separation = 0.505
+        path = _StrokePath(m, move_frame, motion, 0.0, 1.0, False, False)
+        assert path.stop == self.stepped(m, move_frame, motion, 0.0, 1.0)[5] == stop
+        assert len(path.ds) == 100
+
+
+class TestStrokePathSoil:
+    @pytest.mark.parametrize("env", [MOON, EARTH])
+    @pytest.mark.parametrize("tool", ["blade", "ripper", None])
+    def test_density_and_friction_are_the_per_step_lookups(self, tool, env):
+        def laid(soil):
+            m = Machine(REFERENCE, flat(soil), env)
+            if tool == "blade":
+                m.set_blade(-0.05)
+            elif tool == "ripper":
+                m.set_ripper(0.05)
+                m.separation = REFERENCE.base_separation + REFERENCE.stroke_length
+            return m, _StrokePath(m, "rear" if tool == "ripper" else "front", 1.0, 0.0,
+                                  REFERENCE.stroke_length, cutting=tool == "blade",
+                                  ripping=tool == "ripper")
+
+        # a patch whose near edge sits exactly on the center before step 37,
+        # and over steps 60-80 a patch listed first, of an equal but distinct
+        # twin of the base profile: the lookups go by position in the list
+        _, plain = laid(SOFT)
+        edge, twin_from, twin_to = (float(plain.xs[k]) for k in (37, 60, 80))
         patch = SoilProfile(
             name="patch", anchor_work_slope=0.08, loose_density=1100.0,
             layers=(SoilLayer(thickness=10.0, resistance=2e6, friction_mu=0.4),))
-        field = PatchSoilField(SOFT, [SoilPatch(edge, -1.0, edge + 5.0, 1.0, patch)])
-        m, path = blade_path(field)
+        twin = replace(SOFT)
+        assert twin == SOFT and twin is not SOFT
+        field = PatchSoilField(SOFT, [SoilPatch(twin_from, -1.0, twin_to, 1.0, twin),
+                                      SoilPatch(edge, -1.0, edge + 5.0, 1.0, patch)])
+        m, path = laid(field)
+        profiles = m.terrain.cell_soils[0]
+        assert len(profiles) == 3
+        assert profiles[0] is SOFT and profiles[1] is twin and profiles[2] is patch
         steps = [field.profile_at(x, y) for x, y in zip(path.xs.tolist(), path.ys.tolist())]
         assert steps[36] is SOFT and steps[37] is patch
+        assert steps[60] is twin and steps[80] is twin and steps[81] is patch
         assert np.all(path.density == [p.loose_density for p in steps])
-        assert np.all(path.friction == [m.spec.skid_friction(p, MOON.gravity) for p in steps])
+        assert np.all(path.friction == [m.spec.skid_friction(p, env.gravity) for p in steps])
 
 
 class TestTurning:

@@ -479,6 +479,17 @@ class TestPeakDraft:
         assert predict_peak_draft(CONSTRUCTION, target, 1.5, MOON, SOFT) \
             > predict_peak_draft(CONSTRUCTION, target, 0.5, MOON, SOFT)
 
+    @pytest.mark.parametrize("target", [0, -1])
+    def test_an_integer_target_prices_as_its_float(self, target):
+        # a 0-d rise of any type is one step
+        got = predict_peak_draft(CONSTRUCTION, target, 1.0, MOON, SOFT)
+        assert type(got) is float
+        assert got.hex() == predict_peak_draft(CONSTRUCTION, float(target), 1.0, MOON,
+                                               SOFT).hex()
+        drafts, held, _ = price_steps(np.float64(-target), SOFT.loose_density, None, 0.0, None,
+                                      1.0, 0.0, CONSTRUCTION, MOON.gravity, None)
+        assert (type(drafts), held) == (float, 1)
+
     def test_all_terms_positive(self, plan):
         trip = plan.trips[0]
         assert predict_peak_draft(CONSTRUCTION, trip.target_elevation,
