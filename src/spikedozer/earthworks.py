@@ -180,6 +180,9 @@ class Terrain:
         rows, cols = self.shape
         j = np.floor((np.asarray(xs, dtype=float) - self.origin[0]) / self.cell_size)
         i = np.floor((np.asarray(ys, dtype=float) - self.origin[1]) / self.cell_size)
+        # every point on the map, as the extremes show; a NaN fails every test
+        if j.size and 0.0 <= j.min() and j.max() < cols and 0.0 <= i.min() and i.max() < rows:
+            return (i * cols + j).astype(np.intp)
         on = (0 <= i) & (i < rows) & (0 <= j) & (j < cols)
         # a point off the map counts as row 0, column -1, so no arithmetic
         # meets an infinite coordinate
@@ -209,17 +212,21 @@ class Terrain:
         if not self.contains(x, y):
             raise ValueError(f"point ({x}, {y}) is off the map")
         rows, cols = self.shape
-        fx = (x - self.origin[0]) / self.cell_size - 0.5
-        fy = (y - self.origin[1]) / self.cell_size - 0.5
-        j0 = min(max(int(math.floor(fx)), 0), cols - 1)
-        i0 = min(max(int(math.floor(fy)), 0), rows - 1)
-        j1 = min(j0 + 1, cols - 1)
-        i1 = min(i0 + 1, rows - 1)
-        tx = min(max(fx - j0, 0.0), 1.0)
-        ty = min(max(fy - i0, 0.0), 1.0)
-        bank, loose = self.bank_floor, self.loose_depth
-        return bilinear([bank.item(i, j) + loose.item(i, j) for i in (i0, i1) for j in (j0, j1)],
-                        tx, ty)
+        (ox, oy), size = self.origin, self.cell_size
+        fx = (x - ox) / size - 0.5
+        fy = (y - oy) / size - 0.5
+        j0 = min(max(math.floor(fx), 0), cols - 1)
+        i0 = min(max(math.floor(fy), 0), rows - 1)
+        # the flat (i0, j0), (i0, j1), (i1, j0) and (i1, j1) cells, where
+        # j1 and i1 are the next column and row, or the last again
+        c00 = i0 * cols + j0
+        c01 = c00 + (j0 < cols - 1)
+        down = cols if i0 < rows - 1 else 0
+        c10, c11 = c00 + down, c01 + down
+        bank, loose = self._bank.item, self._loose.item
+        return bilinear((bank(c00) + loose(c00), bank(c01) + loose(c01),
+                         bank(c10) + loose(c10), bank(c11) + loose(c11)),
+                        min(max(fx - j0, 0.0), 1.0), min(max(fy - i0, 0.0), 1.0))
 
     def bilinear_weights(self, points: np.ndarray) -> tuple[
             np.ndarray, np.ndarray, np.ndarray | None]:

@@ -421,7 +421,8 @@ class _StrokePath:
     and including it.  `work` makes one forward pass that sets these as
     it reaches each step, reading a step's heights before its crossing is
     worked.  The tools' journal serves only `settle`, which takes back
-    the work past any step through `states` and `crossed`.
+    the work past any step through `states` and `crossed`; a path that
+    works no tool keeps none of them, as it has nothing to take back.
     """
 
     def __init__(self, machine: Machine, move_frame: str, motion: float,
@@ -435,8 +436,8 @@ class _StrokePath:
         # travel, center and separation before each step, as running sums,
         # and below them the length of each step
         lay = np.empty((5, bound + 1))
-        lay[:, 0] = travelled, machine.x, machine.y, machine.separation, STEP
-        lay[:, 1:] = [[STEP], [0.5 * signed * ux], [0.5 * signed * uy], [d_sep], [STEP]]
+        lay.T[...] = STEP, 0.5 * signed * ux, 0.5 * signed * uy, d_sep, STEP
+        lay[:4, 0] = travelled, machine.x, machine.y, machine.separation
         lay[:4].cumsum(axis=1, out=lay[:4])
         # the travel left shrinks, so the n full steps end where it first falls short
         ts, n = lay[0], bound - 2
@@ -447,9 +448,10 @@ class _StrokePath:
         self.machine, self.tools, self.cutting, self.ripping = machine, tools, cutting, ripping
         self.motion = motion
         self.travelled, self.xs, self.ys, self.seps = lay[:4, :n + 1]
-        # only closing frames can collide
-        closed = np.flatnonzero(self.seps[1:] <= 0.0) if d_sep < 0.0 else ()
-        self.stop = int(closed[0]) if len(closed) else n
+        # only closing frames can collide, and the separation of closing
+        # frames only falls, so a collision shows at the last step
+        collides = self.seps.item(n) <= 0.0
+        self.stop = int((self.seps[1:] <= 0.0).argmax()) if collides else n
         self.ds = lay[4, :n + 1 if ts[n] < advance_total - 1e-12 else n]
         self.ds[n:] = advance_total - ts[n]
         self.crossings = []
@@ -471,9 +473,8 @@ class _StrokePath:
                 self.blade_cells = {c: band for c, band in zip(self.crossings, bands) if band}
                 self.crossings = list(self.blade_cells)
         # the fore and aft grade samples of each step, stacked as (x, y)
-        hx, hy = machine._grade_offset()
         corners, t, inside = terrain.bilinear_weights(
-            lay[1:3, None, :n + 1] + np.array((hx, -hx, hy, -hy)).reshape(2, 2, 1))
+            lay[1:3, None, :n + 1] + machine._grade_offset()[2])
         if inside is not None:
             off = ~(inside[0] & inside[1])
             corners[:, 1, off], t[:, 1, off] = corners[:, 0, off], t[:, 0, off]
@@ -501,10 +502,6 @@ class _StrokePath:
         tools, cutting, k = self.tools, self.cutting, self.k
         terrain, (corners, t) = self.machine.terrain, self.footprint
         bank, loose = terrain.bank_floor, terrain.loose_depth
-        tools.journal.clear()
-        # the tool state as the span starts, then after each crossing
-        self.states = [tools.snapshot()]
-        self.crossed = []  # the crossings worked, from k
         last = min(self.stop, len(self.ds) - 1)
         n = last - k + 1
         # Per step, as the work reaches it: the surface at its grade
@@ -514,6 +511,11 @@ class _StrokePath:
         surface = np.empty((4, 2, n))
         seen = k  # the first step whose surface is not yet read
         if self.cells is not None:
+            # what `settle` takes back: the tool state as the span starts,
+            # then after each crossing
+            tools.journal.clear()
+            self.states = [tools.snapshot()]
+            self.crossed = []  # the crossings worked, from k
             force = np.full(n, tools.face_force if cutting else tools.rip_face)
         if cutting:
             prism = np.full(n, tools.prism)
@@ -580,15 +582,16 @@ class _StrokePath:
     def settle(self, step: int) -> None:
         """Leave the tools as taking `step` leaves them: take back the work
         of the span's crossings after it, and set the face run and the
-        last tool cell."""
+        last tool cell.  A path with no tool has nothing to settle."""
+        if self.cells is None:
+            return
         tools = self.tools
         tools.restore(self.states[bisect_right(self.crossed, step - self.k)])
         if self.run is not None:
             tools.face_run = float(self.run[step - self.k]) - float(self.ds[step])
-        if self.cells is not None:
-            on = np.flatnonzero(self.cells[:step + 1] >= 0)
-            if on.size:
-                tools.last_cell = int(self.cells[on[-1]])
+        on = np.flatnonzero(self.cells[:step + 1] >= 0)
+        if on.size:
+            tools.last_cell = int(self.cells[on[-1]])
 
 
 class _ToolState(NamedTuple):
@@ -783,7 +786,7 @@ class Machine:
         self.recorder = recorder
         self.max_pin_drift = 0.0
         self._expanded = False
-        self._unit_for = float("nan")
+        self._unit_for = self._grade_for = float("nan")
         self._unit_vec = (1.0, 0.0)
         self.tools = _Tools(self)
         # each soil profile's skid friction and loose density, by its index in `cell_soils`
@@ -839,9 +842,10 @@ class Machine:
     # Anchoring
 
     def _spike_ground(self, frame: str, offset: float):
-        """A spike's ground at the surface, read once for seating and for
-        `advance`'s slip prediction: the point, its cell (None off the map),
-        the soil profile there, and whether intact crust resists the press."""
+        """A spike's ground at the surface, read once per seating by the
+        caller of `_seat_frame` (`advance` also predicts its slip from it):
+        the point, its cell (None off the map), the soil profile there, and
+        whether intact crust resists the press."""
         x, y = self.spike_point(frame, offset, 0.0)
         try:
             cell = self.terrain.cell_of(x, y)
@@ -854,20 +858,21 @@ class Machine:
                                         self.spec.spike.tip_area))
         return (x, y), cell, profile, resists
 
-    def _seat_frame(self, frame: str, force: float, slip_allowed: bool,
+    def _seat_frame(self, frame: str, ground: tuple, force: float, slip_allowed: bool,
                     offsets: tuple[float, ...] | None = None) -> tuple[float, float]:
         """Seat `frame`'s spikes against `force`.
 
         `offsets` restricts which spikes seat; straight driving seats the
         whole row, a turn pins a single off-axis spike so the frame can
-        yaw around it.  Returns (slip, anchoring_work).  `_spike_ground`
-        reads the first spike's ground for the row: where intact crust
-        resists the press the frame falls back to sliding friction; raises
-        VehicleStuck when neither spikes nor friction can react the load.
+        yaw around it.  Returns (slip, anchoring_work).  `ground` is
+        `_spike_ground`'s reading of the first spike's ground at the present
+        pose, which stands for the row: where intact crust resists the press
+        the frame falls back to sliding friction; raises VehicleStuck when
+        neither spikes nor friction can react the load.
         """
         if offsets is None:
             offsets = self.spec.spike_offsets
-        (sx, sy), cell, profile, resists = self._spike_ground(frame, offsets[0])
+        (sx, sy), cell, profile, resists = ground
         if cell is None:
             raise SimulationError(f"seating spike point ({sx:.2f}, {sy:.2f}) is off the map")
         if resists:
@@ -932,17 +937,23 @@ class Machine:
     # ------------------------------------------------------------------
     # Draft model
 
-    def _grade_offset(self) -> tuple[float, float]:
+    def _grade_offset(self) -> tuple[float, float, np.ndarray]:
         """From the center to the fore height sample, half a footprint
-        along the present heading; the aft sample lies as far behind."""
-        half = 0.5 * self.spec.gauge
-        ux, uy = self._unit()
-        return half * ux, half * uy
+        along the present heading, as (hx, hy); the aft sample lies as far
+        behind.  Third, the fore and aft offsets stacked as (x, y) x
+        (fore, aft) for a stroke's footprint.  Memoized, as `_unit` is."""
+        if self._grade_for != self.heading:
+            half = 0.5 * self.spec.gauge
+            ux, uy = self._unit()
+            hx, hy = half * ux, half * uy
+            self._grade_for = self.heading
+            self._grade = hx, hy, np.array(((hx, -hx), (hy, -hy)))[..., None]
+        return self._grade
 
     def _fresh_draft(self, cutting: bool, motion: float) -> float:
         """The draft at the present pose over a zero-length step, before
         any face is cut or any cell is ripped."""
-        hx, hy = self._grade_offset()
+        hx, hy, _ = self._grade_offset()
         x, y = self.x, self.y
         try:
             rise = motion * (self.terrain.height_at(x + hx, y + hy)
@@ -967,7 +978,7 @@ class Machine:
     # Linear half-cycle
 
     def half_cycle(self, stroke: float | None = None, reverse: bool = False, *,
-                   _draft: float | None = None) -> CycleRecord:
+                   _seat: tuple | None = None) -> CycleRecord:
         """Run one half-cycle and return its log row.
 
         Alternates expansion and contraction automatically.  `stroke`
@@ -991,8 +1002,9 @@ class Machine:
         span ends at the first cut whose step it does not hold.  The
         numbers are those of taking every step on its own.
 
-        `_draft` is for `advance` alone: the zero-length draft it already
-        had `_fresh_draft` price for this phase at the present pose.
+        `_seat` is for `advance` alone: the (draft, ground) that
+        `_fresh_draft` and `_spike_ground` already gave it for this phase
+        at the present pose; without it the half-cycle finds both itself.
         """
         expand, seat_frame, cutting, ripping = self._phase(reverse)
         if stroke is None:
@@ -1014,8 +1026,11 @@ class Machine:
         x0, y0 = self.x, self.y
         ux, uy = self._unit()
 
-        draft = self._fresh_draft(cutting, motion) if _draft is None else _draft
-        slip, anchor_work = self._seat_frame(seat_frame, draft, slip_allowed=True)
+        if _seat is None:
+            _seat = (self._fresh_draft(cutting, motion),
+                     self._spike_ground(seat_frame, self.spec.spike_offsets[0]))
+        draft, ground = _seat
+        slip, anchor_work = self._seat_frame(seat_frame, ground, draft, slip_allowed=True)
         slip = min(slip, stroke)
         slip_total = slip
         # Seating shoves the seating frame opposite the travel direction.
@@ -1159,10 +1174,12 @@ class Machine:
                     "half-cycle budget exhausted without reaching the target")
             expand, seat_frame, cutting, _ = self._phase(reverse)
             # Predict the seating slip as the half-cycle will seat: from
-            # the same zero-length draft and the same reading of the ground
-            # at the spike point; a frame held by friction does not slip.
+            # the zero-length draft and the reading of the ground at the
+            # spike point that it hands the half-cycle; a frame held by
+            # friction does not slip.
             draft0 = self._fresh_draft(cutting, -1.0 if reverse else 1.0)
-            _, _, profile, resists = self._spike_ground(seat_frame, self.spec.spike_offsets[0])
+            ground = self._spike_ground(seat_frame, self.spec.spike_offsets[0])
+            _, _, profile, resists = ground
             slip = 0.0 if resists else anchoring_slip(draft0, profile)
             # A phase whose remaining ram travel cannot beat its own
             # seating slip is skipped: the interlock simply swaps which
@@ -1180,7 +1197,7 @@ class Machine:
             stroke_needed = 2.0 * remaining + 2.0 * slip
             record = self.half_cycle(
                 stroke=min(self.spec.stroke_length, stroke_needed),
-                reverse=reverse, _draft=draft0)
+                reverse=reverse, _seat=(draft0, ground))
             gained = record.center_advance * sign
             moved += gained
             # One dead half is not a stall: a mid-stroke draft rise can
@@ -1266,12 +1283,12 @@ class Machine:
 
         self.anchors[free_frame] = self.anchors[pin_frame] = None
 
-        profile = self.terrain.soil.profile_at(*self.spike_point(pin_frame, side, 0.0))
-        f_turn = self.spec.skid_friction(profile, self.env.gravity)
+        ground = self._spike_ground(pin_frame, side)
+        f_turn = self.spec.skid_friction(ground[2], self.env.gravity)  # on the pin's soil
         # The pin is pressed in, not dragged in: no stroke is lost to slip.
         # Only the pin seats; the frame yaws around it, so its other
         # spikes would sweep an arc and cannot hold ground.
-        _, anchor_work = self._seat_frame(pin_frame, f_turn, slip_allowed=False,
+        _, anchor_work = self._seat_frame(pin_frame, ground, f_turn, slip_allowed=False,
                                           offsets=(side,))
 
         anchor = self.anchors[pin_frame]

@@ -83,8 +83,14 @@ def penetration_trace(
                (0.0, SAMPLE_STEP), (0.0, -SAMPLE_STEP))
     out = _clean_trace(tuple(field.profile_at(x + ox, y + oy) for ox, oy in offsets), depth)
     if rng is not None and noise_rel > 0.0:
-        out = out * (1.0 + rng.uniform(-noise_rel, noise_rel, len(out)))
-        np.maximum(out, 1.0, out=out)
+        out = _noisy(out, rng.uniform(-noise_rel, noise_rel, len(out)))
+    return out
+
+
+def _noisy(clean: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """`clean` samples scaled by 1 + `noise`, each sample floored at 1."""
+    out = clean * (1.0 + noise)
+    np.maximum(out, 1.0, out=out)
     return out
 
 
@@ -116,16 +122,20 @@ class PenetrationRecorder:
         self.events: list[PenetrationEvent] = []
 
     def record(self, x: float, y: float, depth: float) -> PenetrationEvent:
-        trace = penetration_trace(self.field, x, y, depth,
-                                  self.rng, self.noise_rel)
+        """Log a spike seated `depth` deep at (x, y).  One noise draw gives
+        the trace's noise, as `penetration_trace` draws it, then the
+        temperature's."""
+        trace = penetration_trace(self.field, x, y, depth)
         temperature = self.temperature.at(x, y, depth)
         if self.rng is not None and self.noise_rel > 0.0:
-            temperature *= 1.0 + self.rng.uniform(-self.noise_rel, self.noise_rel)
+            noise = self.rng.uniform(-self.noise_rel, self.noise_rel, len(trace) + 1)
+            trace = _noisy(trace, noise[:-1])
+            temperature *= 1.0 + noise.item(-1)
         event = PenetrationEvent(
             index=len(self.events),
             x=x, y=y, depth=depth,
             min_q=float(trace.min()),
-            mean_q=float(trace.mean()),
+            mean_q=float(trace.sum()) / len(trace),  # trace.mean() to the bit
             temperature_K=temperature,
         )
         self.events.append(event)

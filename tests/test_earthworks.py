@@ -153,6 +153,18 @@ class TestTerrainGrid:
             else:
                 assert divmod(int(cells[k]), cols) == cell
 
+    @pytest.mark.parametrize("x, y", [(0.0, 2.3), (-0.6, 2.75)], ids=["far_column", "far_row"])
+    def test_a_point_on_a_far_edge_is_off_the_map_in_any_batch(self, x, y):
+        # The other points of the batch are on the map, so only the far
+        # edge itself takes this one off: `cells_of` gives -1 where
+        # `cell_of` refuses it.
+        t = Terrain((3, 4), cell_size=0.25, origin=(-1.0, 2.0))
+        xs, ys = [-1.0, -0.6, x], [2.0, 2.6, y]
+        with pytest.raises(ValueError, match="off the map"):
+            t.cell_of(x, y)
+        on = [i * 4 + j for i, j in map(t.cell_of, xs[:2], ys[:2])]
+        assert t.cells_of(np.array(xs), np.array(ys)).tolist() == on + [-1]
+
     @given(st.data())
     @settings(deadline=None, max_examples=200)
     def test_weights_equal_the_clamped_formula_inside_and_across_the_edge(self, data):
@@ -222,6 +234,9 @@ class TestTerrainGrid:
         for h, x, y in zip(heights, xs.ravel().tolist(), ys.ravel().tolist()):
             if t.contains(x, y):
                 assert h == t.height_at(x, y)
+            else:
+                with pytest.raises(ValueError, match="off the map"):
+                    t.height_at(x, y)
 
     @given(st.data())
     @settings(deadline=None, max_examples=200)

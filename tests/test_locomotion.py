@@ -57,6 +57,11 @@ def ramp_surface(x_start, slope, n=GRID):
     return np.tile(row, (n, 1))
 
 
+def seat_rear(m, force):
+    """Seat the rear row against `force` on a fresh reading of its ground."""
+    return m._seat_frame("rear", m._spike_ground("rear", m.spec.spike_offsets[0]), force, True)
+
+
 class TestVehicleSpec:
     def test_registry_has_both_presets(self):
         assert set(VEHICLES) == {"reference", "construction"}
@@ -117,7 +122,7 @@ class TestVehicleSpec:
         # a frame that cannot seat on crust holds on skid friction alone
         spec = replace(REFERENCE, has_crust_actuator=False)
         m = Machine(spec, flat(soil=CRUSTED_SLICK), EARTH)
-        m._seat_frame("rear", 0.0, True)
+        seat_rear(m, 0.0)
         assert m.anchors["rear"].by_friction
         assert m.anchors["rear"].capacity == spec.skid_friction(CRUSTED_SLICK, EARTH.gravity) \
             == 0.1 * 0.5 * (spec.mass * EARTH.gravity)
@@ -126,9 +131,9 @@ class TestVehicleSpec:
         pins = []
         seat = m._seat_frame
 
-        def spy(frame, force, slip_allowed, offsets=None):
+        def spy(frame, ground, force, slip_allowed, offsets=None):
             pins.append(force)
-            return seat(frame, force, slip_allowed, offsets)
+            return seat(frame, ground, force, slip_allowed, offsets)
 
         m._seat_frame = spy
         m.turn_to(90.0)
@@ -270,6 +275,38 @@ class TestAdvance:
         m.half_cycle()
         assert len(calls) == len(m.cycles) + skipped
         assert all(calls)
+
+    @pytest.mark.parametrize("parked, skipped", [(False, 0), (True, 1)])
+    def test_reads_each_seating_ground_once(self, parked, skipped):
+        # advance reads the seating frame's ground to predict its slip and
+        # hands that reading to the half-cycle, which seats on it without
+        # reading again; a skipped phase reads its own.  A turn and a bare
+        # half-cycle read their own, once per seating.  Every seating's
+        # ground is what a fresh read at the seating gives.
+        m = Machine(REFERENCE, flat(), MOON)
+        if parked:
+            m.separation = REFERENCE.base_separation + REFERENCE.stroke_length
+        m.set_blade(-0.02)
+        spike_ground, seat_frame, reads, fresh = m._spike_ground, m._seat_frame, [], []
+
+        def read(*args):
+            reads.append(args)
+            return spike_ground(*args)
+
+        def seat(frame, ground, force, slip_allowed, offsets=None):
+            first = (offsets or m.spec.spike_offsets)[0]
+            fresh.append(ground == Machine._spike_ground(m, frame, first))
+            return seat_frame(frame, ground, force, slip_allowed, offsets)
+
+        m._spike_ground, m._seat_frame = read, seat
+        m.advance(3.0)
+        assert len(reads) == len(fresh) + skipped == len(m.cycles) + skipped
+        m.set_blade(None)
+        halves = m.turn_to(30.0)
+        assert halves and len(reads) == len(fresh) + skipped == len(m.cycles) + skipped
+        m.half_cycle()
+        assert len(reads) == len(fresh) + skipped == len(m.cycles) + skipped
+        assert all(fresh)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.05, max_value=9.0))
@@ -657,20 +694,20 @@ class TestDuricrust:
     def test_crust_holds_by_friction_until_a_press_breaks_it(self):
         terrain = flat(soil=CRUSTED_SLICK)
         m = Machine(replace(REFERENCE, has_crust_actuator=False), terrain, EARTH)
-        m._seat_frame("rear", 50.0, True)
+        seat_rear(m, 50.0)
         assert m.anchors["rear"].by_friction and not terrain.crust_broken.any()
         # the weight-transfer actuator's press breaks the crust under the spikes
         pressed = Machine(REFERENCE, terrain, EARTH)
-        pressed._seat_frame("rear", 50.0, True)
+        seat_rear(pressed, 50.0)
         assert not pressed.anchors["rear"].by_friction and terrain.crust_broken.any()
         # and spikes without the press now seat where it was broken
-        m._seat_frame("rear", 50.0, True)
+        seat_rear(m, 50.0)
         assert not m.anchors["rear"].by_friction
         assert m.anchors["rear"].depth == pressed.anchors["rear"].depth > 0.0
 
     def test_no_crust_profile_seats_spikes(self):
         m = Machine(replace(REFERENCE, has_crust_actuator=False), flat(soil=SOFT), EARTH)
-        m._seat_frame("rear", 50.0, True)
+        seat_rear(m, 50.0)
         assert not m.anchors["rear"].by_friction and m.anchors["rear"].depth > 0.0
 
     @pytest.mark.parametrize("x0, y0, by_friction", [(-2.0, 0.0, True), (5.0, 5.0, False)],
@@ -680,7 +717,7 @@ class TestDuricrust:
         # elsewhere on the map does not
         field = PatchSoilField(SOFT, [SoilPatch(x0, y0, x0 + 2.0, y0 + 2.0, CRUSTED_SLICK)])
         m = Machine(replace(REFERENCE, has_crust_actuator=False), flat(soil=field), EARTH)
-        m._seat_frame("rear", 50.0, True)
+        seat_rear(m, 50.0)
         assert m.anchors["rear"].by_friction == by_friction
 
     def test_crust_edge_is_read_at_the_spike_point_not_the_cell_center(self):
@@ -826,6 +863,30 @@ class TestTools:
             assert dropped() is None
         finally:
             gc.enable()
+
+    def test_a_tool_free_half_cycle_keeps_no_journal(self):
+        # A stroke with its tools raised works nothing, so it journals
+        # nothing and takes nothing back: from the reset that starts it,
+        # the tool state, the journal a cutting stroke left, the face run
+        # and the last tool cell stay as they are.
+        m = Machine(REFERENCE, flat(), MOON)
+        m.set_blade(-0.05)
+        m.half_cycle()
+        m.set_blade(None)
+        tools, reset, started = m.tools, m.tools.reset, []
+
+        def state():
+            return tools.snapshot(), list(tools.journal), tools.face_run, tools.last_cell
+
+        def spy():
+            reset()
+            started.append(state())
+
+        assert tools.journal and tools.prism > 0.0
+        tools.reset = spy
+        m.half_cycle(reverse=True)
+        assert started == [state()]
+        assert m.cycles[-1].free_advance < 0.0
 
     def test_restore_takes_back_cuts_spills_and_rips_bit_for_bit(self):
         rng = np.random.default_rng(7)

@@ -96,6 +96,29 @@ class TestRecorder:
         assert a.record(0.5, 0.5, 0.25) == b.record(0.5, 0.5, 0.25)
 
 
+    @pytest.mark.parametrize("noise_rel", [0.02, 0.3])
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_noisy_events_are_the_two_draws_in_turn(self, seed, noise_rel):
+        # The recorder draws its noise in one call.  Its events are, to
+        # the bit, those of drawing the trace's noise first, as a noisy
+        # `penetration_trace` does, and then the temperature's, with
+        # mean_q the trace's mean.  Depths of 1 to 40 samples, on both
+        # sides of a patch edge.
+        field = PatchSoilField(SOFT, [SoilPatch(0.0, 0.0, 1.0, 1.0, LAYERED)])
+        temperature = GroundTemperatureField()
+        rec = PenetrationRecorder(field, rng=np.random.default_rng(seed), noise_rel=noise_rel)
+        rng = np.random.default_rng(seed)
+        for x, y, depth in [(0.5, 0.5, 0.004), (1.005, 0.5, 0.137), (0.995, 0.25, 0.25),
+                            (-0.3, 2.0, 0.4), (0.5, 0.5, 0.031), (0.5, 0.5, 0.031)]:
+            trace = penetration_trace(field, x, y, depth, rng, noise_rel)
+            temperature_K = temperature.at(x, y, depth) * (1.0 + rng.uniform(-noise_rel, noise_rel))
+            event = rec.record(x, y, depth)
+            assert event.mean_q == float(trace.mean())
+            assert event == PenetrationEvent(event.index, x, y, depth, float(trace.min()),
+                                             float(trace.mean()), temperature_K)
+        assert rec.rng.random() == rng.random()
+
+
 class TestEventLog:
     def test_round_trip(self, tmp_path):
         rec = PenetrationRecorder(SoilField(SOFT))
