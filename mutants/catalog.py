@@ -21,12 +21,15 @@ from typing import NamedTuple
 EARTHWORKS = "src/spikedozer/earthworks.py"
 LOCOMOTION = "src/spikedozer/locomotion.py"
 SENSING = "src/spikedozer/sensing.py"
+SCENARIO = "src/spikedozer/scenario.py"
+CLI = "src/spikedozer/cli.py"
 
 # the stroke-focused subset
 STROKES = ("tests/test_stroke_corpus.py", "tests/test_golden.py", "tests/test_locomotion.py")
 
 HALF_CYCLE_FIXED_COST = "A half-cycle's stroke path builds only what its tool prices"
 ROUND_TWO = "A half-cycle's fixed cost, round two"
+ONE_GRID_RULE = "One grid rule"
 
 
 class Mutant(NamedTuple):
@@ -110,4 +113,40 @@ MUTANTS = (
         "and j.max() <= cols and",
         ("tests/test_earthworks.py",),
         ROUND_TWO, "killed"),
+    Mutant(
+        "cell-rule-takes-the-far-column", EARTHWORKS,
+        "0.0 <= i < rows and 0.0 <= j < cols else None",
+        "0.0 <= i < rows and 0.0 <= j <= cols else None",
+        ("tests/test_earthworks.py::TestTerrainGrid",),
+        ONE_GRID_RULE, "killed"),
+    Mutant(
+        "start-check-tests-only-the-center", SCENARIO,
+        'for frame in ("rear", "front"):',
+        "for frame in ():",
+        ("tests/test_cli.py::TestSimulate::test_input_hole_exits_1",),
+        ONE_GRID_RULE, "killed"),
+    Mutant(
+        "survey-origin-never-steps-down", CLI,
+        "for origin in (float(fmt(k * cell)), float(fmt((k - 1) * cell))):",
+        "for origin in (float(fmt(k * cell)),):",
+        ("tests/test_cli.py::TestMap",),
+        ONE_GRID_RULE, "killed"),
+    Mutant(
+        "survey-origin-not-as-printed", CLI,
+        "for origin in (float(fmt(k * cell)), float(fmt((k - 1) * cell))):",
+        "for origin in (k * cell, (k - 1) * cell):",
+        ("tests/test_cli.py::TestMap",),
+        ONE_GRID_RULE, "killed"),
+    Mutant(
+        "cell-centers-on-the-low-edges", EARTHWORKS,
+        "return lo + (np.arange(n) + 0.5) * size",
+        "return lo + np.arange(n) * size",
+        ("tests/test_earthworks.py::TestTerrainGrid", "tests/test_golden.py"),
+        ONE_GRID_RULE, "killed"),
+    Mutant(
+        "survey-cell-not-as-printed", CLI,
+        "cell = float(fmt(cell))",
+        "cell = float(cell)",
+        ("tests/test_cli.py::TestMap",),
+        ONE_GRID_RULE, "killed"),
 )

@@ -6,7 +6,8 @@ Subcommands
               events.csv, surface/bank/loose rasters, and plan.txt for
               pad missions
     plan      plan a pad mission without executing it; writes plan.txt
-    map       build min/mean strength survey rasters from an event log
+    map       build min/mean strength survey rasters from an event log, each
+              event in its cell of the grid that the raster header prints
     report    tabulate the operating numbers of a vehicle preset
 
 Every artifact is deterministic for a fixed (scenario, seed): numeric
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import SimulationError
 from .locomotion import RECORD_FIELDS, VEHICLES, conventional_drawbar_per_mass
-from .earthworks import check_grid_size
+from .earthworks import cell_at, check_grid_size
 from .planner import describe_plan
 from .rasters import fmt, write_raster, write_table, write_text
 from .scenario import RunResult, load_scenario, plan_and_validate, run_scenario
@@ -137,12 +138,16 @@ def _cmd_plan(args) -> int:
 
 
 def _survey_axis(values: list[float], cell: float) -> tuple[float, float]:
-    """Origin and cell count of one axis of a survey raster over `values`;
-    the count is inf where the float arithmetic overflows."""
-    low = min(values) / cell
-    origin = math.floor(low) * cell if math.isfinite(low) else math.nan
-    span = (max(values) - origin) / cell
-    return origin, math.floor(span) + 1 if math.isfinite(span) else math.inf
+    """Origin and cell count of one axis of a survey raster over `values`: a whole
+    number of cells as the header prints it, one lower where rounding leaves the lowest
+    value below it, so `cell_at` puts every value on the axis; inf cells on overflow."""
+    low, high, row = min(values), max(values), (1, math.inf)  # one unbounded row
+    k = math.floor(low / cell) if math.isfinite(low / cell) else 0  # the lattice from 0
+    for origin in (float(fmt(k * cell)), float(fmt((k - 1) * cell))):
+        if cell_at(row, cell, (origin, 0.0), low, 0.0) is not None:
+            top = cell_at(row, cell, (origin, 0.0), high, 0.0)
+            return origin, math.inf if top is None else top[1] + 1
+    raise ValueError(f"no raster header origin lies within a {cell:.9g} m cell below {low!r}")
 
 
 def _cmd_map(args) -> int:
@@ -150,6 +155,7 @@ def _cmd_map(args) -> int:
     if not (math.isfinite(cell) and cell > 0.0):
         raise ValueError(f"--cell-size must be a positive finite number, "
                          f"got {cell!r}")
+    cell = float(fmt(cell))  # the cell size as the raster header prints it
     events = load_events(args.events)
     if not events:
         raise ValueError(f"{args.events} holds no events to map")

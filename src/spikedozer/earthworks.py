@@ -54,12 +54,18 @@ def check_grid_size(rows, cols, needs: str) -> None:
         raise ValueError(f"{needs}, over the {MAX_GRID_CELLS} cell limit")
 
 
-def on_grid(shape, cell_size: float, origin, x: float, y: float) -> bool:
-    """Whether (x, y) lies on a `shape` grid of `cell_size` cells whose
-    corner is at `origin`."""
-    rows, cols = shape
-    return (origin[0] <= x < origin[0] + cols * cell_size
-            and origin[1] <= y < origin[1] + rows * cell_size)
+def cell_at(shape, cell_size: float, origin, x: float, y: float) -> tuple[int, int] | None:
+    """The (row, column) of the cell holding (x, y) on a `shape` grid of `cell_size`
+    cells whose corner is at `origin`, or None off it: the one rule for which cell
+    holds a point, which `Terrain.cells_of` and `bilinear_weights` apply to arrays."""
+    (rows, cols), j, i = shape, (x - origin[0]) / cell_size, (y - origin[1]) / cell_size
+    # floor(v) is in [0, n) just when v is, which a NaN or inf is not
+    return (int(i), int(j)) if 0.0 <= i < rows and 0.0 <= j < cols else None
+
+
+def cell_centers(n: int, size: float, lo: float) -> np.ndarray:
+    """The centers of `n` cells of `size` along an axis that starts at `lo`."""
+    return lo + (np.arange(n) + 0.5) * size
 
 
 def bilinear(s, tx, ty):
@@ -108,9 +114,9 @@ class VolumeAudit:
 class Terrain:
     """Square-cell heightfield with bank, spoil, and crust state.
 
-    Row index i maps to y, column index j to x; cell (0, 0) has its center
-    at (origin_x + cell/2, origin_y + cell/2).  The tools name a cell by
-    its flat index i * cols + j.
+    Row index i maps to y, column index j to x, and `centers` holds the x
+    of each column's cell centers and the y of each row's, from origin +
+    cell/2.  The tools name a cell by its flat index i * cols + j.
 
     The soil of a cell is the profile at its center, and it does not
     change during a run, so it is looked up once for the whole map:
@@ -140,7 +146,9 @@ class Terrain:
             from .soils import SOFT
             soil = SoilField(SOFT)
         self.soil = soil
-        self.cell_soils = soil.profiles_on_grid(shape, self.cell_size, self.origin)
+        self.centers = (cell_centers(cols, self.cell_size, self.origin[0]),
+                        cell_centers(rows, self.cell_size, self.origin[1]))
+        self.cell_soils = soil.profiles_on_grid(*self.centers)
 
         if initial_surface is None:
             self.bank_floor = np.zeros(shape, dtype=float)
@@ -166,16 +174,13 @@ class Terrain:
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         """Cell containing the point; raises ValueError off the map."""
-        j = (x - self.origin[0]) / self.cell_size
-        i = (y - self.origin[1]) / self.cell_size
-        rows, cols = self.shape
-        # floor(v) is in [0, n) just when v is, which a NaN or inf is not
-        if not (0.0 <= i < rows and 0.0 <= j < cols):
+        cell = cell_at(self.shape, self.cell_size, self.origin, x, y)
+        if cell is None:
             raise ValueError(f"point ({x}, {y}) is off the map")
-        return int(i), int(j)
+        return cell
 
     def cells_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """`cell_of` over arrays of points, with the same arithmetic, as
+        """`cell_at` over arrays of points, with the same arithmetic, as
         flat indices i * cols + j: -1 where `cell_of` would raise."""
         rows, cols = self.shape
         j = np.floor((np.asarray(xs, dtype=float) - self.origin[0]) / self.cell_size)
@@ -189,13 +194,10 @@ class Terrain:
         return (np.where(on, i, 0) * cols + np.where(on, j, -1)).astype(np.intp)
 
     def cell_center(self, i: int, j: int) -> tuple[float, float]:
-        return (
-            self.origin[0] + (j + 0.5) * self.cell_size,
-            self.origin[1] + (i + 0.5) * self.cell_size,
-        )
+        return self.centers[0].item(j), self.centers[1].item(i)
 
     def contains(self, x: float, y: float) -> bool:
-        return on_grid(self.shape, self.cell_size, self.origin, x, y)
+        return cell_at(self.shape, self.cell_size, self.origin, x, y) is not None
 
     # ------------------------------------------------------------------
     # Heights
@@ -250,7 +252,8 @@ class Terrain:
         size = self.cell_size
         at = (slice(None),) + (None,) * (points.ndim - 1)  # one value per axis
         origin = np.array(self.origin)[at]
-        f = (points - origin) / size - 0.5
+        cell = (points - origin) / size  # as `cell_at` places a point
+        f = cell - 0.5
         c0 = np.floor(f)
         if points[0].size:
             # the lowest and highest (j0, i0); a NaN fails every test below
@@ -260,7 +263,7 @@ class Terrain:
                 corner = (c0[1] * cols + c0[0]).astype(np.intp)
                 return np.add.outer((0, 1, cols, cols + 1), corner), f - c0, None
         last = np.array((cols - 1.0, rows - 1.0))[at]
-        inside = (origin <= points) & (points < origin + np.array((cols, rows))[at] * size)
+        inside = (0.0 <= cell) & (cell < np.array((cols, rows))[at])
         # fmax and fmin clamp even a NaN coordinate onto the map
         c0 = np.fmin(np.fmax(c0, 0.0), last)
         t = np.fmin(np.fmax(f - c0, 0.0), 1.0)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .earthworks import SWELL_FACTOR, Terrain, bilinear, ripper_draft
+from .earthworks import SWELL_FACTOR, Terrain, bilinear, cell_at, ripper_draft
 from .errors import FlipInstability, SimulationError, VehicleStuck
 from .sensing import PenetrationRecorder
 from .soils import Environment, SoilProfile, crust_breaks
@@ -847,13 +847,11 @@ class Machine:
         the point, its cell (None off the map), the soil profile there, and
         whether intact crust resists the press."""
         x, y = self.spike_point(frame, offset, 0.0)
-        try:
-            cell = self.terrain.cell_of(x, y)
-        except ValueError:
-            cell = None
-        profile = self.terrain.soil.profile_at(x, y)
+        terrain = self.terrain
+        cell = cell_at(terrain.shape, terrain.cell_size, terrain.origin, x, y)
+        profile = terrain.soil.profile_at(x, y)
         resists = (profile.duricrust is not None and cell is not None
-                   and not self.terrain.crust_broken[cell]
+                   and not terrain.crust_broken[cell]
                    and not crust_breaks(profile.duricrust, self.spec.crust_press(self.env.gravity),
                                         self.spec.spike.tip_area))
         return (x, y), cell, profile, resists
@@ -897,10 +895,9 @@ class Machine:
         slip = anchoring_slip(force, profile) if slip_allowed else 0.0
         for off in offsets:
             px, py = self.spike_point(frame, off, depth)
-            try:
-                self.terrain.crust_broken[self.terrain.cell_of(px, py)] = True
-            except ValueError:
-                pass
+            at = cell_at(self.terrain.shape, self.terrain.cell_size, self.terrain.origin, px, py)
+            if at is not None:
+                self.terrain.crust_broken[at] = True
             if self.recorder is not None and depth > 0.0:
                 self.recorder.record(px, py, depth)
         self.anchors[frame] = AnchorState(

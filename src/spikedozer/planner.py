@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .earthworks import SWELL_FACTOR, Terrain, check_grid_size
+from .earthworks import SWELL_FACTOR, Terrain, cell_centers, check_grid_size
 from .errors import SimulationError
 from .locomotion import Machine, VehicleSpec, ordered_sum, price_steps
 from .sensing import PenetrationRecorder
@@ -202,8 +202,7 @@ def _claim_lanes(local_half: int, cell_size: float, radius: float,
     against the lanes of its arc, widened by one lane each side and
     wrapped past n_lanes - 1, and the lowest lane that holds it wins.
     Cells with r <= 2h are tested against every lane."""
-    coord = -local_half * cell_size \
-        + (np.arange(2 * local_half) + 0.5) * cell_size
+    coord = cell_centers(2 * local_half, cell_size, -local_half * cell_size)
     R = np.hypot(coord[np.newaxis, :], coord[:, np.newaxis])
     ii, jj = np.nonzero(R <= radius)
     X, Y, R = coord[jj], coord[ii], R[ii, jj]
@@ -316,9 +315,9 @@ def plan_pad_mission(
     jj += cells_half - local_half
     claims = np.full(shape, -1, dtype=np.int32)
     claims[ii, jj] = lanes
-    # Radii from the full grid's own cell-center expression.
-    R = np.hypot(origin[0] + (jj + 0.5) * pad.cell_size,
-                 origin[1] + (ii + 0.5) * pad.cell_size)
+    # Radii from the full grid's own cell centers, the same along each axis.
+    centers = cell_centers(n_cells, pad.cell_size, origin[0])
+    R = np.hypot(centers[jj], centers[ii])
     # Each lane's cells outermost first; the sorts are stable and the cells
     # come in row-major order, so ties go by row then column.  Lane keys of
     # 16 bits or fewer sort by radix.

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .earthworks import DEFAULT_CELL_SIZE, Terrain, check_grid_size, on_grid
+from .earthworks import DEFAULT_CELL_SIZE, Terrain, cell_at, cell_centers, check_grid_size
 from .locomotion import VEHICLES, Machine, VehicleSpec
 from .planner import (
     MissionPlan,
@@ -333,8 +333,7 @@ def _parse_terrain(node: dict, base_dir: str) -> tuple[
         if not -60.0 < slope_deg < 60.0:
             raise ValueError("terrain slope must be within (-60, 60) degrees")
         az = math.radians(given.get("slope_azimuth_deg", 0.0))
-        xs = origin[0] + (np.arange(cols) + 0.5) * cell
-        ys = origin[1] + (np.arange(rows) + 0.5) * cell
+        xs, ys = cell_centers(cols, cell, origin[0]), cell_centers(rows, cell, origin[1])
         plane = math.tan(math.radians(slope_deg)) * (
             xs[np.newaxis, :] * math.cos(az) + ys[:, np.newaxis] * math.sin(az))
         surface = plane.astype(float)
@@ -482,7 +481,7 @@ def _check_start(start: tuple[float, float, float], vehicle: VehicleSpec,
     (rows, cols), (x0, y0) = shape, origin
     spans = (f"the terrain, which spans x [{x0:g}, {x0 + cols * cell:g}) "
              f"and y [{y0:g}, {y0 + rows * cell:g})")
-    if not on_grid(shape, cell, origin, x, y):
+    if cell_at(shape, cell, origin, x, y) is None:
         raise ValueError(f"start ({x:g}, {y:g}) is off {spans}")
     heading = math.radians(heading_deg)
     unit = (math.cos(heading), math.sin(heading))
@@ -490,7 +489,7 @@ def _check_start(start: tuple[float, float, float], vehicle: VehicleSpec,
         for offset in vehicle.spike_offsets:
             px, py = vehicle.spike_point(x, y, unit, vehicle.base_separation,
                                          frame, offset, 0.0)
-            if not on_grid(shape, cell, origin, px, py):
+            if cell_at(shape, cell, origin, px, py) is None:
                 raise ValueError(f"start ({x:g}, {y:g}) puts the {frame} frame's spike "
                                  f"point ({px:.2f}, {py:.2f}) off {spans}")
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .earthworks import cell_at
 from .soils import SoilField
 
 SAMPLE_STEP = 0.01  # m, depth resolution of a penetration trace
@@ -174,21 +175,20 @@ def rasterize_events(
 
     Cell min is the minimum of event minima, keeping the lower-bound
     reading; cell mean is the mean of event means.  Cells without any
-    event are NaN.  Events off the raster are ignored.
+    event are NaN.  An event counts in its `earthworks.cell_at` cell, and an
+    event off the raster nowhere; a `map` survey's raster holds every event.
     """
-    rows, cols = shape
     min_q = np.full(shape, np.nan)
     sum_q = np.zeros(shape)
     count = np.zeros(shape, dtype=int)
     for ev in events:
-        j = int(math.floor((ev.x - origin[0]) / cell_size))
-        i = int(math.floor((ev.y - origin[1]) / cell_size))
-        if not (0 <= i < rows and 0 <= j < cols):
+        cell = cell_at(shape, cell_size, origin, ev.x, ev.y)
+        if cell is None:
             continue
-        if count[i, j] == 0 or ev.min_q < min_q[i, j]:
-            min_q[i, j] = ev.min_q
-        sum_q[i, j] += ev.mean_q
-        count[i, j] += 1
+        if count[cell] == 0 or ev.min_q < min_q[cell]:
+            min_q[cell] = ev.min_q
+        sum_q[cell] += ev.mean_q
+        count[cell] += 1
     mean_q = np.full(shape, np.nan)
     touched = count > 0
     mean_q[touched] = sum_q[touched] / count[touched]

@@ -199,17 +199,13 @@ class SoilField:
             at[(p.x_min <= xs) & (xs <= p.x_max) & (p.y_min <= ys) & (ys <= p.y_max)] = n
         return [self.base] + [p.profile for p in self.patches], at
 
-    def profiles_on_grid(self, shape: tuple[int, int], cell_size: float,
-                         origin: tuple[float, float]) -> tuple[list[SoilProfile], np.ndarray]:
-        """The field's profiles, as `profiles_at` lists them, and a raster
-        of the index of the one at each cell center of the grid."""
+    def profiles_on_grid(self, xs, ys) -> tuple[list[SoilProfile], np.ndarray]:
+        """The field's profiles, as `profiles_at` lists them, and a raster of
+        the index of the one at each cell center (xs[j], ys[i]) of a grid."""
         # A patch holds the cell centers of a block of rows and columns, as
         # centers rise along each axis.  The patches fill their blocks in
         # reverse so the first holding a center wins, as in `profile_at`.
-        rows, cols = shape
-        xs = origin[0] + (np.arange(cols) + 0.5) * cell_size
-        ys = origin[1] + (np.arange(rows) + 0.5) * cell_size
-        index = np.zeros(shape, dtype=np.min_scalar_type(len(self.patches)))
+        index = np.zeros((len(ys), len(xs)), dtype=np.min_scalar_type(len(self.patches)))
         for n in range(len(self.patches), 0, -1):
             p = self.patches[n - 1]
             i0, i1 = np.searchsorted(ys, p.y_min), np.searchsorted(ys, p.y_max, side="right")

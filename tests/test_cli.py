@@ -7,17 +7,22 @@ hang run the CLI in a child process, under a timeout.
 """
 
 import json
+import math
 import os
 import re
 import resource
 import subprocess
 import sys
+import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikedozer import cli
+from spikedozer.earthworks import Terrain
 from spikedozer.locomotion import RECORD_FIELDS
 from spikedozer.rasters import read_raster
 from spikedozer.scenario import load_scenario
@@ -438,6 +443,11 @@ class TestSimulate:
          "start (0, 4.8) puts the rear frame's spike point (-0.87, 5.20) off the terrain"),
         ({"terrain": {"extent": [10.0, 10.0]}, "start": {"x": 4.9, "heading_deg": 180.0}},
          "start (4.9, 0) puts the rear frame's spike point (5.77, -0.40) off the terrain"),
+        # a spike point an ulp inside x = 5 by the coordinate compare but in
+        # column 100 of 100 by the cell rule, which seating applies
+        ({"terrain": {"extent": [10.0, 10.0], "cell_size": 0.1},
+          "start": {"x": 4.132871818038228, "heading_deg": 180.0}},
+         "start (4.13287, 0) puts the rear frame's spike point (5.00, -0.40) off the terrain"),
     ], ids=["surface_K", "gravity", "allow_inversion", "seed_fraction", "seed_text",
             "layer_thickness", "layer_density", "crust_thickness", "start_x", "spike",
             "spike_text", "spike_offsets", "shape", "empty_shape", "negative_extent",
@@ -446,7 +456,7 @@ class TestSimulate:
             "inverted_patch_x", "inverted_patch_y", "shape_and_extent",
             "azimuth_without_slope", "raster_and_slope", "raster_and_header",
             "raster_and_grid", "spike_off_terrain_x", "spike_off_terrain_y",
-            "spike_off_terrain_heading_back"])
+            "spike_off_terrain_heading_back", "spike_on_the_far_edge"])
     def test_input_hole_exits_1(self, tmp_path, doc, key):
         # a raster the terrain cases may name, so that only their keys are wrong
         (tmp_path / "surface.csv").write_text("# 2 3 0.5 -0.75 -0.5\n0,0.1,0\n0,0,0\n")
@@ -682,6 +692,77 @@ class TestMap:
         assert rc == 1
         assert "Traceback" not in err
         assert f"error: {path} line 3: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def survey_holds_every_event(out, points, cell_size):
+        """Map `points`, the k-th with min_q k + 1, and check the survey: each
+        point is on the grid the rasters read back as, in the cell that
+        `Terrain.cell_of` gives it there, and the covered cells are theirs."""
+        path = out / "events.csv"
+        path.write_text(",".join(EVENT_FIELDS) + "\n" + "".join(
+            f"{k},{x},{y},0.1,{k + 1},2e5,250\n" for k, (x, y) in enumerate(points)))
+        assert cli.main(["map", "--events", str(path), "--cell-size", cell_size,
+                         "--out", str(out)]) == 0
+        min_q, cell, origin = read_raster(str(out / "min_q.csv"))
+        terrain = Terrain(min_q.shape, cell_size=cell, origin=origin)
+        want = {}
+        for q, (x, y) in enumerate(points, 1):
+            at = terrain.cell_of(x, y)  # raises off the grid
+            want[at] = min(want.get(at, q), q)
+        assert {tuple(at) for at in np.argwhere(~np.isnan(min_q)).tolist()} == set(want)
+        assert all(min_q[at] == q for at, q in want.items())
+        return min_q, origin
+
+    @pytest.mark.parametrize("x, cell_size, origin, row", [
+        # 3.9 / 0.1 rounds to 39, and 39 * 0.1 to 3.9000000000000004, which
+        # as the origin would leave the first event below the raster
+        ((3.9, 4.3), "0.1", 3.9, [1.0, np.nan, np.nan, 2.0]),
+        # an ulp below -17.4: 174 cells below 0 print as -17.4, above it
+        ((-17.400000000000002, -17.0), "0.1", -17.5, [1.0] + [np.nan] * 4 + [2.0]),
+        # the header prints 0.1: in cells of 0.10000000004 the second event
+        # would sit in column 2 of 3, but it is in column 3 of 0.1 m cells
+        ((0.0, 0.30000000006), "0.10000000004", 0.0, [1.0, np.nan, np.nan, 2.0]),
+    ], ids=["origin_rounds_up", "origin_prints_above", "cell_size_as_printed"])
+    def test_every_event_is_in_its_cell(self, tmp_path, capsys, x, cell_size, origin, row):
+        min_q, got = self.survey_holds_every_event(tmp_path, [(x[0], 0.5), (x[1], 0.5)],
+                                                   cell_size)
+        assert got == (origin, 0.5)
+        assert np.array_equal(min_q, [row], equal_nan=True)
+        assert f"2 events -> 1x{len(row)} raster, 2 cells covered" in capsys.readouterr().out
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_every_event_is_in_its_cell_at_any_decimal_place(self, data):
+        cell_size = data.draw(st.sampled_from(["0.05", "0.07", "0.1", "0.15", "0.2", "0.25",
+                                               "0.3"]), label="cell size")
+        # decimals within a few meters of one another, mostly whole numbers
+        # of cells, which rounding puts on either side of a cell edge, or
+        # the floats an ulp either side of them
+        base = Decimal(data.draw(st.integers(-200_000, 200_000), label="base")) / 100
+        offset = st.one_of(st.integers(0, 60).map(lambda k: k * Decimal(cell_size)),
+                           st.integers(0, 3000).map(lambda k: Decimal(k) / 1000))
+
+        def near(d, side):  # the float nearest base + d, or its neighbour on `side`
+            x = float(base + d)
+            return math.nextafter(x, side * math.inf) if side else x
+
+        coordinate = st.builds(near, offset, st.sampled_from([0, -1, 1]))
+        points = data.draw(st.lists(st.tuples(coordinate, coordinate), min_size=1,
+                                    max_size=8), label="points")
+        with tempfile.TemporaryDirectory() as out:
+            self.survey_holds_every_event(Path(out), points, cell_size)
+
+    def test_an_origin_the_header_cannot_print_exits_1(self, tmp_path):
+        # 12345678962 cells of 0.01 m print as 123456790, 38 cells above the
+        # event, and so do 12345678961
+        path = self.write_events(tmp_path / "events.csv", [(123456789.62, 0.0)])
+        rc, err = run_cli(["map", "--events", str(path), "--cell-size", "0.01",
+                           "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "Traceback" not in err
+        assert ("error: no raster header origin lies within a 0.01 m cell below "
+                "123456789.62") in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("points, cell_size", [

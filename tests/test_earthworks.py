@@ -80,6 +80,8 @@ class TestRipperDraft:
 class TestTerrainGrid:
     def test_cell_round_trip(self):
         t = Terrain((8, 12), cell_size=0.5, origin=(-1.0, 2.0))
+        assert t.cell_center(0, 0) == (-0.75, 2.25)
+        assert t.cell_center(7, 11) == (4.75, 5.75)
         for i, j in [(0, 0), (7, 11), (3, 5)]:
             x, y = t.cell_center(i, j)
             assert t.cell_of(x, y) == (i, j)
@@ -166,13 +168,14 @@ class TestTerrainGrid:
         assert t.cells_of(np.array(xs), np.array(ys)).tolist() == on + [-1]
 
     @given(st.data())
-    @settings(deadline=None, max_examples=200)
+    @settings(deadline=None, max_examples=300)
     def test_weights_equal_the_clamped_formula_inside_and_across_the_edge(self, data):
         # A batch wholly half a cell or more inside the map skips the
-        # clamps; one point nearer the edge, or a NaN, takes them all.
+        # clamps; one point nearer the edge, or a NaN, takes them all, and
+        # so do batches of points each near an edge.
         rows = data.draw(st.integers(2, 8), label="rows")
         cols = data.draw(st.integers(2, 8), label="cols")
-        size = data.draw(st.sampled_from([0.1, 0.125, 0.25, 0.3, 1.0]), label="size")
+        size = data.draw(st.sampled_from([0.1, 0.125, 0.15, 0.2, 0.25, 0.3, 1.0]), label="size")
         ox = data.draw(st.floats(-5.0, 5.0), label="ox")
         oy = data.draw(st.floats(-5.0, 5.0), label="oy")
         t = Terrain((rows, cols), cell_size=size, origin=(ox, oy))
@@ -182,23 +185,34 @@ class TestTerrainGrid:
         def inner(lo, n):
             return st.floats(lo + 0.5 * size, lo + (n - 0.5) * size, exclude_max=True)
 
+        def ulps(edge):  # the edge and its neighbours 1 and 2 ulp away
+            down, up = math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)
+            return st.sampled_from([math.nextafter(down, -math.inf), down, edge, up,
+                                    math.nextafter(up, math.inf)])
+
         def near_edge(lo, n):
             return st.one_of(st.floats(lo - size, lo + size),
-                             st.floats(lo + (n - 1) * size, lo + (n + 1) * size))
+                             st.floats(lo + (n - 1) * size, lo + (n + 1) * size),
+                             ulps(lo), ulps(lo + n * size))
 
         m = data.draw(st.integers(1, 20), label="m")
         points = data.draw(st.lists(st.tuples(inner(ox, cols), inner(oy, rows)),
                                     min_size=2 * m, max_size=2 * m), label="points")
-        kind = data.draw(st.sampled_from(["inside", "straddle", "nan"]), label="kind")
-        if kind != "inside":
+        # "edges" twice, as an ulp from an edge only some origins and sizes
+        # round a point across it
+        kind = data.draw(st.sampled_from(["inside", "straddle", "edges", "edges", "nan"]),
+                         label="kind")
+        near = st.one_of(st.tuples(near_edge(ox, cols), inner(oy, rows)),
+                         st.tuples(inner(ox, cols), near_edge(oy, rows)))
+        if kind == "edges":
+            points = data.draw(st.lists(near, min_size=2 * m, max_size=2 * m), label="edges")
+        elif kind != "inside":
             k = data.draw(st.integers(0, 2 * m - 1), label="k")
             if kind == "nan":
                 points[k] = data.draw(st.sampled_from(
                     [(math.nan, points[k][1]), (points[k][0], math.nan)]), label="nan")
             else:
-                points[k] = data.draw(st.one_of(
-                    st.tuples(near_edge(ox, cols), inner(oy, rows)),
-                    st.tuples(inner(ox, cols), near_edge(oy, rows))), label="edge")
+                points[k] = data.draw(near, label="edge")
         xs = np.array([p[0] for p in points])
         ys = np.array([p[1] for p in points])
         if data.draw(st.booleans(), label="as a stroke"):  # (fore, aft) x steps
@@ -214,7 +228,9 @@ class TestTerrainGrid:
         corners = np.stack((i0 * cols + j0, i0 * cols + j1, i1 * cols + j0,
                             i1 * cols + j1)).astype(np.intp)
         w = np.stack((np.fmin(np.fmax(fx - j0, 0.0), 1.0), np.fmin(np.fmax(fy - i0, 0.0), 1.0)))
-        inside = (ox <= xs) & (xs < ox + cols * size) & (oy <= ys) & (ys < oy + rows * size)
+        # on the map by the cell rule, as `cell_of` reads it
+        inside = ((0.0 <= (xs - ox) / size) & ((xs - ox) / size < cols)
+                  & (0.0 <= (ys - oy) / size) & ((ys - oy) / size < rows))
         # the clamps change nothing just when every (i0, j0) is at least
         # one cell from the far edges; a NaN never is
         unclamped = bool(np.all((0.0 <= np.floor(fx)) & (np.floor(fx) <= cols - 2)
@@ -231,12 +247,25 @@ class TestTerrainGrid:
             assert np.array_equal(got_inside, inside)
         heights = bilinear(t.bank_floor.take(got_corners) + t.loose_depth.take(got_corners),
                            *got_w).ravel()
-        for h, x, y in zip(heights, xs.ravel().tolist(), ys.ravel().tolist()):
-            if t.contains(x, y):
+        # Five answers to whether a point is on the map, which agree even an
+        # ulp from an edge: `contains`, `cell_of`, `cells_of`, `height_at`
+        # and, where it is given, `inside`.
+        cells = t.cells_of(xs, ys).ravel().tolist()
+        given_inside = [None] * len(cells) if got_inside is None else got_inside.ravel().tolist()
+        for h, x, y, cell, on in zip(heights, xs.ravel().tolist(), ys.ravel().tolist(), cells,
+                                     given_inside):
+            answers = {t.contains(x, y), cell != -1} | ({on} if on is not None else set())
+            for ask in t.cell_of, t.height_at:
+                try:
+                    ask(x, y)
+                except ValueError as err:
+                    assert "off the map" in str(err)
+                    answers.add(False)
+                else:
+                    answers.add(True)
+            assert len(answers) == 1, (x, y)
+            if answers == {True}:
                 assert h == t.height_at(x, y)
-            else:
-                with pytest.raises(ValueError, match="off the map"):
-                    t.height_at(x, y)
 
     @given(st.data())
     @settings(deadline=None, max_examples=200)
