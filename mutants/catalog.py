@@ -30,6 +30,7 @@ STROKES = ("tests/test_stroke_corpus.py", "tests/test_golden.py", "tests/test_lo
 HALF_CYCLE_FIXED_COST = "A half-cycle's stroke path builds only what its tool prices"
 ROUND_TWO = "A half-cycle's fixed cost, round two"
 ONE_GRID_RULE = "One grid rule"
+ONE_SEATING = "One path from a seating to its event"
 
 
 class Mutant(NamedTuple):
@@ -82,17 +83,18 @@ MUTANTS = (
         HALF_CYCLE_FIXED_COST, "killed"),
     Mutant(
         "noise-draw-split-in-the-wrong-order", SENSING,
-        "trace = _noisy(trace, noise[:-1])\n"
+        "trace = trace * (1.0 + noise[:-1])\n"
+        "            np.maximum(trace, 1.0, out=trace)\n"
         "            temperature *= 1.0 + noise.item(-1)",
-        "trace = _noisy(trace, noise[1:])\n"
+        "trace = trace * (1.0 + noise[1:])\n"
+        "            np.maximum(trace, 1.0, out=trace)\n"
         "            temperature *= 1.0 + noise.item(0)",
         ("tests/test_sensing.py",),
         ROUND_TWO, "killed"),
     Mutant(
         "stale-seating-ground-after-the-pose-moved", LOCOMOTION,
-        "ground = self._spike_ground(seat_frame, self.spec.spike_offsets[0])",
-        "ground = ground if moved else self._spike_ground(seat_frame,"
-        " self.spec.spike_offsets[0])",
+        "seating = self._seating(seat_frame, cutting, sign)",
+        "seating = seating if moved else self._seating(seat_frame, cutting, sign)",
         ("tests/test_locomotion.py::TestAdvance",),
         ROUND_TWO, "killed"),
     Mutant(
@@ -149,4 +151,20 @@ MUTANTS = (
         "cell = float(cell)",
         ("tests/test_cli.py::TestMap",),
         ONE_GRID_RULE, "killed"),
+    Mutant(
+        "friction-hold-slips", LOCOMOTION,
+        "return draft, ground, 0.0 if resists else anchoring_slip(draft, profile)",
+        "return draft, ground, anchoring_slip(draft, profile)",
+        ("tests/test_locomotion.py::TestAdvance"
+         "::test_lands_on_target_when_the_frame_holds_by_friction",
+         "tests/test_stroke_corpus.py"),
+        ONE_SEATING, "killed"),
+    Mutant(
+        "turn-pin-slips", LOCOMOTION,
+        "anchor_work = self._seat_frame(pin_frame, ground, f_turn, 0.0, offsets=(side,))",
+        "anchor_work = self._seat_frame(pin_frame, ground, f_turn,"
+        " anchoring_slip(f_turn, ground[2]), offsets=(side,))",
+        ("tests/test_locomotion.py::TestTurning::test_the_pin_is_pressed_in_without_slip",
+         "tests/test_stroke_corpus.py"),
+        ONE_SEATING, "killed"),
 )

@@ -783,7 +783,8 @@ class Machine:
         self.anchors: dict[str, AnchorState | None] = {"front": None, "rear": None}
         self.extra_draft: float = 0.0
         self.cycles: list[CycleRecord] = []
-        self.recorder = recorder
+        # every seating is also a penetration test, so every machine senses
+        self.recorder = recorder or PenetrationRecorder(terrain.soil)
         self.max_pin_drift = 0.0
         self._expanded = False
         self._unit_for = self._grade_for = float("nan")
@@ -843,9 +844,8 @@ class Machine:
 
     def _spike_ground(self, frame: str, offset: float):
         """A spike's ground at the surface, read once per seating by the
-        caller of `_seat_frame` (`advance` also predicts its slip from it):
-        the point, its cell (None off the map), the soil profile there, and
-        whether intact crust resists the press."""
+        caller of `_seat_frame`: the point, its cell (None off the map), the
+        soil profile there, and whether intact crust resists the press."""
         x, y = self.spike_point(frame, offset, 0.0)
         terrain = self.terrain
         cell = cell_at(terrain.shape, terrain.cell_size, terrain.origin, x, y)
@@ -856,17 +856,31 @@ class Machine:
                                         self.spec.spike.tip_area))
         return (x, y), cell, profile, resists
 
-    def _seat_frame(self, frame: str, ground: tuple, force: float, slip_allowed: bool,
-                    offsets: tuple[float, ...] | None = None) -> tuple[float, float]:
-        """Seat `frame`'s spikes against `force`.
+    def _seating(self, seat_frame: str, cutting: bool,
+                 motion: float) -> tuple[float, tuple, float]:
+        """A straight half-cycle's seating at the present pose, as (draft,
+        ground, slip): the zero-length draft `seat_frame` seats against,
+        `_spike_ground`'s reading of its first spike, and the slip that
+        seating costs, none where intact crust leaves the frame to hold by
+        friction.  The one place a seating's slip is priced: `advance`
+        trims its stroke with it and hands all three to `half_cycle`."""
+        draft = self._fresh_draft(cutting, motion)
+        ground = self._spike_ground(seat_frame, self.spec.spike_offsets[0])
+        _, _, profile, resists = ground
+        return draft, ground, 0.0 if resists else anchoring_slip(draft, profile)
+
+    def _seat_frame(self, frame: str, ground: tuple, force: float, slip: float,
+                    offsets: tuple[float, ...] | None = None) -> float:
+        """Seat `frame`'s spikes against `force`, slipping `slip`, and
+        return the anchoring work.
 
         `offsets` restricts which spikes seat; straight driving seats the
         whole row, a turn pins a single off-axis spike so the frame can
-        yaw around it.  Returns (slip, anchoring_work).  `ground` is
-        `_spike_ground`'s reading of the first spike's ground at the present
-        pose, which stands for the row: where intact crust resists the press
-        the frame falls back to sliding friction; raises VehicleStuck when
-        neither spikes nor friction can react the load.
+        yaw around it.  `ground` is `_spike_ground`'s reading of the first
+        spike's ground at the present pose, which stands for the row: where
+        intact crust resists the press the frame falls back to sliding
+        friction; raises VehicleStuck when neither spikes nor friction can
+        react the load.
         """
         if offsets is None:
             offsets = self.spec.spike_offsets
@@ -880,7 +894,7 @@ class Machine:
                 self.anchors[frame] = AnchorState(
                     x=sx, y=sy, depth=0.0, capacity=friction,
                     stored_work=0.0, by_friction=True)
-                return 0.0, 0.0
+                return 0.0
             raise VehicleStuck(
                 "crust resists the spike press and sliding friction "
                 f"cannot react {force:.1f} N")
@@ -892,18 +906,17 @@ class Machine:
                 f"holding capacity exhausted at max seating depth for {force:.1f} N")
         depth, capacity, tan_beta = seated
         work = anchoring_work(force, profile)
-        slip = anchoring_slip(force, profile) if slip_allowed else 0.0
         for off in offsets:
             px, py = self.spike_point(frame, off, depth)
             at = cell_at(self.terrain.shape, self.terrain.cell_size, self.terrain.origin, px, py)
             if at is not None:
                 self.terrain.crust_broken[at] = True
-            if self.recorder is not None and depth > 0.0:
+            if depth > 0.0:
                 self.recorder.record(px, py, depth)
         self.anchors[frame] = AnchorState(
             x=sx, y=sy, depth=depth, capacity=capacity,
             stored_work=work, slipped=slip, tan_beta=tan_beta)
-        return slip, work
+        return work
 
     def _deepen_anchor(self, frame: str, new_force: float) -> tuple[float, float]:
         """Grow a seated anchor to react a draft that rose mid-stroke.
@@ -999,9 +1012,9 @@ class Machine:
         span ends at the first cut whose step it does not hold.  The
         numbers are those of taking every step on its own.
 
-        `_seat` is for `advance` alone: the (draft, ground) that
-        `_fresh_draft` and `_spike_ground` already gave it for this phase
-        at the present pose; without it the half-cycle finds both itself.
+        `_seat` is for `advance` alone: the `_seating` it already priced
+        for this phase at the present pose; without it the half-cycle
+        prices its own.
         """
         expand, seat_frame, cutting, ripping = self._phase(reverse)
         if stroke is None:
@@ -1023,11 +1036,8 @@ class Machine:
         x0, y0 = self.x, self.y
         ux, uy = self._unit()
 
-        if _seat is None:
-            _seat = (self._fresh_draft(cutting, motion),
-                     self._spike_ground(seat_frame, self.spec.spike_offsets[0]))
-        draft, ground = _seat
-        slip, anchor_work = self._seat_frame(seat_frame, ground, draft, slip_allowed=True)
+        draft, ground, slip = _seat or self._seating(seat_frame, cutting, motion)
+        anchor_work = self._seat_frame(seat_frame, ground, draft, slip)
         slip = min(slip, stroke)
         slip_total = slip
         # Seating shoves the seating frame opposite the travel direction.
@@ -1170,14 +1180,9 @@ class Machine:
                 raise VehicleStuck(
                     "half-cycle budget exhausted without reaching the target")
             expand, seat_frame, cutting, _ = self._phase(reverse)
-            # Predict the seating slip as the half-cycle will seat: from
-            # the zero-length draft and the reading of the ground at the
-            # spike point that it hands the half-cycle; a frame held by
-            # friction does not slip.
-            draft0 = self._fresh_draft(cutting, -1.0 if reverse else 1.0)
-            ground = self._spike_ground(seat_frame, self.spec.spike_offsets[0])
-            _, _, profile, resists = ground
-            slip = 0.0 if resists else anchoring_slip(draft0, profile)
+            # The seating as the half-cycle will seat, handed to it.
+            seating = self._seating(seat_frame, cutting, sign)
+            slip = seating[2]
             # A phase whose remaining ram travel cannot beat its own
             # seating slip is skipped: the interlock simply swaps which
             # frame holds and the opposite phase gets the full stroke.
@@ -1194,7 +1199,7 @@ class Machine:
             stroke_needed = 2.0 * remaining + 2.0 * slip
             record = self.half_cycle(
                 stroke=min(self.spec.stroke_length, stroke_needed),
-                reverse=reverse, _seat=(draft0, ground))
+                reverse=reverse, _seat=seating)
             gained = record.center_advance * sign
             moved += gained
             # One dead half is not a stall: a mid-stroke draft rise can
@@ -1269,24 +1274,20 @@ class Machine:
 
         Returns False when the ram was already at this phase's stop and
         the half degenerated to swapping the holding frame."""
-        expand = not self._expanded
-        pin_frame = "rear" if expand else "front"
-        free_frame = "front" if expand else "rear"
-
+        expand, pin_frame, _, _ = self._phase(reverse=False)
         avail = min(self.spec.stroke_length, self.ram_travel(expand))
         if avail <= 1e-9:
             self._expanded = expand
             return False
 
-        self.anchors[free_frame] = self.anchors[pin_frame] = None
+        self.anchors["front"] = self.anchors["rear"] = None
 
         ground = self._spike_ground(pin_frame, side)
         f_turn = self.spec.skid_friction(ground[2], self.env.gravity)  # on the pin's soil
         # The pin is pressed in, not dragged in: no stroke is lost to slip.
         # Only the pin seats; the frame yaws around it, so its other
         # spikes would sweep an arc and cannot hold ground.
-        _, anchor_work = self._seat_frame(pin_frame, ground, f_turn, slip_allowed=False,
-                                          offsets=(side,))
+        anchor_work = self._seat_frame(pin_frame, ground, f_turn, 0.0, offsets=(side,))
 
         anchor = self.anchors[pin_frame]
         depth = anchor.depth

@@ -360,17 +360,12 @@ def plan_pad_mission(
         cell_start=cell_start, cell_stop=cell_stop,
         planned_bank_volume=ordered_sum(volume / SWELL_FACTOR),
     )
-    plan.energy_budget = estimate_energy(plan, vehicle, env, soil)
+    plan.energy_budget = estimate_energy(plan, env, soil)
     return plan
 
 
-def estimate_energy(
-    plan: MissionPlan,
-    vehicle: VehicleSpec,
-    env: Environment,
-    soil: SoilProfile,
-) -> float:
-    """Predicted mission energy (J) from the machine's own force terms.
+def estimate_energy(plan: MissionPlan, env: Environment, soil: SoilProfile) -> float:
+    """Predicted mission energy (J) of `plan.vehicle` from its own force terms.
 
     Walks every trip's push leg in closed form instead of stepping the
     terrain.  The prism ramps from empty to the trip's full load across
@@ -385,7 +380,7 @@ def estimate_energy(
     the push legs is skid friction swept through one half-rotation per
     lane change.  The budget therefore reads low, most on small pads.
     """
-    g = env.gravity
+    g, vehicle = env.gravity, plan.vehicle
     cell = plan.pad.cell_size
     r_lo = plan.r_in - 0.5 * cell
     r_hi = plan.r_out + 0.5 * cell
@@ -507,8 +502,6 @@ def execute_plan(
     """Run the planned mission on a fresh flat terrain."""
     terrain = Terrain(plan.shape, cell_size=plan.pad.cell_size,
                       origin=plan.origin, soil=soil)
-    if recorder is None:
-        recorder = PenetrationRecorder(terrain.soil)
     machine = Machine(plan.vehicle, terrain, env,
                       heading_deg=plan.lane_azimuth_deg(0), recorder=recorder)
     lane_margin = 0.5 * (plan.vehicle.blade_width

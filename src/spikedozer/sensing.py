@@ -31,7 +31,7 @@ class GroundTemperatureField:
     surface_K: float = 250.0
     gradient_K_per_m: float = -40.0
 
-    def at(self, x: float, y: float, depth: float) -> float:
+    def at(self, depth: float) -> float:
         if depth < 0.0:
             raise ValueError("depth must be non-negative")
         return self.surface_K + self.gradient_K_per_m * depth
@@ -63,36 +63,19 @@ _EVENT_TYPES = inspect.get_annotations(PenetrationEvent, eval_str=True)
 EVENT_FIELDS = tuple(_EVENT_TYPES)
 
 
-def penetration_trace(
-    field: SoilField,
-    x: float,
-    y: float,
-    depth: float,
-    rng: np.random.Generator | None = None,
-    noise_rel: float = 0.0,
-) -> np.ndarray:
-    """Resistance samples every SAMPLE_STEP from the surface to `depth`.
+def penetration_trace(field: SoilField, x: float, y: float, depth: float) -> np.ndarray:
+    """Noise-free resistance samples every SAMPLE_STEP from the surface to
+    `depth`, as a shared read-only array.
 
     The probe reads the weakest material in its immediate neighborhood,
     so the sample at each step is the minimum profile resistance over the
-    probe point and four laterally offset points.  Without noise the
-    samples are a shared read-only array.
+    probe point and four laterally offset points.
     """
     if depth <= 0.0:
         raise ValueError("trace depth must be positive")
     offsets = ((0.0, 0.0), (SAMPLE_STEP, 0.0), (-SAMPLE_STEP, 0.0),
                (0.0, SAMPLE_STEP), (0.0, -SAMPLE_STEP))
-    out = _clean_trace(tuple(field.profile_at(x + ox, y + oy) for ox, oy in offsets), depth)
-    if rng is not None and noise_rel > 0.0:
-        out = _noisy(out, rng.uniform(-noise_rel, noise_rel, len(out)))
-    return out
-
-
-def _noisy(clean: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """`clean` samples scaled by 1 + `noise`, each sample floored at 1."""
-    out = clean * (1.0 + noise)
-    np.maximum(out, 1.0, out=out)
-    return out
+    return _clean_trace(tuple(field.profile_at(x + ox, y + oy) for ox, oy in offsets), depth)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -124,13 +107,14 @@ class PenetrationRecorder:
 
     def record(self, x: float, y: float, depth: float) -> PenetrationEvent:
         """Log a spike seated `depth` deep at (x, y).  One noise draw gives
-        the trace's noise, as `penetration_trace` draws it, then the
-        temperature's."""
+        the relative noise of each trace sample, each noisy sample floored
+        at 1, then the temperature's."""
         trace = penetration_trace(self.field, x, y, depth)
-        temperature = self.temperature.at(x, y, depth)
+        temperature = self.temperature.at(depth)
         if self.rng is not None and self.noise_rel > 0.0:
             noise = self.rng.uniform(-self.noise_rel, self.noise_rel, len(trace) + 1)
-            trace = _noisy(trace, noise[:-1])
+            trace = trace * (1.0 + noise[:-1])
+            np.maximum(trace, 1.0, out=trace)
             temperature *= 1.0 + noise.item(-1)
         event = PenetrationEvent(
             index=len(self.events),

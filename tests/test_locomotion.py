@@ -58,8 +58,9 @@ def ramp_surface(x_start, slope, n=GRID):
 
 
 def seat_rear(m, force):
-    """Seat the rear row against `force` on a fresh reading of its ground."""
-    return m._seat_frame("rear", m._spike_ground("rear", m.spec.spike_offsets[0]), force, True)
+    """Seat the rear row against `force`, with no slip, on a fresh reading
+    of its ground."""
+    return m._seat_frame("rear", m._spike_ground("rear", m.spec.spike_offsets[0]), force, 0.0)
 
 
 class TestVehicleSpec:
@@ -131,9 +132,9 @@ class TestVehicleSpec:
         pins = []
         seat = m._seat_frame
 
-        def spy(frame, ground, force, slip_allowed, offsets=None):
+        def spy(frame, ground, force, slip, offsets=None):
             pins.append(force)
-            return seat(frame, ground, force, slip_allowed, offsets)
+            return seat(frame, ground, force, slip, offsets)
 
         m._seat_frame = spy
         m.turn_to(90.0)
@@ -277,6 +278,45 @@ class TestAdvance:
         assert all(calls)
 
     @pytest.mark.parametrize("parked, skipped", [(False, 0), (True, 1)])
+    def test_prices_each_seating_slip_once(self, parked, skipped, monkeypatch):
+        # advance prices a straight seating's slip once, trims its stroke
+        # with it and hands it to the half-cycle, whose anchor slips just
+        # that; a skipped phase and a bare half-cycle price their own.
+        m = Machine(REFERENCE, flat(), EARTH)
+        m.extra_draft = 300.0  # a steady draft: no anchor deepens
+        if parked:
+            m.separation = REFERENCE.base_separation + REFERENCE.stroke_length
+        anchoring_slip, half_cycle, priced, seated = locomotion.anchoring_slip, m.half_cycle, [], []
+
+        def price(*args):
+            priced.append(anchoring_slip(*args))
+            return priced[-1]
+
+        def half(stroke=None, reverse=False, *, _seat=None):
+            record = half_cycle(stroke, reverse, _seat=_seat)
+            frame = "rear" if record.mode == "expand" else "front"
+            seated.append((m.anchors[frame].slipped, _seat[2]))
+            return record
+
+        monkeypatch.setattr(locomotion, "anchoring_slip", price)
+        m.half_cycle = half
+        m.advance(3.0)
+        assert len(priced) == len(m.cycles) + skipped
+        assert len(seated) == len(m.cycles)
+        assert all(slipped == slip > 0.0 for slipped, slip in seated)
+        half_cycle()
+        assert len(priced) == len(m.cycles) + skipped
+
+    def test_a_machine_given_no_recorder_records_its_seatings(self):
+        m = Machine(REFERENCE, flat(), EARTH)
+        m.extra_draft = 300.0
+        m.set_blade(-0.02)
+        m.half_cycle()
+        events = m.recorder.events
+        assert len(events) == len(REFERENCE.spike_offsets) and m.recorder.rng is None
+        assert all(e.depth == m.cycles[0].seat_depth > 0.0 for e in events)
+
+    @pytest.mark.parametrize("parked, skipped", [(False, 0), (True, 1)])
     def test_reads_each_seating_ground_once(self, parked, skipped):
         # advance reads the seating frame's ground to predict its slip and
         # hands that reading to the half-cycle, which seats on it without
@@ -293,10 +333,10 @@ class TestAdvance:
             reads.append(args)
             return spike_ground(*args)
 
-        def seat(frame, ground, force, slip_allowed, offsets=None):
+        def seat(frame, ground, force, slip, offsets=None):
             first = (offsets or m.spec.spike_offsets)[0]
             fresh.append(ground == Machine._spike_ground(m, frame, first))
-            return seat_frame(frame, ground, force, slip_allowed, offsets)
+            return seat_frame(frame, ground, force, slip, offsets)
 
         m._spike_ground, m._seat_frame = read, seat
         m.advance(3.0)
@@ -591,6 +631,21 @@ class TestTurning:
         m = Machine(REFERENCE, flat(), EARTH)
         with pytest.raises(VehicleStuck, match="holding capacity"):
             m.turn_to(180.0)
+
+    def test_the_pin_is_pressed_in_without_slip(self):
+        m = Machine(REFERENCE, flat(soil=MEDIUM), MOON)
+        turn_half, pins = m._turn_half, []
+
+        def half(side, err):
+            turned = turn_half(side, err)
+            if turned:
+                pins.append([a for a in m.anchors.values() if a is not None])
+            return turned
+
+        m._turn_half = half
+        m.turn_to(90.0)
+        assert pins and all(len(seated) == 1 for seated in pins)
+        assert all(pin.depth > 0.0 and pin.slipped == 0.0 for pin, in pins)
 
     def test_turn_by_and_negative_turns(self):
         m = Machine(REFERENCE, flat(soil=MEDIUM), MOON)

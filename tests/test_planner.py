@@ -258,7 +258,7 @@ class TestLayoutOracle:
         assert np.array_equal(plan.claims, claims)
         assert plan.trips == trips
         assert plan.energy_budget == estimate_energy(
-            replace(plan, **columns_of(trips)), vehicle, MOON, SOFT)
+            replace(plan, **columns_of(trips)), MOON, SOFT)
 
     @pytest.mark.parametrize("cell_size", [0.1, 0.125, 0.2, 0.25, 0.3, 0.5])
     @pytest.mark.parametrize("radius", [3.7, 9.979845551933689])
@@ -453,7 +453,7 @@ class TestEnergyBudget:
         assert firmer.energy_budget > plan.energy_budget
 
     def test_gravity_raises_the_bill(self, plan):
-        earth = estimate_energy(plan, CONSTRUCTION, EARTH, SOFT)
+        earth = estimate_energy(plan, EARTH, SOFT)
         assert earth > plan.energy_budget
 
     def test_face_resistance_is_read_at_the_cut_thickness(self):
@@ -467,7 +467,7 @@ class TestEnergyBudget:
         uniform = replace(layered, layers=(top,))
         plan = plan_pad_mission(PadSpec(radius=8.0), CONSTRUCTION, MOON, layered)
         assert plan.lift_depth < 0.3 < plan.pad.depth
-        assert plan.energy_budget == estimate_energy(plan, CONSTRUCTION, MOON, uniform)
+        assert plan.energy_budget == estimate_energy(plan, MOON, uniform)
         for target in (-plan.lift_depth, -plan.pad.depth):
             assert predict_peak_draft(CONSTRUCTION, target, 1.5, MOON, layered) \
                 == predict_peak_draft(CONSTRUCTION, target, 1.5, MOON, uniform)

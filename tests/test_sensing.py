@@ -37,12 +37,12 @@ LAYERED = SoilProfile(
 class TestTemperatureField:
     def test_linear_in_depth(self):
         field = GroundTemperatureField()
-        assert field.at(0.0, 0.0, 0.0) == 250.0
-        assert field.at(3.0, -2.0, 0.2) == pytest.approx(242.0)
+        assert field.at(0.0) == 250.0
+        assert field.at(0.2) == pytest.approx(242.0)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
-            GroundTemperatureField().at(0.0, 0.0, -0.1)
+            GroundTemperatureField().at(-0.1)
 
 
 class TestPenetrationTrace:
@@ -69,14 +69,6 @@ class TestPenetrationTrace:
         with pytest.raises(ValueError):
             penetration_trace(SoilField(SOFT), 0.0, 0.0, 0.0)
 
-    def test_noise_is_seed_deterministic(self):
-        a = penetration_trace(SoilField(SOFT), 0.0, 0.0, 0.3,
-                              np.random.default_rng(7), noise_rel=0.2)
-        b = penetration_trace(SoilField(SOFT), 0.0, 0.0, 0.3,
-                              np.random.default_rng(7), noise_rel=0.2)
-        assert np.array_equal(a, b)
-        assert not np.all(a == 960e3)
-
 
 class TestRecorder:
     def test_events_accumulate_with_indices(self):
@@ -95,23 +87,30 @@ class TestRecorder:
             SoilField(LAYERED), rng=np.random.default_rng(3), noise_rel=0.1)
         assert a.record(0.5, 0.5, 0.25) == b.record(0.5, 0.5, 0.25)
 
+    def test_noise_is_seed_deterministic(self):
+        a, b = (PenetrationRecorder(SoilField(SOFT), rng=np.random.default_rng(7), noise_rel=0.2)
+                for _ in range(2))
+        event = a.record(0.0, 0.0, 0.3)
+        assert event == b.record(0.0, 0.0, 0.3)
+        assert event.min_q < 960e3  # the clean trace reads 960e3 throughout
 
     @pytest.mark.parametrize("noise_rel", [0.02, 0.3])
     @pytest.mark.parametrize("seed", [0, 3, 17])
     def test_noisy_events_are_the_two_draws_in_turn(self, seed, noise_rel):
         # The recorder draws its noise in one call.  Its events are, to
-        # the bit, those of drawing the trace's noise first, as a noisy
-        # `penetration_trace` does, and then the temperature's, with
-        # mean_q the trace's mean.  Depths of 1 to 40 samples, on both
-        # sides of a patch edge.
+        # the bit, those of drawing the trace's noise first, each sample
+        # scaled by 1 + its draw and floored at 1, and then the
+        # temperature's, with mean_q the trace's mean.  Depths of 1 to 40
+        # samples, on both sides of a patch edge.
         field = PatchSoilField(SOFT, [SoilPatch(0.0, 0.0, 1.0, 1.0, LAYERED)])
         temperature = GroundTemperatureField()
         rec = PenetrationRecorder(field, rng=np.random.default_rng(seed), noise_rel=noise_rel)
         rng = np.random.default_rng(seed)
         for x, y, depth in [(0.5, 0.5, 0.004), (1.005, 0.5, 0.137), (0.995, 0.25, 0.25),
                             (-0.3, 2.0, 0.4), (0.5, 0.5, 0.031), (0.5, 0.5, 0.031)]:
-            trace = penetration_trace(field, x, y, depth, rng, noise_rel)
-            temperature_K = temperature.at(x, y, depth) * (1.0 + rng.uniform(-noise_rel, noise_rel))
+            trace = penetration_trace(field, x, y, depth)
+            trace = np.maximum(trace * (1 + rng.uniform(-noise_rel, noise_rel, len(trace))), 1.0)
+            temperature_K = temperature.at(depth) * (1.0 + rng.uniform(-noise_rel, noise_rel))
             event = rec.record(x, y, depth)
             assert event.mean_q == float(trace.mean())
             assert event == PenetrationEvent(event.index, x, y, depth, float(trace.min()),

@@ -192,8 +192,8 @@ def outcome(seed, counts):
     m._deepen_anchor = counted_deepen
     seat = m._seat_frame
 
-    def counted_seat(frame, ground, force, slip_allowed, offsets=None):
-        out = seat(frame, ground, force, slip_allowed, offsets)
+    def counted_seat(frame, ground, force, slip, offsets=None):
+        out = seat(frame, ground, force, slip, offsets)
         counts["seats by friction"] += m.anchors[frame].by_friction
         return out
 
